@@ -106,13 +106,12 @@ def adaptive_bound(state: AdaptiveState) -> float:
                                 state.jitter)
 
 
-def adaptive_bound_gradients(state: AdaptiveState, inducing_mask: str = "all") -> dict:
-    """Analytic gradient of the adaptive bound, restricted to the masked
-    inducing coordinates plus the three scalar hyperparameters."""
+def adaptive_bound_gradients(state: AdaptiveState) -> dict:
+    """Analytic gradient of the adaptive bound over every inducing point and
+    the three scalar hyperparameters, plus the bound ``value``."""
     return bound.weighted_bound_gradients(
         state.window_x, state.window_y, state.inducing, state.params,
         state.log_noise, state.weights(), state.jitter,
-        inducing_mask=inducing_mask,
     )
 
 

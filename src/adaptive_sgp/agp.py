@@ -12,8 +12,7 @@ from .adaptive import (AdaptiveState, adaptive_bound_gradients,
                        adaptive_predict, rebuild_caches)
 from .errors import NotPsd
 from .fast_agp import prune_inducing, slide_window
-from .kernel import KernelParams
-from .optim import Adam
+from .optim import Adam, ascent_step
 
 log = logging.getLogger(__name__)
 
@@ -40,18 +39,13 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     state.inducing = np.vstack([state.inducing, state.window_x[-1:]])
 
     # The newest inducing point is a brand-new parameter every step, so its
-    # Adam moments restart; the scalar hyperparameters keep theirs.
-    opt.reset("u_new")
+    # Adam moments restart; the hyperparameters keep theirs.
+    opt.reset("inducing")
     try:
-        g = adaptive_bound_gradients(state, inducing_mask="last")
-        state.inducing[-1] += opt.step("u_new", g["inducing"].ravel())
-        state.params = KernelParams(
-            log_variance=state.params.log_variance
-            + opt.step("log_variance", g["log_variance"]),
-            log_lengthscale=state.params.log_lengthscale
-            + opt.step("log_lengthscale", g["log_lengthscale"]),
-        )
-        state.log_noise = state.log_noise + opt.step("log_noise", g["log_noise"])
+        g = adaptive_bound_gradients(state)
+        g["inducing"] = g["inducing"][-1:]
+        state.inducing[-1:], state.params, state.log_noise = ascent_step(
+            opt, g, state.inducing[-1:], state.params, state.log_noise)
     except NotPsd:
         log.warning("inference step skipped: factorization failed")
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .adaptive import AdaptiveState, rebuild_caches
+from .adaptive import AdaptiveState, lambda_weights, rebuild_caches
 from .bound import _chain_to_params
 from .errors import NotPsd
 from .kernel import KernelParams, kernel_matrix
-from .optim import Adam
+from .optim import Adam, ascent_step
 from .vsgp import PredictiveDist, _clamp_var
 
 log = logging.getLogger(__name__)
@@ -42,8 +42,6 @@ def q_from_moments(mean: np.ndarray, cov: np.ndarray,
 
 
 def _setup(window_x, window_y, inducing, params, log_noise, lam, jitter):
-    from .adaptive import lambda_weights
-
     X = np.asarray(window_x, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -195,14 +193,8 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
             break
         q.mean = q.mean + opt.step("q_mean", grads["q_mean"])
         q.cov_chol = _apply_chol_update(q.cov_chol, opt.step("q_chol", grads["q_chol"]))
-        state.inducing = state.inducing + opt.step("inducing", grads["inducing"])
-        state.params = KernelParams(
-            log_variance=state.params.log_variance
-            + opt.step("log_variance", grads["log_variance"]),
-            log_lengthscale=state.params.log_lengthscale
-            + opt.step("log_lengthscale", grads["log_lengthscale"]),
-        )
-        state.log_noise = state.log_noise + opt.step("log_noise", grads["log_noise"])
+        state.inducing, state.params, state.log_noise = ascent_step(
+            opt, grads, state.inducing, state.params, state.log_noise)
 
     rebuild_caches(state)
     return state, q, opt, pred

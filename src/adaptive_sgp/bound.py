@@ -9,9 +9,11 @@ adaptive model (geometric forgetting weights).  The bound is
 
 evaluated through the Woodbury identity on the M x M matrix
 Binv = Kuu + sigma^-2 Kux W Kxu, so the cost is O(N M^2) and the N x N
-covariance is never materialized.  Gradients are hand-derived via the chain
-rule through the same form and validated against finite differences in the
-test suite.
+covariance is never materialized.  ``weighted_bound_gradients`` also
+returns the bound ``value``, computed from the gradient's own kernel
+matrices and Cholesky factors by the same code ``weighted_bound`` runs.
+Gradients are hand-derived via the chain rule through the same form and
+validated against finite differences in the test suite.
 """
 
 import numpy as np
@@ -20,7 +22,9 @@ from . import linalg
 from .kernel import KernelParams, kernel_matrix, sq_dists
 
 
-def _prepare(X, y, U, params: KernelParams, log_noise: float, weights, jitter: float):
+def _factor(X, y, U, params: KernelParams, log_noise: float, weights, jitter: float):
+    """Inputs as arrays, the kernel matrices, the weighted cross-moments
+    S_k = Kux W Kxu and s_y = Kux W y, and the factors of Kuu and Binv."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -32,20 +36,15 @@ def _prepare(X, y, U, params: KernelParams, log_noise: float, weights, jitter: f
     sig2 = float(np.exp(log_noise))
     Kuu = kernel_matrix(U, U, params) + jitter * np.eye(U.shape[0])
     Kxu = kernel_matrix(X, U, params)
-    return X, y, U, w, sig2, Kuu, Kxu
-
-
-def weighted_bound(X, y, U, params: KernelParams, log_noise: float,
-                   weights, jitter: float = 0.0) -> float:
-    """Value of the weighted collapsed bound."""
-    X, y, U, w, sig2, Kuu, Kxu = _prepare(X, y, U, params, log_noise, weights, jitter)
-    n = y.shape[0]
-
     S_k = Kxu.T @ (w[:, None] * Kxu)
     s_y = Kxu.T @ (w * y)
     f_k = linalg.cholesky_psd(Kuu, 0.0)
     f_b = linalg.cholesky_psd(Kuu + S_k / sig2, 0.0)
+    return X, y, U, w, sig2, Kuu, Kxu, S_k, s_y, f_k, f_b
 
+
+def _value(y, w, sig2, params: KernelParams, S_k, s_y, f_k, f_b) -> float:
+    n = y.shape[0]
     Bs_y = linalg.solve_psd(f_b, s_y)
     quad = np.dot(w * y, y) / sig2 - (s_y @ Bs_y) / sig2**2
     logdet_cov = (
@@ -58,6 +57,14 @@ def weighted_bound(X, y, U, params: KernelParams, log_noise: float,
     trc = w_ksum - float(np.trace(linalg.solve_psd(f_k, S_k)))
     extra = -0.5 * (float(np.sum(w)) - n) * np.log(2.0 * np.pi * sig2)
     return float(gauss + extra - trc / (2.0 * sig2))
+
+
+def weighted_bound(X, y, U, params: KernelParams, log_noise: float,
+                   weights, jitter: float = 0.0) -> float:
+    """Value of the weighted collapsed bound."""
+    _, y, _, w, sig2, _, _, S_k, s_y, f_k, f_b = _factor(
+        X, y, U, params, log_noise, weights, jitter)
+    return _value(y, w, sig2, params, S_k, s_y, f_k, f_b)
 
 
 def _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, params: KernelParams):
@@ -83,27 +90,16 @@ def _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, params: KernelParams):
 
 
 def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
-                             weights, jitter: float = 0.0,
-                             inducing_mask: str = "all") -> dict:
+                             weights, jitter: float = 0.0) -> dict:
     """Analytic gradient of :func:`weighted_bound`.
 
-    Parameters
-    ----------
-    inducing_mask : {"all", "last", "none"}
-        Which inducing-point coordinates to include under the ``"inducing"``
-        key: all rows, only the newest (last) row, or none.
-
     Returns a dict with keys ``log_variance``, ``log_lengthscale``,
-    ``log_noise``, ``inducing`` and the bound ``value``.
+    ``log_noise``, ``inducing`` (shaped like U) and the bound ``value``.
     """
-    X, y, U, w, sig2, Kuu, Kxu = _prepare(X, y, U, params, log_noise, weights, jitter)
+    X, y, U, w, sig2, Kuu, Kxu, S_k, s_y, f_k, f_b = _factor(
+        X, y, U, params, log_noise, weights, jitter)
     n = y.shape[0]
     Kuu_raw = Kuu - jitter * np.eye(U.shape[0])
-
-    S_k = Kxu.T @ (w[:, None] * Kxu)
-    s_y = Kxu.T @ (w * y)
-    f_k = linalg.cholesky_psd(Kuu, 0.0)
-    f_b = linalg.cholesky_psd(Kuu + S_k / sig2, 0.0)
 
     eye = np.eye(U.shape[0])
     B = linalg.solve_psd(f_b, eye)
@@ -148,18 +144,10 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
         + trc / (2.0 * sig2)
     )
 
-    if inducing_mask == "last":
-        gU = gU[-1:, :]
-    elif inducing_mask == "none":
-        gU = np.zeros((0, U.shape[1]))
-    elif inducing_mask != "all":
-        raise ValueError(f"unknown inducing mask {inducing_mask!r}")
-
-    value = weighted_bound(X, y, U, params, log_noise, w, jitter)
     return {
         "log_variance": float(g_lv),
         "log_lengthscale": float(g_ll),
         "log_noise": float(g_ln),
         "inducing": gU,
-        "value": value,
+        "value": _value(y, w, sig2, params, S_k, s_y, f_k, f_b),
     }

@@ -80,8 +80,6 @@ def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
             kwargs[key] = int(value)
         elif key in _FLOAT_FIELDS:
             kwargs[key] = value if value == "auto" else float(value)
-        elif key == "literal_ci":
-            kwargs[key] = str(value).lower() in ("1", "true", "yes")
         elif key == "model_kind":
             kwargs[key] = MODEL_FLAGS.get(str(value), str(value))
         else:
@@ -122,7 +120,7 @@ def run_seeds(config: ExperimentConfig, X, y, seeds: list[int]):
     """Run one experiment per seed, in parallel, deterministic by seed order."""
     kwargs = {k: getattr(config, k) for k in (
         "model_kind", "window_t", "capacity_m", "lam", "r_th", "init_iters",
-        "inner_iters", "lr", "jitter", "literal_ci")}
+        "inner_iters", "lr", "jitter")}
     jobs = [(kwargs, X, y, s) for s in seeds]
     if len(seeds) == 1 or _n_workers() == 1:
         results = [_run_one_seed(j) for j in jobs]

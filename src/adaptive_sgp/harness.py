@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from . import adaptive, agp, agp_vsi, fast_agp, vsgp, wvsgp
-from .adaptive import AdaptiveState
 from .errors import EmptyRecords, InvalidLambda, MapeUndefined, TooShort
 
 MODEL_KINDS = ("fast_agp", "agp", "agp_vsi", "w_vsgp")
@@ -44,7 +43,6 @@ class ExperimentConfig:
     lr: float = 0.05
     seed: int = 0
     jitter: float = 1e-6
-    literal_ci: bool = False           # audit flag: CI bound without sqrt
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS + ("persistence",):
@@ -80,12 +78,6 @@ class MetricSummary:
     mape: Optional[float]
     total_time_us: int
     n_steps: int
-
-
-def threshold_tot(state: AdaptiveState) -> float:
-    """Inducing-addition threshold: weighted kernel-diagonal sum over the
-    configured window length."""
-    return state.w_ksum / state.window_t
 
 
 def synth_toy(seed: int, grid: bool = False):
@@ -131,53 +123,35 @@ def lag_embed(series, lags: int, horizon: int):
     return X, y
 
 
-def _stream_fast_agp(config, state, X, y, records):
-    for i in range(X.shape[0]):
-        t0 = time.perf_counter_ns()
-        _, pred = fast_agp.fast_agp_step(state, X[i], y[i], config.r_th)
-        records.append(_record(i, X[i], y[i], pred, state, t0))
-
-
-def _stream_agp(config, state, X, y, records):
+def _stepper(config: ExperimentConfig, model: vsgp.VsgpModel, X0, y0):
+    """Streaming state for ``config.model_kind``, built from the batch model
+    fitted on the first T samples ``(X0, y0)``, behind one interface:
+    ``step(x, y) -> (pred_before, log_noise, k_inducing)``."""
+    kind = config.model_kind
     opt = agp.adam_params(lr=config.lr)
-    for i in range(X.shape[0]):
-        t0 = time.perf_counter_ns()
-        _, _, pred = agp.agp_step(state, opt, X[i], y[i], config.r_th)
-        records.append(_record(i, X[i], y[i], pred, state, t0))
+    if kind == "w_vsgp":
+        wx, wy = X0.copy(), y0.copy()
 
+        def step(x, y):
+            nonlocal model, wx, wy
+            model, _, wx, wy, pred = wvsgp.wvsgp_step(model, opt, wx, wy, x, y,
+                                                      config.inner_iters)
+            return pred, model.log_noise, model.inducing.shape[0]
+        return step
 
-def _stream_agp_vsi(config, state, model, X, y, records):
-    q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, config.jitter)
-    opt = agp.adam_params(lr=config.lr)
-    for i in range(X.shape[0]):
-        t0 = time.perf_counter_ns()
-        _, _, _, pred = agp_vsi.agp_vsi_step(state, q, opt, X[i], y[i],
-                                             config.inner_iters)
-        records.append(_record(i, X[i], y[i], pred, state, t0))
-
-
-def _stream_wvsgp(config, model, wx, wy, X, y, records):
-    opt = agp.adam_params(lr=config.lr)
-    for i in range(X.shape[0]):
-        t0 = time.perf_counter_ns()
-        model, opt, wx, wy, pred = wvsgp.wvsgp_step(model, opt, wx, wy,
-                                                    X[i], y[i],
-                                                    config.inner_iters)
-        rec = StreamRecord(step=i, x=X[i].copy(), y_true=float(y[i]),
-                           pred_mean=pred.mean, pred_var=pred.var,
-                           noise_var=float(np.exp(model.log_noise)),
-                           k_inducing=model.inducing.shape[0],
-                           elapsed_us=(time.perf_counter_ns() - t0) // 1000)
-        records.append(rec)
-
-
-def _record(i, x, y_true, pred, state, t0) -> StreamRecord:
-    return StreamRecord(step=i, x=np.atleast_1d(np.asarray(x, dtype=float)).copy(),
-                        y_true=float(y_true),
-                        pred_mean=pred.mean, pred_var=pred.var,
-                        noise_var=state.noise_var,
-                        k_inducing=state.k_inducing,
-                        elapsed_us=(time.perf_counter_ns() - t0) // 1000)
+    state = adaptive.from_batch(model, X0, y0, config.resolved_lambda(),
+                                config.window_t, config.capacity_m)
+    if kind == "fast_agp":
+        advance = lambda x, y: fast_agp.fast_agp_step(state, x, y, config.r_th)[1]
+    elif kind == "agp":
+        advance = lambda x, y: agp.agp_step(state, opt, x, y, config.r_th)[2]
+    elif kind == "agp_vsi":
+        q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, config.jitter)
+        advance = lambda x, y: agp_vsi.agp_vsi_step(state, q, opt, x, y,
+                                                    config.inner_iters)[3]
+    else:
+        raise ValueError(f"unsupported model kind {kind!r}")
+    return lambda x, y: (advance(x, y), state.log_noise, state.k_inducing)
 
 
 def run_experiment(config: ExperimentConfig, X_all, y_all):
@@ -197,26 +171,17 @@ def run_experiment(config: ExperimentConfig, X_all, y_all):
                            config.init_iters,
                            seed=derive_seed(config.seed, "inducing"),
                            lr=config.lr, jitter=config.jitter)
-    X_str, y_str = X_all[T:], y_all[T:]
+    step = _stepper(config, model, X_all[:T], y_all[:T])
     records: list[StreamRecord] = []
-    lam = config.resolved_lambda()
-
-    if config.model_kind == "w_vsgp":
-        _stream_wvsgp(config, model, X_all[:T].copy(), y_all[:T].copy(),
-                      X_str, y_str, records)
-    else:
-        state = adaptive.from_batch(model, X_all[:T], y_all[:T], lam,
-                                    T, config.capacity_m)
-        if config.model_kind == "fast_agp":
-            _stream_fast_agp(config, state, X_str, y_str, records)
-        elif config.model_kind == "agp":
-            _stream_agp(config, state, X_str, y_str, records)
-        elif config.model_kind == "agp_vsi":
-            _stream_agp_vsi(config, state, model, X_str, y_str, records)
-        else:
-            raise ValueError(f"unsupported model kind {config.model_kind!r}")
-
-    return records, summarize(records, literal_ci=config.literal_ci)
+    for i, (x, y) in enumerate(zip(X_all[T:], y_all[T:])):
+        t0 = time.perf_counter_ns()
+        pred, log_noise, k = step(x, y)
+        records.append(StreamRecord(
+            step=i, x=x.copy(), y_true=float(y),
+            pred_mean=pred.mean, pred_var=pred.var,
+            noise_var=float(np.exp(log_noise)), k_inducing=k,
+            elapsed_us=(time.perf_counter_ns() - t0) // 1000))
+    return records, summarize(records)
 
 
 def mse(records) -> float:
@@ -236,28 +201,24 @@ def mape(records) -> float:
     return float(np.mean(np.abs((y - m) / y)) * 100.0)
 
 
-def ci95_coverage(records, literal: bool = False) -> float:
-    """Percentage of samples whose error falls inside the 95% band.
-
-    The band is 2*sqrt(pred_var + noise_var); ``literal=True`` uses the
-    unsquare-rooted variance sum instead (audit flag)."""
+def ci95_coverage(records) -> float:
+    """Percentage of samples whose error falls inside the 95% band
+    2*sqrt(pred_var + noise_var)."""
     if not records:
         raise EmptyRecords("no records")
     err = np.abs(np.array([r.y_true - r.pred_mean for r in records]))
     tot = np.array([r.pred_var + r.noise_var for r in records])
-    bound = 2.0 * tot if literal else 2.0 * np.sqrt(tot)
-    return float(np.mean(err < bound) * 100.0)
+    return float(np.mean(err < 2.0 * np.sqrt(tot)) * 100.0)
 
 
-def summarize(records, with_coverage: bool = True,
-              literal_ci: bool = False) -> MetricSummary:
+def summarize(records, with_coverage: bool = True) -> MetricSummary:
     try:
         mape_val = mape(records)
     except MapeUndefined:
         mape_val = None
     cov = None
     if with_coverage:
-        cov = ci95_coverage(records, literal=literal_ci)
+        cov = ci95_coverage(records)
     return MetricSummary(
         mse=mse(records),
         ci95_coverage=cov,

@@ -53,12 +53,6 @@ def kernel_matrix(X, Z, p: KernelParams) -> np.ndarray:
     return p.variance * np.exp(-0.5 * d2 / p.lengthscale**2)
 
 
-def kernel_diag(X, p: KernelParams) -> np.ndarray:
-    """Diagonal of kernel_matrix(X, X, p): a constant-variance vector."""
-    X = _as_2d(X)
-    return np.full(X.shape[0], p.variance)
-
-
 def kernel_grads(X, Z, p: KernelParams):
     """Analytic partials of each kernel entry.
 

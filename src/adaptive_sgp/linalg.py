@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPsd, NotSymmetric
+from .errors import DimensionMismatch, NotPsd, NotSymmetric, SchurNotPositive
 
 MAX_JITTER_ESCALATIONS = 6
 SYMMETRY_RTOL = 1e-8
@@ -93,8 +93,6 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -
         When the Schur complement is <= ``tol * max(|b0|, 1)``; the caller
         should rebuild the inverse from scratch.
     """
-    from .errors import SchurNotPositive
-
     Ainv = np.asarray(Ainv, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != Ainv.shape[0]:

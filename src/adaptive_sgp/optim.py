@@ -1,4 +1,5 @@
-"""Adam optimizer with named parameter slots.
+"""Adam optimizer with named parameter slots, and the one parameter update
+every trainer uses.
 
 Slots are keyed per parameter name so that long-lived parameters (noise,
 kernel hyperparameters) keep their moment estimates across streaming steps
@@ -7,6 +8,8 @@ every step) can be reset individually.
 """
 
 import numpy as np
+
+from .kernel import KernelParams
 
 
 class Adam:
@@ -36,3 +39,22 @@ class Adam:
         v_hat = v / (1.0 - self.beta2**t)
         update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return float(update) if update.ndim == 0 else update
+
+
+def ascent_step(opt: Adam, grads: dict, inducing: np.ndarray,
+                params: KernelParams, log_noise: float):
+    """One Adam ascent step on the inducing rows and the hyperparameters.
+
+    ``grads`` holds an ``inducing`` gradient shaped like ``inducing`` and
+    the three scalar gradients.  The rows use the ``"inducing"`` slot; the
+    flat vector [log_variance, log_lengthscale, log_noise] uses the
+    ``"hyper"`` slot, whose elementwise moments are those of three scalar
+    slots.  Returns ``(inducing, params, log_noise)``.
+    """
+    inducing = inducing + opt.step("inducing", grads["inducing"])
+    d_var, d_len, d_noise = opt.step("hyper", [
+        grads["log_variance"], grads["log_lengthscale"], grads["log_noise"],
+    ]).tolist()
+    params = KernelParams(log_variance=params.log_variance + d_var,
+                          log_lengthscale=params.log_lengthscale + d_len)
+    return inducing, params, log_noise + d_noise

@@ -1,17 +1,18 @@
 """Batch variational sparse GP: collapsed bound, optimal variational
-distribution, predictive posterior, and Adam-based batch training.
+distribution, predictive posterior, and Adam-based batch training
+(``train``, shared by ``fit_batch`` and the sliding-window baseline).
 
 Used both to initialize the streaming models and as the sliding-window
 baseline's inner model.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bound, linalg
 from .kernel import KernelParams, kernel_matrix
-from .optim import Adam
+from .optim import Adam, ascent_step
 
 DEFAULT_JITTER = 1e-6
 
@@ -87,19 +88,6 @@ def predict(model: VsgpModel, xstar) -> PredictiveDist:
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 
-def bound_gradients(X, y, U, params: KernelParams, log_noise: float,
-                    jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Gradient of the collapsed bound, flattened as
-    [U entries row-major, log_variance, log_lengthscale, log_noise]."""
-    y = np.asarray(y, dtype=float).ravel()
-    g = bound.weighted_bound_gradients(X, y, U, params, log_noise,
-                                       np.ones(y.shape[0]), jitter)
-    return np.concatenate([
-        g["inducing"].ravel(),
-        [g["log_variance"], g["log_lengthscale"], g["log_noise"]],
-    ])
-
-
 def init_hyperparams(X, y) -> tuple[KernelParams, float]:
     """Deterministic data-dependent starting point for batch training."""
     X = np.asarray(X, dtype=float)
@@ -130,28 +118,24 @@ def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
     U = X[rng.choice(n, size=M, replace=False)].copy()
     params, log_noise = init_hyperparams(X, y)
 
-    opt = Adam(lr=lr)
+    return train(X, y, U, params, log_noise, Adam(lr=lr), iters, jitter)
+
+
+def train(X, y, U, params: KernelParams, log_noise: float, opt: Adam,
+          iters: int, jitter: float) -> VsgpModel:
+    """``iters`` Adam ascent steps on the collapsed bound over all of
+    (U, kernel, noise), then the optimal q and the cached Kuu inverse.
+
+    ``X`` is N x D and ``y`` has N entries; ``opt`` keeps its moments, so a
+    warm-started caller passes the same optimizer every time."""
+    ones = np.ones(y.shape[0])
     for _ in range(iters):
-        g = bound.weighted_bound_gradients(X, y, U, params, log_noise,
-                                           np.ones(n), jitter)
-        U = U + opt.step("inducing", g["inducing"])
-        params = KernelParams(
-            log_variance=params.log_variance + opt.step("log_variance", g["log_variance"]),
-            log_lengthscale=params.log_lengthscale + opt.step("log_lengthscale", g["log_lengthscale"]),
-        )
-        log_noise = log_noise + opt.step("log_noise", g["log_noise"])
+        g = bound.weighted_bound_gradients(X, y, U, params, log_noise, ones,
+                                           jitter)
+        U, params, log_noise = ascent_step(opt, g, U, params, log_noise)
 
     mu, A = optimal_q(X, y, U, params, log_noise, jitter)
-    Kuu = kernel_matrix(U, U, params) + jitter * np.eye(M)
+    Kuu = kernel_matrix(U, U, params) + jitter * np.eye(U.shape[0])
     kuu_inv = linalg.inv_psd(Kuu, 0.0)
     return VsgpModel(inducing=U, params=params, log_noise=log_noise,
                      q_mean=mu, q_cov=A, kuu_inv=kuu_inv, jitter=jitter)
-
-
-def refresh_q(model: VsgpModel, X, y) -> VsgpModel:
-    """Recompute the optimal q and cached Kuu inverse after parameter moves."""
-    mu, A = optimal_q(X, y, model.inducing, model.params, model.log_noise,
-                      model.jitter)
-    Kuu = kernel_matrix(model.inducing, model.inducing, model.params)
-    Kuu += model.jitter * np.eye(model.inducing.shape[0])
-    return replace(model, q_mean=mu, q_cov=A, kuu_inv=linalg.inv_psd(Kuu, 0.0))

@@ -5,8 +5,7 @@ from the previous step's parameters.  No forgetting inside the window.
 
 import numpy as np
 
-from . import bound, vsgp
-from .kernel import KernelParams
+from . import vsgp
 from .optim import Adam
 
 
@@ -22,21 +21,6 @@ def wvsgp_step(model: vsgp.VsgpModel, opt: Adam, window_x, window_y,
                           np.atleast_2d(np.asarray(x_new, dtype=float))])[1:]
     window_y = np.append(np.asarray(window_y, dtype=float), float(y_new))[1:]
 
-    U = model.inducing
-    params = model.params
-    log_noise = model.log_noise
-    ones = np.ones(window_y.shape[0])
-    for _ in range(inner_iters):
-        g = bound.weighted_bound_gradients(window_x, window_y, U, params,
-                                           log_noise, ones, model.jitter)
-        U = U + opt.step("inducing", g["inducing"])
-        params = KernelParams(
-            log_variance=params.log_variance + opt.step("log_variance", g["log_variance"]),
-            log_lengthscale=params.log_lengthscale + opt.step("log_lengthscale", g["log_lengthscale"]),
-        )
-        log_noise = log_noise + opt.step("log_noise", g["log_noise"])
-
-    from dataclasses import replace
-    model = replace(model, inducing=U, params=params, log_noise=log_noise)
-    model = vsgp.refresh_q(model, window_x, window_y)
+    model = vsgp.train(window_x, window_y, model.inducing, model.params,
+                       model.log_noise, opt, inner_iters, model.jitter)
     return model, opt, window_x, window_y, pred

@@ -7,7 +7,7 @@ check on the O(N M^2) production code paths.
 
 import numpy as np
 
-from adaptive_sgp import adaptive, linalg
+from adaptive_sgp import adaptive, bound, linalg
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 
@@ -70,6 +70,18 @@ def dense_weighted_bound(X, y, U, params, log_noise, w, jitter=1e-6):
     kdiag = params.variance * np.ones(n)
     trace = -0.5 / sig2 * float(np.dot(w, kdiag - np.diag(Qff)))
     return gauss + middle + trace
+
+
+def flat_bound_gradients(X, y, U, params, log_noise, jitter=1e-6):
+    """Gradient of the unit-weight collapsed bound, flattened as
+    [U entries row-major, log_variance, log_lengthscale, log_noise]."""
+    y = np.asarray(y, dtype=float).ravel()
+    g = bound.weighted_bound_gradients(X, y, U, params, log_noise,
+                                       np.ones(y.shape[0]), jitter)
+    return np.concatenate([
+        g["inducing"].ravel(),
+        [g["log_variance"], g["log_lengthscale"], g["log_noise"]],
+    ])
 
 
 def dense_gp_lml(X, y, params, log_noise):

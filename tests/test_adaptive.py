@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, vsgp
+from adaptive_sgp import adaptive, bound, vsgp
 from adaptive_sgp.errors import InvalidLambda
 from adaptive_sgp.kernel import kernel_matrix
 
-from helpers import (dense_weighted_bound, fd_gradient, grad_close,
-                     make_state, rel)
+from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
+                     grad_close, make_state, random_instance, rel)
 
 
 def test_lambda_weights_values():
@@ -64,10 +64,10 @@ def test_bound_matches_dense_oracle():
 def test_gradients_reduce_to_batch_at_lambda_one():
     rng = np.random.default_rng(3)
     st = make_state(rng, lam=1.0)
-    g = adaptive.adaptive_bound_gradients(st, "all")
+    g = adaptive.adaptive_bound_gradients(st)
     flat = np.concatenate([g["inducing"].ravel(),
                            [g["log_variance"], g["log_lengthscale"], g["log_noise"]]])
-    batch = vsgp.bound_gradients(st.window_x, st.window_y, st.inducing,
+    batch = flat_bound_gradients(st.window_x, st.window_y, st.inducing,
                                  st.params, st.log_noise, jitter=st.jitter)
     assert rel(flat, batch) < 1e-8
 
@@ -88,22 +88,22 @@ def test_gradients_match_finite_differences():
     theta0 = np.concatenate([st.inducing.ravel(),
                              [st.params.log_variance,
                               st.params.log_lengthscale, st.log_noise]])
-    g = adaptive.adaptive_bound_gradients(st, "all")
+    g = adaptive.adaptive_bound_gradients(st)
     flat = np.concatenate([g["inducing"].ravel(),
                            [g["log_variance"], g["log_lengthscale"], g["log_noise"]]])
     assert grad_close(flat, fd_gradient(f, theta0), tol=1e-4)
 
 
-def test_gradient_mask_contract():
+def test_gradient_value_is_the_bound():
+    # value comes from the gradient's own factors; it must be the number
+    # weighted_bound computes, bit for bit, under unit and geometric weights
     rng = np.random.default_rng(5)
-    st = make_state(rng, k=4)
-    g_all = adaptive.adaptive_bound_gradients(st, "all")
-    g_last = adaptive.adaptive_bound_gradients(st, "last")
-    g_none = adaptive.adaptive_bound_gradients(st, "none")
-    assert g_all["inducing"].shape == st.inducing.shape
-    assert g_last["inducing"].shape == (1, st.inducing.shape[1])
-    assert np.allclose(g_last["inducing"], g_all["inducing"][-1:])
-    assert g_none["inducing"].shape == (0, st.inducing.shape[1])
+    for _ in range(20):
+        X, y, U, params, ln = random_instance(rng)
+        for w in (np.ones(y.shape[0]),
+                  adaptive.lambda_weights(y.shape[0], float(rng.uniform(0.6, 1.0)))):
+            g = bound.weighted_bound_gradients(X, y, U, params, ln, w, 1e-6)
+            assert g["value"] == bound.weighted_bound(X, y, U, params, ln, w, 1e-6)
 
 
 def test_adaptive_q_reduces_and_matches_dense():

@@ -38,6 +38,49 @@ def test_adam_reset_clears_slot():
     assert upd[0] == pytest.approx(-0.05, abs=1e-6)
 
 
+def test_ascent_step_hyper_slot_matches_three_scalar_slots():
+    # One "hyper" slot over [log_variance, log_lengthscale, log_noise] keeps
+    # elementwise moments, so it must equal one scalar slot per
+    # hyperparameter bit for bit, for gradients spanning 1e-8 to 1e4.
+    rng = np.random.default_rng(0)
+    opt_a, opt_b = optim.Adam(), optim.Adam()
+    U_a = U_b = rng.normal(size=(3, 2))
+    p_a = p_b = KernelParams(0.1, -0.2)
+    ln_a = ln_b = -1.0
+    for _ in range(2000):
+        gv = 10.0 ** rng.uniform(-8, 4, size=9) * rng.choice([-1.0, 1.0], size=9)
+        g = {"inducing": gv[:6].reshape(3, 2), "log_variance": float(gv[6]),
+             "log_lengthscale": float(gv[7]), "log_noise": float(gv[8])}
+        U_a, p_a, ln_a = optim.ascent_step(opt_a, g, U_a, p_a, ln_a)
+        U_b = U_b + opt_b.step("inducing", g["inducing"])
+        p_b = KernelParams(
+            log_variance=p_b.log_variance + opt_b.step("log_variance", g["log_variance"]),
+            log_lengthscale=p_b.log_lengthscale
+            + opt_b.step("log_lengthscale", g["log_lengthscale"]))
+        ln_b = ln_b + opt_b.step("log_noise", g["log_noise"])
+        assert np.array_equal(U_a, U_b)
+        assert p_a == p_b and ln_a == ln_b
+
+
+def test_step_updates_only_newest_inducing_row():
+    # The inference step moves the newest inducing point by Adam on its own
+    # row of the full gradient; the rows the prune kept stay in place.
+    rng = np.random.default_rng(5)
+    st = make_state(rng, t_cur=12, k=4, d=2, lam=0.9, window_t=12)
+    ref = copy.deepcopy(st)
+    x_new, y_new = np.array([0.3, -0.5]), 0.8
+    agp.agp_step(st, agp.adam_params(), x_new, y_new)
+
+    fast_agp.slide_window(ref, x_new, y_new)
+    fast_agp.prune_inducing(ref, 1e-4, ref.capacity_m - 1)
+    ref.inducing = np.vstack([ref.inducing, ref.window_x[-1:]])
+    g = adaptive.adaptive_bound_gradients(ref)
+    assert g["inducing"].shape == ref.inducing.shape
+    step = optim.Adam().step("inducing", g["inducing"][-1])
+    assert np.array_equal(st.inducing[:-1], ref.inducing[:-1])
+    assert np.array_equal(st.inducing[-1], ref.inducing[-1] + step)
+
+
 def _stationary_stream(rng, n):
     x = rng.uniform(-2, 2, n)
     y = np.sin(2 * x) + 0.15 * rng.normal(size=n)

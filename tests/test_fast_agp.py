@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, fast_agp, harness, vsgp
+from adaptive_sgp import adaptive, fast_agp, harness, optim, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import make_state, rel
@@ -225,7 +225,9 @@ def test_step_recovers_batch_solution():
         pred = adaptive.adaptive_predict(st, x_all[i])
         fast_agp.rank1_add(st, x_all[i], y_all[i])  # no add/prune path
         del pred
-    batch = vsgp.refresh_q(model, x_all[:, None], y_all)
+    # the shared trainer run for zero iterations: q and Kuu^-1 on all data
+    batch = vsgp.train(x_all[:, None], y_all, model.inducing, model.params,
+                       model.log_noise, optim.Adam(), 0, model.jitter)
     for xq in np.linspace(-2, 2, 9):
         pa = adaptive.adaptive_predict(st, np.array([xq]))
         pb = vsgp.predict(batch, np.array([xq]))

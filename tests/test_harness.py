@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptive_sgp import harness
-from adaptive_sgp.adaptive import lambda_weights
+from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, vsgp,
+                          wvsgp)
+from adaptive_sgp.adaptive import lambda_weights, rebuild_caches
 from adaptive_sgp.errors import EmptyRecords, InvalidLambda, MapeUndefined, TooShort
 from adaptive_sgp.harness import (ExperimentConfig, StreamRecord, ci95_coverage,
                                   lag_embed, mape, mse, persistence_baseline,
                                   run_experiment, summarize, synth_toy,
-                                  threshold_tot, toy_signal, transition_mse)
+                                  toy_signal, transition_mse)
 
 from helpers import make_state
 
@@ -21,7 +22,7 @@ def _rec(y_true, pred_mean, pred_var=0.1, noise_var=0.1, x=0.0):
 
 
 # ---------------------------------------------------------------------------
-# threshold_tot
+# the inducing-addition threshold w_ksum / T that fast_agp_step uses
 
 
 def test_threshold_unit_variance_no_forgetting():
@@ -29,9 +30,8 @@ def test_threshold_unit_variance_no_forgetting():
     # exactly T, so the threshold is 1.
     st = make_state(np.random.default_rng(0), t_cur=12, k=3, d=2, lam=1.0)
     st.params = dataclasses.replace(st.params, log_variance=0.0)
-    from adaptive_sgp.adaptive import rebuild_caches
     rebuild_caches(st)
-    assert threshold_tot(st) == pytest.approx(1.0, rel=1e-12)
+    assert st.w_ksum == pytest.approx(12.0, rel=1e-12)
 
 
 def test_threshold_matches_direct_weighted_sum():
@@ -39,8 +39,8 @@ def test_threshold_matches_direct_weighted_sum():
         st = make_state(np.random.default_rng(seed), t_cur=9, k=4, d=2,
                         lam=0.85)
         w = lambda_weights(9, 0.85)
-        expected = st.params.variance * np.sum(w) / 9
-        assert threshold_tot(st) == pytest.approx(expected, rel=1e-12)
+        expected = st.params.variance * np.sum(w)
+        assert st.w_ksum == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,50 @@ def test_run_experiment_is_prequential():
         assert a.pred_mean == b.pred_mean and a.pred_var == b.pred_var
 
 
+def _hand_stream(kind, cfg, X, y):
+    """The prequential loop written out over the public step functions:
+    (pred_mean, pred_var, noise_var, k_inducing) per streamed sample."""
+    T = cfg.window_t
+    model = vsgp.fit_batch(X[:T], y[:T], cfg.capacity_m, cfg.init_iters,
+                           seed=harness.derive_seed(cfg.seed, "inducing"),
+                           lr=cfg.lr, jitter=cfg.jitter)
+    opt = agp.adam_params(lr=cfg.lr)
+    wx, wy = X[:T].copy(), y[:T].copy()
+    state = adaptive.from_batch(model, X[:T], y[:T], cfg.resolved_lambda(),
+                                T, cfg.capacity_m)
+    q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, cfg.jitter)
+    out = []
+    for x_new, y_new in zip(X[T:], y[T:]):
+        if kind == "w_vsgp":
+            model, opt, wx, wy, pred = wvsgp.wvsgp_step(
+                model, opt, wx, wy, x_new, y_new, cfg.inner_iters)
+            out.append((pred.mean, pred.var, float(np.exp(model.log_noise)),
+                        model.inducing.shape[0]))
+            continue
+        if kind == "fast_agp":
+            _, pred = fast_agp.fast_agp_step(state, x_new, y_new, cfg.r_th)
+        elif kind == "agp":
+            _, _, pred = agp.agp_step(state, opt, x_new, y_new, cfg.r_th)
+        else:
+            _, _, _, pred = agp_vsi.agp_vsi_step(state, q, opt, x_new, y_new,
+                                                 cfg.inner_iters)
+        out.append((pred.mean, pred.var, state.noise_var, state.k_inducing))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fast_agp", "agp", "agp_vsi", "w_vsgp"])
+def test_run_experiment_matches_hand_loop(kind):
+    t, y = synth_toy(seed=0)
+    X = t[:, None]
+    cfg = ExperimentConfig(model_kind=kind, window_t=100, capacity_m=10,
+                           seed=0)
+    n = 100 + 12
+    records, _ = run_experiment(cfg, X[:n], y[:n])
+    ours = [(r.pred_mean, r.pred_var, r.noise_var, r.k_inducing)
+            for r in records]
+    assert ours == _hand_stream(kind, cfg, X[:n], y[:n])
+
+
 def test_run_experiment_rejects_short_input():
     cfg = ExperimentConfig(window_t=50, capacity_m=5)
     with pytest.raises(TooShort):
@@ -215,11 +259,10 @@ def test_ci95_coverage_exact_predictions():
 
 
 def test_ci95_coverage_band_form():
-    # err = 0.5; pred_var + noise_var = 0.09. sqrt band = 0.6 covers it,
-    # the literal (unsquare-rooted) band = 0.18 does not.
+    # err = 0.5; pred_var + noise_var = 0.09, so the band 2*sqrt(0.09) = 0.6
+    # covers it.
     recs = [_rec(0.5, 0.0, pred_var=0.05, noise_var=0.04)]
     assert ci95_coverage(recs) == 100.0
-    assert ci95_coverage(recs, literal=True) == 0.0
 
 
 def test_summarize_fields():

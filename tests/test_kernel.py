@@ -3,8 +3,7 @@ import pytest
 
 from adaptive_sgp import linalg
 from adaptive_sgp.errors import DimensionMismatch
-from adaptive_sgp.kernel import (KernelParams, kernel_diag, kernel_grads,
-                                 kernel_matrix)
+from adaptive_sgp.kernel import KernelParams, kernel_grads, kernel_matrix
 
 from helpers import random_params
 
@@ -43,18 +42,23 @@ def test_dimension_mismatch_rejected():
         kernel_matrix(np.zeros((3, 2)), np.zeros((3, 1)), p)
 
 
+# rebuild_caches and slide_window take k(x, x) to be the signal variance.
+
+
 def test_kernel_diag_values():
     p1 = KernelParams(0.0, 0.3)
-    assert np.allclose(kernel_diag(np.zeros((4, 2)), p1), np.ones(4))
+    assert np.allclose(np.diag(kernel_matrix(np.zeros((4, 2)), np.zeros((4, 2)), p1)),
+                       np.ones(4))
     p2 = KernelParams(np.log(2.5), 0.3)
-    assert np.allclose(kernel_diag(np.zeros((3, 1)), p2), [2.5, 2.5, 2.5])
+    assert np.allclose(np.diag(kernel_matrix(np.zeros((3, 1)), np.zeros((3, 1)), p2)),
+                       [2.5, 2.5, 2.5])
 
 
 def test_kernel_diag_matches_full_matrix():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(6, 2))
     p = random_params(rng)
-    assert np.allclose(kernel_diag(X, p), np.diag(kernel_matrix(X, X, p)))
+    assert np.allclose(np.diag(kernel_matrix(X, X, p)), p.variance)
 
 
 def test_monotone_decreasing_in_distance():
