@@ -7,14 +7,13 @@ that additionally takes one optimizer step on the model parameters per
 incoming sample.
 """
 
-from .kernel import KernelParams, kernel_grads, kernel_matrix
+from .kernel import KernelParams, kernel_matrix
 from .linalg import CholFactor, cholesky_psd, inv_extend, logdet, solve_psd
 from .vsgp import (PredictiveDist, VsgpModel, collapsed_bound, fit_batch,
                    optimal_q, predict, train)
 from .adaptive import (AdaptiveState, adaptive_bound, adaptive_predict,
                        adaptive_q, from_batch, lambda_weights,
-                       relevance_per_point, relevance_total,
-                       removal_scores)
+                       relevance_total, removal_scores)
 from .fast_agp import fast_agp_step
 from .agp import adam_params, agp_step
 from .agp_vsi import VariationalQ, agp_vsi_step, elbo_lambda
@@ -24,13 +23,12 @@ from .harness import (ExperimentConfig, MetricSummary, StreamRecord,
                       persistence_baseline, run_experiment, synth_toy)
 
 __all__ = [
-    "KernelParams", "kernel_matrix", "kernel_grads",
+    "KernelParams", "kernel_matrix",
     "CholFactor", "cholesky_psd", "solve_psd", "logdet", "inv_extend",
     "VsgpModel", "PredictiveDist", "collapsed_bound", "optimal_q", "predict",
     "fit_batch", "train",
     "AdaptiveState", "lambda_weights", "adaptive_bound", "adaptive_q",
-    "adaptive_predict", "relevance_total", "relevance_per_point",
-    "removal_scores", "from_batch",
+    "adaptive_predict", "relevance_total", "removal_scores", "from_batch",
     "fast_agp_step", "agp_step", "adam_params",
     "VariationalQ", "elbo_lambda", "agp_vsi_step", "wvsgp_step",
     "ExperimentConfig", "StreamRecord", "MetricSummary", "run_experiment",

@@ -3,8 +3,11 @@ weighted bound, adaptive optimal q, adaptive predictive distribution, and
 the relevance scores that drive inducing-set maintenance.
 
 The cached cross-moments (s_y, s_k, w_ksum) are the single source of truth
-while streaming; ``rebuild_caches`` recomputes everything from the window
-after any change to the kernel, noise, or inducing set.
+while streaming.  Every cache move is exact: a new sample is a rank-one
+update, and a change of the inducing set extends or shrinks the cached
+inverses by bordered block identities.  ``rebuild_caches`` recomputes
+everything from the window and is needed only after a change to the kernel
+or noise, or when an extension is numerically rejected.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +40,8 @@ class AdaptiveState:
     capacity_m: int
     window_t: int
     jitter: float = DEFAULT_JITTER
-    # caches, maintained by rank-one updates or rebuild_caches
+    # caches, maintained by rank-one updates, block extend/shrink, or
+    # rebuild_caches
     s_y: np.ndarray = field(default=None)      # Kux L y
     s_k: np.ndarray = field(default=None)      # Kux L Kxu
     b_lam: np.ndarray = field(default=None)    # (Kuu~ + s_k/sig2)^-1
@@ -82,7 +86,10 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
 
 
 def rebuild_caches(state: AdaptiveState) -> None:
-    """Recompute s_y, s_k, w_ksum, b_lam, kuu_inv from the window (O(T M^2))."""
+    """Recompute s_y, s_k, w_ksum, b_lam, kuu_inv from the window (O(T M^2)).
+
+    Needed after a kernel or noise change; inducing-set changes extend or
+    shrink the caches instead (``fast_agp``)."""
     w = state.weights()
     Kxu = kernel_matrix(state.window_x, state.inducing, state.params)
     state.s_y = Kxu.T @ (w * state.window_y)
@@ -141,26 +148,14 @@ def relevance_total(state: AdaptiveState) -> float:
     return max(val, 0.0)
 
 
-def relevance_per_point(state: AdaptiveState) -> np.ndarray:
-    """Per-inducing-point relevance R_m = sum_i w_i k_mi^2 / k_mm.
-
-    Heuristic ranking score (exact decomposition of the total residual only
-    when Kuu is diagonal); computed fresh from the window so it stays valid
-    right after a window slide, before caches are rebuilt.
-    """
-    w = state.weights()
-    Kxu = kernel_matrix(state.window_x, state.inducing, state.params)
-    return (w[:, None] * Kxu**2).sum(axis=0) / state.params.variance
-
-
 def removal_scores(kuu_inv: np.ndarray, s_k: np.ndarray) -> np.ndarray:
     """Exact increase of ``relevance_total`` when each inducing point alone
     is removed (the basis-vector removal score of Csato & Opper 2002).
 
     With P = kuu_inv and S = s_k = Kux L Kxu, removing point m turns P into
     P - P[:, m] P[m, :] / P_mm, so the residual w_ksum - tr(P S) grows by
-    Delta_m = (P S P)_mm / P_mm.  Unlike ``relevance_per_point`` it scores a
-    point given all the others, so a point that its neighbours already
-    cover scores near zero.  O(M^3) from the caches.
+    Delta_m = (P S P)_mm / P_mm.  It scores a point given all the others,
+    so a point that its neighbours already cover scores near zero.  O(M^3)
+    from the caches.
     """
     return np.sum((kuu_inv @ s_k) * kuu_inv, axis=1) / np.diag(kuu_inv)

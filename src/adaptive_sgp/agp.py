@@ -11,7 +11,7 @@ import numpy as np
 from .adaptive import (AdaptiveState, adaptive_bound_gradients,
                        adaptive_predict, rebuild_caches)
 from .errors import NotPsd
-from .fast_agp import prune_inducing, slide_window
+from .fast_agp import prune_inducing, windowed_add
 from .optim import Adam, ascent_step
 
 log = logging.getLogger(__name__)
@@ -27,14 +27,16 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
              r_th: float = 1e-4):
     """One prequential step with a single inference iteration.
 
-    Order: predict, slide window, prune to M-1, adopt x_new as the newest
-    inducing point, one Adam step on {noise, kernel, newest point}, rebuild
-    the predictive caches from scratch.  A factorization failure skips the
-    optimizer step for this sample; the stream never aborts.
+    Order: predict, ingest x_new through ``windowed_add``, prune to M-1
+    (the caches shrink with the inducing set), adopt x_new as the newest
+    inducing point, one Adam step on {noise, kernel, newest point}, then
+    rebuild the caches from scratch once, since the kernel and noise have
+    moved.  A factorization failure skips the optimizer step for this
+    sample; the stream never aborts.
     """
     pred = adaptive_predict(state, x_new)
 
-    slide_window(state, x_new, y_new)
+    windowed_add(state, x_new, y_new)
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)
     state.inducing = np.vstack([state.inducing, state.window_x[-1:]])
 

@@ -1,7 +1,9 @@
-"""Inference-free streaming updates (the fast algorithm): rank-one data
-addition, windowed removal, relevance-gated inducing-point addition via
-block extension, and pruning.  Kernel and noise parameters are never touched
-here.
+"""Inference-free streaming updates (the fast algorithm): one ingest path
+(rank-one data addition and windowed removal), relevance-gated
+inducing-point addition by block extension of the cached inverses, and
+pruning by block shrink of the same inverses.  Kernel and noise parameters
+are never touched here, so no step rebuilds the caches from the window
+except the Schur-complement fallback of ``maybe_add_inducing``.
 """
 
 import logging
@@ -24,10 +26,10 @@ def _kvec(state: AdaptiveState, x) -> np.ndarray:
     return kernel_matrix(state.inducing, x, state.params).ravel()
 
 
-def slide_window(state: AdaptiveState, x_new, y_new: float) -> None:
+def windowed_add(state: AdaptiveState, x_new, y_new: float) -> AdaptiveState:
     """Append one sample, evicting the oldest once the window holds T, and
-    update s_y, s_k and w_ksum by rank-one terms (O(M^2)); b_lam is left for
-    the caller to refresh.
+    update s_y, s_k and w_ksum by rank-one terms (O(M^2)); then refactor
+    B_lambda from the cached s_k (O(M^3)).
 
     s_y <- lam*s_y + k_new*y,  s_k <- lam*s_k + k_new k_new^T.  A departing
     sample carries weight lam^T after the new sample's geometric discount,
@@ -55,22 +57,6 @@ def slide_window(state: AdaptiveState, x_new, y_new: float) -> None:
         window_x, window_y = window_x[1:], window_y[1:]
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
     state.window_x, state.window_y = window_x, window_y
-
-
-def rank1_add(state: AdaptiveState, x_new, y_new: float) -> AdaptiveState:
-    """Ingest one sample without eviction (warm-up phase, window below T),
-    then refactor B_lambda from the cached s_k (O(M^3))."""
-    slide_window(state, x_new, y_new)
-    refresh_b_lam(state)
-    return state
-
-
-def windowed_add(state: AdaptiveState, x_new, y_new: float) -> AdaptiveState:
-    """Ingest one sample and evict the oldest (window at capacity T), then
-    refactor B_lambda from the cached s_k (O(M^3))."""
-    if state.window_y.shape[0] != state.window_t:
-        raise ValueError("windowed_add requires a full window")
-    slide_window(state, x_new, y_new)
     refresh_b_lam(state)
     return state
 
@@ -128,27 +114,24 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     """Remove inducing points one at a time, always the one whose removal
     raises the weighted Nystrom residual least (``removal_scores``), while
     that increase is below ``r_th`` times the largest or more than ``max_k``
-    points remain; never below one.  Caches are then rebuilt from scratch.
+    points remain; never below one.
 
-    Scores come from the cached s_k and kuu_inv, which must match the
-    current window, inducing set and kernel.  After each removal kuu_inv is
-    downdated (P <- P - P[:, m] P[m, :] / P_mm, row and column m dropped)
-    and s_k restricted, so every round scores the remaining set exactly."""
-    P, S = state.kuu_inv, state.s_k
-    idx = np.arange(state.k_inducing)
-    while idx.size > 1:
-        r = removal_scores(P, S)
+    Scores come from the cached s_k and kuu_inv, which, like b_lam, must
+    match the current window, inducing set and kernel.  Each removal shrinks kuu_inv
+    and b_lam by ``inv_shrink`` (O(M^2), no refactorisation) and restricts
+    s_k, s_y and the inducing set, so every round scores the remaining set
+    exactly and the caches stay exact afterwards."""
+    while state.k_inducing > 1:
+        r = removal_scores(state.kuu_inv, state.s_k)
         m = int(np.argmin(r))
-        if idx.size <= max_k and r[m] >= r_th * float(np.max(r)):
+        if state.k_inducing <= max_k and r[m] >= r_th * float(np.max(r)):
             break
-        keep = np.arange(idx.size) != m
-        P = (P - np.outer(P[:, m], P[m] / P[m, m]))[np.ix_(keep, keep)]
-        S = S[np.ix_(keep, keep)]
-        idx = idx[keep]
-    if idx.size == state.k_inducing:
-        return state
-    state.inducing = state.inducing[idx]
-    rebuild_caches(state)
+        keep = np.arange(state.k_inducing) != m
+        state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m)
+        state.b_lam = linalg.inv_shrink(state.b_lam, m)
+        state.s_k = state.s_k[np.ix_(keep, keep)]
+        state.s_y = state.s_y[keep]
+        state.inducing = state.inducing[keep]
     return state
 
 
@@ -159,10 +142,7 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
     Returns ``(state, pred_before)`` where the prediction is made before the
     new target is used for any update."""
     pred: PredictiveDist = adaptive_predict(state, x_new)
-    if state.window_y.shape[0] < state.window_t:
-        rank1_add(state, x_new, y_new)
-    else:
-        windowed_add(state, x_new, y_new)
+    windowed_add(state, x_new, y_new)
     r_th_tot = state.w_ksum / state.window_t
     maybe_add_inducing(state, x_new, r_th_tot)
     prune_inducing(state, r_th, state.capacity_m)

@@ -145,20 +145,21 @@ def _stepper(config: ExperimentConfig, model: vsgp.VsgpModel, X0, y0):
         advance = lambda x, y: fast_agp.fast_agp_step(state, x, y, config.r_th)[1]
     elif kind == "agp":
         advance = lambda x, y: agp.agp_step(state, opt, x, y, config.r_th)[2]
-    elif kind == "agp_vsi":
+    else:  # agp_vsi
         q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, config.jitter)
         advance = lambda x, y: agp_vsi.agp_vsi_step(state, q, opt, x, y,
                                                     config.inner_iters)[3]
-    else:
-        raise ValueError(f"unsupported model kind {kind!r}")
     return lambda x, y: (advance(x, y), state.log_noise, state.k_inducing)
 
 
 def run_experiment(config: ExperimentConfig, X_all, y_all):
     """Batch-initialize on the first T samples, stream the rest, score.
 
-    Returns ``(records, summary)``.
+    Returns ``(records, summary)``.  Persistence has no streaming state;
+    use ``persistence_baseline`` for it.
     """
+    if config.model_kind not in MODEL_KINDS:
+        raise ValueError(f"unsupported model kind {config.model_kind!r}")
     X_all = np.asarray(X_all, dtype=float)
     if X_all.ndim == 1:
         X_all = X_all[:, None]

@@ -1,7 +1,8 @@
-"""Squared-exponential kernel with analytic gradients.
+"""Squared-exponential kernel.
 
 Single isotropic lengthscale; both hyperparameters live in log-space so
-positivity never needs a constrained optimizer.
+positivity never needs a constrained optimizer.  The kernel's analytic
+partials are contracted directly in ``bound._chain_to_params``.
 """
 
 from dataclasses import dataclass
@@ -51,25 +52,3 @@ def kernel_matrix(X, Z, p: KernelParams) -> np.ndarray:
     """k(x, z) = variance * exp(-||x - z||^2 / (2 lengthscale^2))."""
     d2 = sq_dists(X, Z)
     return p.variance * np.exp(-0.5 * d2 / p.lengthscale**2)
-
-
-def kernel_grads(X, Z, p: KernelParams):
-    """Analytic partials of each kernel entry.
-
-    Returns
-    -------
-    (dK_dlogvar, dK_dloglen, dK_dZ)
-        The first two have the same shape as the kernel matrix (n x m);
-        the third is n x m x D with the derivative w.r.t. each coordinate
-        of each row of Z.
-    """
-    X, Z = _as_2d(X), _as_2d(Z)
-    ell2 = p.lengthscale**2
-    d2 = sq_dists(X, Z)
-    K = p.variance * np.exp(-0.5 * d2 / ell2)
-    dK_dlogvar = K
-    dK_dloglen = K * d2 / ell2
-    # dk/dz_d = k * (x_d - z_d) / ell^2
-    diff = X[:, None, :] - Z[None, :, :]
-    dK_dZ = K[:, :, None] * diff / ell2
-    return dK_dlogvar, dK_dloglen, dK_dZ

@@ -1,9 +1,11 @@
 """Dense SPD linear algebra: jittered Cholesky, solves, log-determinants,
-and the bordered block-inverse extension used to grow cached inverses.
+and the bordered block-inverse extension and shrink used to grow and
+shrink cached inverses.
 
 Inverses of the M x M core matrices are cached as dense matrices because the
-streaming updates modify them additively; Cholesky factors are only used for
-from-scratch (re)builds.
+streaming updates modify them additively: adding an inducing point borders
+them (``inv_extend``) and removing one shrinks them (``inv_shrink``), both
+in O(M^2).  Cholesky factors are only used for from-scratch (re)builds.
 """
 
 from dataclasses import dataclass
@@ -108,3 +110,15 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -
     out[k, :k] = -v / schur
     out[k, k] = 1.0 / schur
     return out
+
+
+def inv_shrink(Ainv: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of A with row and column ``m`` removed, in O(k^2).
+
+    ``Ainv`` must be the inverse of A.  This undoes ``inv_extend``:
+    Ainv - Ainv[:, m] Ainv[m, :] / Ainv[m, m], then row and column m
+    dropped (the basis-vector deletion of Csato & Opper 2002).
+    """
+    keep = np.arange(Ainv.shape[0]) != m
+    row = Ainv[m, keep] / Ainv[m, m]
+    return Ainv[np.ix_(keep, keep)] - np.outer(Ainv[keep, m], row)

@@ -118,3 +118,53 @@ def grad_close(analytic, numeric, tol=1e-4):
 def spd_matrix(rng, n):
     A = rng.normal(size=(n, n))
     return A @ A.T + n * np.eye(n)
+
+
+def piecewise_sinusoid(n, seed, seg_len=250):
+    """D=1 non-stationary stream: sorted sample times at 100 per unit, a
+    target a*sin(phase) whose (amplitude, frequency) regime switches every
+    ``seg_len`` samples with a continuous phase, plus N(0, 0.2^2) noise."""
+    rng = np.random.default_rng(seed)
+    regimes = ((2.0, 8.0), (0.5, 4.0), (1.0, 6.0), (1.5, 5.0))
+    span = seg_len / 100.0
+    times, signal, phase = [], [], 0.0
+    for s in range(-(-n // seg_len)):
+        amp, freq = regimes[s % len(regimes)]
+        offset = np.sort(rng.uniform(0.0, span, seg_len))
+        times.append(s * span + offset)
+        signal.append(amp * np.sin(phase + freq * offset))
+        phase += freq * span
+    y = np.concatenate(signal)[:n] + rng.normal(0.0, 0.2, n)
+    return np.concatenate(times)[:n, None], y
+
+
+def lagged_series(n, seed, lags=8, seg_len=150):
+    """D=``lags`` stream: each row holds ``lags`` consecutive values of a
+    sum of two sinusoids whose periods switch every ``seg_len`` samples,
+    plus noise; the target is the value one step after the row."""
+    rng = np.random.default_rng(seed)
+    regimes = ((40.0, 9.0, 1.0, 0.3), (25.0, 6.0, 0.7, 0.5),
+               (60.0, 13.0, 1.4, 0.2))
+    total = n + lags
+    i = np.arange(total, dtype=float)
+    p1, p2, a1, a2 = np.array(
+        [regimes[int(k // seg_len) % len(regimes)] for k in i]).T
+    series = (a1 * np.sin(2.0 * np.pi * i / p1) + a2 * np.sin(2.0 * np.pi * i / p2)
+              + rng.normal(0.0, 0.2, total))
+    X = np.lib.stride_tricks.sliding_window_view(series[:-1], lags).copy()
+    return X, series[lags:].copy()
+
+
+def count_calls(monkeypatch, owners, name):
+    """Replace ``name`` on every module in ``owners`` by one counting
+    wrapper around the original; returns the one-element call counter."""
+    original = getattr(owners[0], name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls

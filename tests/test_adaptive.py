@@ -205,36 +205,6 @@ def test_relevance_total_direct_sum_oracle():
             max(direct, 0.0), abs=1e-10 * max(1, abs(direct)))
 
 
-def test_relevance_per_point_orthogonal_is_zero():
-    rng = np.random.default_rng(14)
-    st = make_state(rng, d=1, k=2)
-    st.inducing = np.vstack([st.inducing, [[1e5]]])
-    adaptive.rebuild_caches(st)
-    r = adaptive.relevance_per_point(st)
-    assert r[-1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_relevance_single_point_identity():
-    rng = np.random.default_rng(15)
-    st = make_state(rng, k=1)
-    r = adaptive.relevance_per_point(st)
-    w = st.weights()
-    tot = adaptive.relevance_total(st)
-    # with one inducing point K_uu is 1x1, so the decomposition is exact
-    # apart from the jitter on K_uu used by relevance_total
-    assert tot == pytest.approx(st.w_ksum - r[0], abs=1e-4)
-
-
-def test_relevance_per_point_direct_sum_oracle():
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        st = make_state(rng)
-        w = st.weights()
-        Kxu = kernel_matrix(st.window_x, st.inducing, st.params)
-        direct = (w[:, None] * Kxu ** 2).sum(axis=0) / st.params.variance
-        assert rel(adaptive.relevance_per_point(st), direct) < 1e-10
-
-
 def test_removal_scores_remove_and_rebuild_oracle():
     rng = np.random.default_rng(18)
     for _ in range(20):

@@ -6,7 +6,7 @@ import pytest
 from adaptive_sgp import adaptive, agp, fast_agp, optim, vsgp
 from adaptive_sgp.kernel import KernelParams
 
-from helpers import make_state
+from helpers import count_calls, make_state, piecewise_sinusoid
 
 
 def test_adam_defaults():
@@ -71,7 +71,7 @@ def test_step_updates_only_newest_inducing_row():
     x_new, y_new = np.array([0.3, -0.5]), 0.8
     agp.agp_step(st, agp.adam_params(), x_new, y_new)
 
-    fast_agp.slide_window(ref, x_new, y_new)
+    fast_agp.windowed_add(ref, x_new, y_new)
     fast_agp.prune_inducing(ref, 1e-4, ref.capacity_m - 1)
     ref.inducing = np.vstack([ref.inducing, ref.window_x[-1:]])
     g = adaptive.adaptive_bound_gradients(ref)
@@ -199,3 +199,18 @@ def test_step_survives_degenerate_sample():
         agp.agp_step(st, opt, np.array([0.5]), 1.0)
     assert np.all(np.isfinite(st.inducing))
     assert np.isfinite(st.log_noise)
+
+
+def test_step_rebuilds_caches_once(monkeypatch):
+    # The prune shrinks the caches, so the rebuild after the optimizer step,
+    # which moved the kernel and noise, is the step's only one.
+    X, y = piecewise_sinusoid(160, 1)
+    model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:100], y[:100],
+                             lam=0.97724, window_t=100, capacity_m=10)
+    rebuilds = count_calls(monkeypatch, [adaptive, agp, fast_agp],
+                           "rebuild_caches")
+    opt = agp.adam_params()
+    for i in range(100, 160):
+        agp.agp_step(st, opt, X[i], y[i])
+    assert rebuilds[0] == 60

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, fast_agp, harness, optim, vsgp
+from adaptive_sgp import adaptive, fast_agp, harness, linalg, optim, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
-from helpers import make_state, rel
+from helpers import (count_calls, lagged_series, make_state,
+                     piecewise_sinusoid, rel)
 
 
 def _fresh(state):
@@ -23,6 +24,9 @@ def _caches_match(state, tol=1e-8):
     assert abs(state.w_ksum - fresh.w_ksum) < tol * max(1, abs(fresh.w_ksum))
 
 
+# Below T samples windowed_add evicts nothing: a pure rank-one add.
+
+
 def test_rank1_add_base_case():
     rng = np.random.default_rng(0)
     st = make_state(rng, t_cur=1, k=3, d=1, lam=1.0, window_t=10)
@@ -33,7 +37,7 @@ def test_rank1_add_base_case():
     st.s_k = np.zeros((3, 3))
     st.w_ksum = 0.0
     x1, y1 = np.array([0.4]), 1.3
-    fast_agp.rank1_add(st, x1, y1)
+    fast_agp.windowed_add(st, x1, y1)
     k1 = kernel_matrix(st.inducing, x1[None, :], st.params).ravel()
     assert np.allclose(st.s_y, k1 * y1)
     assert np.allclose(st.s_k, np.outer(k1, k1))
@@ -43,7 +47,7 @@ def test_rank1_add_sequence_matches_from_scratch():
     rng = np.random.default_rng(1)
     st = make_state(rng, t_cur=3, k=4, d=2, lam=0.9, window_t=40)
     for _ in range(12):
-        fast_agp.rank1_add(st, rng.normal(size=2), float(rng.normal()))
+        fast_agp.windowed_add(st, rng.normal(size=2), float(rng.normal()))
     _caches_match(st)
 
 
@@ -56,8 +60,8 @@ def test_rank1_add_geometric_accumulation():
     st.s_k = np.zeros((2, 2))
     st.w_ksum = 0.0
     x, y = np.array([0.2]), 0.7
-    fast_agp.rank1_add(st, x, y)
-    fast_agp.rank1_add(st, x, y)
+    fast_agp.windowed_add(st, x, y)
+    fast_agp.windowed_add(st, x, y)
     k = kernel_matrix(st.inducing, x[None, :], st.params).ravel()
     assert np.allclose(st.s_y, 1.5 * k * y)
 
@@ -94,13 +98,6 @@ def test_windowed_add_degenerate_window():
         assert st.window_y.shape[0] == 1
         assert st.window_y[0] == y
         _caches_match(st)
-
-
-def test_windowed_add_requires_full_window():
-    rng = np.random.default_rng(6)
-    st = make_state(rng, t_cur=4, k=2, d=1, window_t=10)
-    with pytest.raises(ValueError):
-        fast_agp.windowed_add(st, np.array([0.0]), 0.0)
 
 
 def test_maybe_add_gate_closed():
@@ -223,7 +220,7 @@ def test_step_recovers_batch_solution():
                              lam=1.0, window_t=100, capacity_m=5)
     for i in range(10, 30):
         pred = adaptive.adaptive_predict(st, x_all[i])
-        fast_agp.rank1_add(st, x_all[i], y_all[i])  # no add/prune path
+        fast_agp.windowed_add(st, x_all[i], y_all[i])  # no add/prune path
         del pred
     # the shared trainer run for zero iterations: q and Kuu^-1 on all data
     batch = vsgp.train(x_all[:, None], y_all, model.inducing, model.params,
@@ -262,3 +259,67 @@ def test_step_inducing_count_bounds_and_determinism():
     d2, u2 = run()
     assert d1 == d2
     assert np.array_equal(u1, u2)
+
+
+def _stream_state(X, y, T, M, lam, iters):
+    model = vsgp.fit_batch(X[:T], y[:T], M, iters, seed=0)
+    return adaptive.from_batch(model, X[:T], y[:T], lam, T, M)
+
+
+def test_step_factors_once_and_never_rebuilds(monkeypatch):
+    # Extension and shrink keep the caches exact, so the only factorization
+    # of a fast step is the B_lambda refresh after ingesting the sample.
+    X, y = piecewise_sinusoid(500, 1)
+    st = _stream_state(X, y, 100, 10, 0.97724, 50)
+    chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
+    rebuilds = count_calls(monkeypatch, [adaptive, fast_agp], "rebuild_caches")
+    changes = 0
+    for i in range(100, 500):
+        before = st.inducing.copy()
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        changes += not np.array_equal(st.inducing, before)
+    assert changes > 0
+    assert rebuilds[0] == 0
+    assert chol[0] == 400
+
+
+def _max_drift(X, y, T, M, lam, iters, every):
+    """Worst gap between predictions from the streamed caches and from
+    caches rebuilt from the window, checked every ``every`` steps, and the
+    number of steps that changed the inducing set."""
+    st = _stream_state(X, y, T, M, lam, iters)
+    d_mean = d_var = 0.0
+    changes = 0
+    for i in range(T, y.shape[0] - 1):
+        before = st.inducing.copy()
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        changes += not np.array_equal(st.inducing, before)
+        if (i - T) % every == 0:
+            ref = copy.deepcopy(st)
+            adaptive.rebuild_caches(ref)
+            a = adaptive.adaptive_predict(st, X[i + 1])
+            b = adaptive.adaptive_predict(ref, X[i + 1])
+            d_mean = max(d_mean, abs(a.mean - b.mean))
+            d_var = max(d_var, abs(a.var - b.var) / b.var)
+    return d_mean, d_var, changes
+
+
+# Fast mode never rebuilds, so kuu_inv lives on extension and shrink alone.
+# Measured worst gaps: 1.0e-6 / 3.5e-6 (mean / relative var) on the D=1
+# stream, all in its first 2000 steps (Kuu condition number near 1e6) and
+# flat at ~1e-8 after; 1.0e-9 / 1.1e-8 on the D=8 stream.  The gap does not
+# grow with stream length, so no periodic re-anchor is needed.
+DRIFT_MEAN_TOL = 1e-5
+DRIFT_VAR_RTOL = 1e-4
+
+
+@pytest.mark.parametrize("stream, T, M, lam, iters, every", [
+    (lambda: piecewise_sinusoid(10_101, 0), 100, 10, 0.97724, 200, 5),
+    (lambda: lagged_series(3401, 0), 400, 40, 0.1 ** (1 / 400), 50, 10),
+], ids=["d1", "lag8"])
+def test_long_stream_caches_do_not_drift(stream, T, M, lam, iters, every):
+    X, y = stream()
+    d_mean, d_var, changes = _max_drift(X, y, T, M, lam, iters, every)
+    assert changes > 200
+    assert d_mean < DRIFT_MEAN_TOL
+    assert d_var < DRIFT_VAR_RTOL

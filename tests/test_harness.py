@@ -212,6 +212,16 @@ def test_run_experiment_rejects_short_input():
         run_experiment(cfg, np.arange(50.0), np.arange(50.0))
 
 
+def test_run_experiment_rejects_persistence_before_fitting(monkeypatch):
+    def fit_batch(*args, **kwargs):
+        raise AssertionError("fit_batch called for an unsupported kind")
+
+    monkeypatch.setattr(vsgp, "fit_batch", fit_batch)
+    t, y = synth_toy(0)
+    with pytest.raises(ValueError, match="persistence"):
+        run_experiment(ExperimentConfig(model_kind="persistence"), t, y)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(model_kind="nope")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from adaptive_sgp import linalg
+from adaptive_sgp import bound, linalg
 from adaptive_sgp.errors import DimensionMismatch
-from adaptive_sgp.kernel import KernelParams, kernel_grads, kernel_matrix
+from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import random_params
 
@@ -42,7 +42,7 @@ def test_dimension_mismatch_rejected():
         kernel_matrix(np.zeros((3, 2)), np.zeros((3, 1)), p)
 
 
-# rebuild_caches and slide_window take k(x, x) to be the signal variance.
+# rebuild_caches and windowed_add take k(x, x) to be the signal variance.
 
 
 def test_kernel_diag_values():
@@ -69,44 +69,64 @@ def test_monotone_decreasing_in_distance():
     assert np.all(np.diff(vals) < 0)
 
 
+# The kernel's analytic partials live in bound._chain_to_params, which
+# contracts them with coefficient matrices G_uu = dF/dKuu, G_xu = dF/dKxu.
+# Contracting with arbitrary G gives the gradient of
+# f = sum(G_uu * K(Z, Z)) + sum(G_xu * K(X, Z)), which finite differences of
+# kernel_matrix check independently.
+
+
+def _kernel_grads(G_uu, G_xu, X, Z, p):
+    return bound._chain_to_params(G_uu, G_xu, X, Z, kernel_matrix(Z, Z, p),
+                                  kernel_matrix(X, Z, p), p)
+
+
 def test_grad_log_variance_equals_kernel():
     rng = np.random.default_rng(3)
     X, Z = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
     p = random_params(rng)
-    dlv, _, _ = kernel_grads(X, Z, p)
-    assert np.allclose(dlv, kernel_matrix(X, Z, p))
+    G = rng.normal(size=(4, 3))
+    dlv, _, _ = _kernel_grads(np.zeros((3, 3)), G, X, Z, p)
+    assert dlv == pytest.approx(np.sum(G * kernel_matrix(X, Z, p)))
 
 
 def test_grads_vanish_at_zero_distance():
     p = KernelParams(0.1, -0.2)
     x = np.array([[0.7, -1.1]])
-    _, dll, dZ = kernel_grads(x, x, p)
+    _, dll, dZ = _kernel_grads(np.ones((1, 1)), np.ones((1, 1)), x, x, p)
     assert np.allclose(dll, 0.0)
     assert np.allclose(dZ, 0.0)
 
 
-def _fd_kernel_grads(X, Z, p, h=1e-5):
-    def k(lv, ll, Zm):
-        return kernel_matrix(X, Zm, KernelParams(lv, ll))
+def _fd_kernel_grads(G_uu, G_xu, X, Z, p, h=1e-5):
+    def f(lv, ll, Zm):
+        q = KernelParams(lv, ll)
+        return (np.sum(G_uu * kernel_matrix(Zm, Zm, q))
+                + np.sum(G_xu * kernel_matrix(X, Zm, q)))
 
     lv, ll = p.log_variance, p.log_lengthscale
-    dlv = (k(lv + h, ll, Z) - k(lv - h, ll, Z)) / (2 * h)
-    dll = (k(lv, ll + h, Z) - k(lv, ll - h, Z)) / (2 * h)
-    dZ = np.zeros(kernel_matrix(X, Z, p).shape + (Z.shape[1],))
+    dlv = (f(lv + h, ll, Z) - f(lv - h, ll, Z)) / (2 * h)
+    dll = (f(lv, ll + h, Z) - f(lv, ll - h, Z)) / (2 * h)
+    dZ = np.zeros(Z.shape)
     for j in range(Z.shape[0]):
         for d in range(Z.shape[1]):
             Zp = Z.copy(); Zp[j, d] += h
             Zm = Z.copy(); Zm[j, d] -= h
-            dZ[:, j, d] = ((k(lv, ll, Zp) - k(lv, ll, Zm)) / (2 * h))[:, j]
+            dZ[j, d] = (f(lv, ll, Zp) - f(lv, ll, Zm)) / (2 * h)
     return dlv, dll, dZ
+
+
+def _random_contraction(rng, n, m, d):
+    X, Z = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    return rng.normal(size=(m, m)), rng.normal(size=(n, m)), X, Z
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    X, Z = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    G_uu, G_xu, X, Z = _random_contraction(rng, 4, 4, 2)
     p = random_params(rng)
-    analytic = kernel_grads(X, Z, p)
-    numeric = _fd_kernel_grads(X, Z, p)
+    analytic = _kernel_grads(G_uu, G_xu, X, Z, p)
+    numeric = _fd_kernel_grads(G_uu, G_xu, X, Z, p)
     for a, f in zip(analytic, numeric):
         assert np.max(np.abs(a - f)) < 1e-6
 
@@ -115,9 +135,9 @@ def test_gradient_fd_property_suite():
     rng = np.random.default_rng(5)
     for _ in range(100):
         n, m, d = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        X, Z = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        G_uu, G_xu, X, Z = _random_contraction(rng, n, m, d)
         p = random_params(rng)
-        analytic = kernel_grads(X, Z, p)
-        numeric = _fd_kernel_grads(X, Z, p)
+        analytic = _kernel_grads(G_uu, G_xu, X, Z, p)
+        numeric = _fd_kernel_grads(G_uu, G_xu, X, Z, p)
         for a, f in zip(analytic, numeric):
             assert np.max(np.abs(a - f)) < 1e-6

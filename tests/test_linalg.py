@@ -117,3 +117,27 @@ def test_inv_extend_rejects_nonpositive_schur():
     # duplicated direction: bordered matrix is singular
     with pytest.raises(SchurNotPositive):
         linalg.inv_extend(np.eye(1), np.array([1.0]), 1.0)
+
+
+def test_inv_shrink_matches_direct_inverse_up_to_64():
+    rng = np.random.default_rng(5)
+    for n in [2, 3, 5, 8, 13, 21, 34, 64]:
+        A = spd_matrix(rng, n)
+        Ainv = np.linalg.inv(A)
+        for m in range(n):
+            keep = np.arange(n) != m
+            direct = np.linalg.inv(A[np.ix_(keep, keep)])
+            out = linalg.inv_shrink(Ainv, m)
+            assert out.shape == (n - 1, n - 1)
+            assert np.max(np.abs(out - direct)) / np.max(np.abs(direct)) < 1e-9
+
+
+def test_inv_shrink_undoes_inv_extend():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        k = int(rng.integers(1, 64))
+        A = spd_matrix(rng, k + 1)
+        Ainv = np.linalg.inv(A[:k, :k])
+        ext = linalg.inv_extend(Ainv, A[:k, k], float(A[k, k]))
+        out = linalg.inv_shrink(ext, k)
+        assert np.max(np.abs(out - Ainv)) / np.max(np.abs(Ainv)) < 1e-10
