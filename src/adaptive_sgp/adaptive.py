@@ -10,6 +10,8 @@ everything from the window and is needed only after a change to the kernel
 or noise, or when an extension is numerically rejected.
 """
 
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,8 @@ from . import bound, linalg
 from .kernel import KernelParams, kernel_matrix
 from .errors import InvalidLambda
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
+
+log = logging.getLogger(__name__)
 
 
 def lambda_weights(t_cur: int, lam: float) -> np.ndarray:
@@ -47,6 +51,7 @@ class AdaptiveState:
     b_lam: np.ndarray = field(default=None)    # (Kuu~ + s_k/sig2)^-1
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
+    skipped_samples: int = 0                   # non-finite samples not ingested
 
     @property
     def noise_var(self) -> float:
@@ -83,6 +88,21 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
     )
     rebuild_caches(state)
     return state
+
+
+def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
+    """True, after counting it in ``state.skipped_samples`` and logging a
+    warning, when ``x_new`` or ``y_new`` holds an inf or NaN.
+
+    The streaming steps then return their prediction and leave the state
+    and the optimizer as they were, so the rest of the stream runs as if
+    the sample had never arrived."""
+    if math.isfinite(y_new) and np.isfinite(x_new).all():
+        return False
+    state.skipped_samples += 1
+    log.warning("non-finite sample skipped (x=%s, y=%s); %d skipped so far",
+                x_new, y_new, state.skipped_samples)
+    return True
 
 
 def rebuild_caches(state: AdaptiveState) -> None:

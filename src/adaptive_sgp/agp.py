@@ -9,7 +9,7 @@ import logging
 import numpy as np
 
 from .adaptive import (AdaptiveState, adaptive_bound_gradients,
-                       adaptive_predict, rebuild_caches)
+                       adaptive_predict, rebuild_caches, skip_nonfinite)
 from .errors import NotPsd
 from .fast_agp import prune_inducing, windowed_add
 from .optim import Adam, ascent_step
@@ -32,9 +32,13 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     inducing point, one Adam step on {noise, kernel, newest point}, then
     rebuild the caches from scratch once, since the kernel and noise have
     moved.  A factorization failure skips the optimizer step for this
-    sample; the stream never aborts.
+    sample; a sample with an inf or NaN is counted and skipped whole
+    (``skip_nonfinite``), leaving state and optimizer untouched.  The
+    stream never aborts.
     """
     pred = adaptive_predict(state, x_new)
+    if skip_nonfinite(state, x_new, y_new):
+        return state, opt, pred
 
     windowed_add(state, x_new, y_new)
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)

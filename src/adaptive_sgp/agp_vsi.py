@@ -15,7 +15,7 @@ from . import linalg
 from .adaptive import AdaptiveState, lambda_weights, rebuild_caches
 from .bound import _chain_to_params
 from .errors import NotPsd
-from .kernel import KernelParams, kernel_matrix
+from .kernel import KernelParams, _from_sq_dists, kernel_matrix, sq_dists
 from .optim import Adam, ascent_step
 from .vsgp import PredictiveDist, _clamp_var
 
@@ -51,10 +51,11 @@ def _setup(window_x, window_y, inducing, params, log_noise, lam, jitter):
         U = U[:, None]
     w = lambda_weights(y.shape[0], lam)
     sig2 = float(np.exp(log_noise))
-    Kuu = kernel_matrix(U, U, params) + jitter * np.eye(U.shape[0])
-    Kxu = kernel_matrix(X, U, params)
+    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
+    Kuu = _from_sq_dists(d2_uu, params) + jitter * np.eye(U.shape[0])
+    Kxu = _from_sq_dists(d2_xu, params)
     Q = linalg.inv_psd(Kuu, 0.0)
-    return X, y, U, w, sig2, Kuu, Kxu, Q
+    return X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q
 
 
 def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
@@ -62,8 +63,8 @@ def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
                 jitter: float = 1e-6) -> float:
     """Forgetting-weighted ELBO: weighted expected log-likelihood terms
     (closed form) minus the unweighted KL(q || p(f_u))."""
-    X, y, U, w, sig2, Kuu, Kxu, Q = _setup(window_x, window_y, inducing,
-                                           params, log_noise, lam, jitter)
+    X, y, U, w, sig2, _, _, Kuu, Kxu, Q = _setup(
+        window_x, window_y, inducing, params, log_noise, lam, jitter)
     k = U.shape[0]
     A = q.cov
     Amat = Kxu @ Q                       # rows a_i = Kuu^-1 k_i
@@ -95,8 +96,8 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     The ``q_chol`` entry is expressed in the optimization parametrization:
     strict lower triangle as-is, diagonal in log-space.
     """
-    X, y, U, w, sig2, Kuu, Kxu, Q = _setup(window_x, window_y, inducing,
-                                           params, log_noise, lam, jitter)
+    X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q = _setup(
+        window_x, window_y, inducing, params, log_noise, lam, jitter)
     Kuu_raw = Kuu - jitter * np.eye(U.shape[0])
     A = q.cov
     L = q.cov_chol
@@ -140,7 +141,8 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
         + WKxu @ Q / sig2
     )
 
-    g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, params)
+    g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu,
+                                      d2_uu, d2_xu, params)
     g_lv += -params.variance * float(np.sum(w)) / (2.0 * sig2)
 
     return {

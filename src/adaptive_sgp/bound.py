@@ -19,12 +19,13 @@ validated against finite differences in the test suite.
 import numpy as np
 
 from . import linalg
-from .kernel import KernelParams, kernel_matrix, sq_dists
+from .kernel import KernelParams, _from_sq_dists, sq_dists
 
 
 def _factor(X, y, U, params: KernelParams, log_noise: float, weights, jitter: float):
-    """Inputs as arrays, the kernel matrices, the weighted cross-moments
-    S_k = Kux W Kxu and s_y = Kux W y, and the factors of Kuu and Binv."""
+    """Inputs as arrays, the squared distances U-U and X-U and the kernel
+    matrices built from them, the weighted cross-moments S_k = Kux W Kxu
+    and s_y = Kux W y, and the factors of Kuu and Binv."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -34,13 +35,14 @@ def _factor(X, y, U, params: KernelParams, log_noise: float, weights, jitter: fl
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     sig2 = float(np.exp(log_noise))
-    Kuu = kernel_matrix(U, U, params) + jitter * np.eye(U.shape[0])
-    Kxu = kernel_matrix(X, U, params)
+    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
+    Kuu = _from_sq_dists(d2_uu, params) + jitter * np.eye(U.shape[0])
+    Kxu = _from_sq_dists(d2_xu, params)
     S_k = Kxu.T @ (w[:, None] * Kxu)
     s_y = Kxu.T @ (w * y)
     f_k = linalg.cholesky_psd(Kuu, 0.0)
     f_b = linalg.cholesky_psd(Kuu + S_k / sig2, 0.0)
-    return X, y, U, w, sig2, Kuu, Kxu, S_k, s_y, f_k, f_b
+    return X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, S_k, s_y, f_k, f_b
 
 
 def _value(y, w, sig2, params: KernelParams, S_k, s_y, f_k, f_b) -> float:
@@ -62,20 +64,21 @@ def _value(y, w, sig2, params: KernelParams, S_k, s_y, f_k, f_b) -> float:
 def weighted_bound(X, y, U, params: KernelParams, log_noise: float,
                    weights, jitter: float = 0.0) -> float:
     """Value of the weighted collapsed bound."""
-    _, y, _, w, sig2, _, _, S_k, s_y, f_k, f_b = _factor(
+    _, y, _, w, sig2, _, _, _, _, S_k, s_y, f_k, f_b = _factor(
         X, y, U, params, log_noise, weights, jitter)
     return _value(y, w, sig2, params, S_k, s_y, f_k, f_b)
 
 
-def _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, params: KernelParams):
+def _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, d2_uu, d2_xu,
+                     params: KernelParams):
     """Contract coefficient matrices dF/dKuu, dF/dKxu with the kernel's
     partials to get gradients w.r.t. the log-hyperparameters and U.
 
-    ``Kuu_raw`` must be the unjittered inducing kernel matrix.
+    ``Kuu_raw`` must be the unjittered inducing kernel matrix, and
+    ``d2_uu``, ``d2_xu`` the squared distances U-U and X-U it and ``Kxu``
+    were built from.
     """
     ell2 = params.lengthscale**2
-    d2_uu = sq_dists(U, U)
-    d2_xu = sq_dists(X, U)
 
     g_lv = float(np.sum(G_uu * Kuu_raw) + np.sum(G_xu * Kxu))
     g_ll = float(
@@ -96,7 +99,7 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
     Returns a dict with keys ``log_variance``, ``log_lengthscale``,
     ``log_noise``, ``inducing`` (shaped like U) and the bound ``value``.
     """
-    X, y, U, w, sig2, Kuu, Kxu, S_k, s_y, f_k, f_b = _factor(
+    X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, S_k, s_y, f_k, f_b = _factor(
         X, y, U, params, log_noise, weights, jitter)
     n = y.shape[0]
     Kuu_raw = Kuu - jitter * np.eye(U.shape[0])
@@ -126,7 +129,8 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
         + WKxu @ Q / sig2
     )
 
-    g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, params)
+    g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu,
+                                      d2_uu, d2_xu, params)
 
     w_ksum = params.variance * float(np.sum(w))
     # The lambda-weighted diagonal term sum_i w_i k_ii depends on the signal

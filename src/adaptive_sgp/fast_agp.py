@@ -12,7 +12,8 @@ import numpy as np
 
 from . import linalg
 from .adaptive import (AdaptiveState, adaptive_predict, rebuild_caches,
-                       refresh_b_lam, relevance_total, removal_scores)
+                       refresh_b_lam, relevance_total, removal_scores,
+                       skip_nonfinite)
 from .errors import SchurNotPositive
 from .kernel import kernel_matrix
 from .vsgp import PredictiveDist
@@ -140,8 +141,11 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
     """One prequential step: predict, ingest, grow/shrink the inducing set.
 
     Returns ``(state, pred_before)`` where the prediction is made before the
-    new target is used for any update."""
+    new target is used for any update.  A sample with an inf or NaN is
+    counted and skipped (``skip_nonfinite``)."""
     pred: PredictiveDist = adaptive_predict(state, x_new)
+    if skip_nonfinite(state, x_new, y_new):
+        return state, pred
     windowed_add(state, x_new, y_new)
     r_th_tot = state.w_ksum / state.window_t
     maybe_add_inducing(state, x_new, r_th_tot)

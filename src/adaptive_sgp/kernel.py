@@ -2,7 +2,9 @@
 
 Single isotropic lengthscale; both hyperparameters live in log-space so
 positivity never needs a constrained optimizer.  The kernel's analytic
-partials are contracted directly in ``bound._chain_to_params``.
+partials are contracted directly in ``bound._chain_to_params``, which
+reads the squared distances its caller built the kernel matrices from
+(``_from_sq_dists``), so a gradient computes each distance matrix once.
 """
 
 from dataclasses import dataclass
@@ -50,5 +52,9 @@ def sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(X, Z, p: KernelParams) -> np.ndarray:
     """k(x, z) = variance * exp(-||x - z||^2 / (2 lengthscale^2))."""
-    d2 = sq_dists(X, Z)
+    return _from_sq_dists(sq_dists(X, Z), p)
+
+
+def _from_sq_dists(d2: np.ndarray, p: KernelParams) -> np.ndarray:
+    """The kernel from squared distances, for callers that reuse them."""
     return p.variance * np.exp(-0.5 * d2 / p.lengthscale**2)

@@ -6,17 +6,43 @@ Inverses of the M x M core matrices are cached as dense matrices because the
 streaming updates modify them additively: adding an inducing point borders
 them (``inv_extend``) and removing one shrinks them (``inv_shrink``), both
 in O(M^2).  Cholesky factors are only used for from-scratch (re)builds.
+
+Factorizations and solves call LAPACK's ``dpotrf``/``dpotrs`` directly.
+With M around 10 a streaming step is bound by per-call overhead, not
+flops, and ``scipy.linalg.cholesky``/``cho_solve`` spend several times the
+cost of these two routines on input validation and batch dispatch around
+them.  They call them with the same arguments as here (lower triangle,
+upper part zeroed), so factors and solutions are bit-identical to theirs.
+The checks they made are kept: square and symmetric input
+(``DimensionMismatch``, ``NotSymmetric``), ``ValueError`` for an inf or
+NaN in a matrix or right-hand side, and ``ValueError`` when LAPACK reports
+an illegal argument.  A failed factorization escalates the jitter
+geometrically and logs once it succeeds (a warning unless the jitter is at
+roundoff level); ``NotPsd`` once it never does.
 """
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NotPsd, NotSymmetric, SchurNotPositive
 
 MAX_JITTER_ESCALATIONS = 6
 SYMMETRY_RTOL = 1e-8
+# Escalations to at most this share of the mean |diagonal| log at INFO, larger
+# ones at WARNING.  The first escalation from a zero base lands exactly here:
+# a roundoff-level perturbation, like the 1e-6 jitter Kuu carries anyway.
+QUIET_JITTER_RTOL = 1e-6
+
+log = logging.getLogger(__name__)
+
+
+def _require_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 @dataclass(frozen=True)
@@ -32,11 +58,18 @@ def cholesky_psd(A: np.ndarray, base_jitter: float = 0.0) -> CholFactor:
 
     The first attempt uses ``base_jitter`` exactly (so well-conditioned
     inputs report ``jitter_used == base_jitter``).  On failure the jitter
-    escalates by x10, starting from ``1e-6 * mean(diag)`` when the base was
-    zero, for at most ``MAX_JITTER_ESCALATIONS`` retries.
+    escalates by x10, starting from ``1e-6 * mean(|diag|)`` when the base was
+    zero, for at most ``MAX_JITTER_ESCALATIONS`` retries.  A factor that
+    needed more than ``base_jitter`` logs one record with both values: a
+    WARNING when the jitter used exceeds ``QUIET_JITTER_RTOL * mean(|diag|)``,
+    else INFO.
 
     Raises
     ------
+    DimensionMismatch
+        If ``A`` is not square.
+    ValueError
+        If ``A`` holds an inf or NaN.
     NotSymmetric
         If ``A`` is not symmetric to 1e-8 relative tolerance.
     NotPsd
@@ -45,19 +78,28 @@ def cholesky_psd(A: np.ndarray, base_jitter: float = 0.0) -> CholFactor:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {A.shape}")
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A - A.T) > SYMMETRY_RTOL * scale:
+    norm = np.linalg.norm(A)
+    if not math.isfinite(norm):     # an inf or NaN entry, or an overflow
+        _require_finite(A)
+    if np.linalg.norm(A - A.T) > SYMMETRY_RTOL * max(norm, 1.0):
         raise NotSymmetric("input is not symmetric to 1e-8 relative tolerance")
 
-    diag_scale = float(np.mean(np.abs(np.diag(A)))) or 1.0
     jitter = float(base_jitter)
+    quiet = None                    # QUIET_JITTER_RTOL * mean |diag|, once needed
     n = A.shape[0]
     for _ in range(MAX_JITTER_ESCALATIONS + 1):
-        try:
-            lower = scipy.linalg.cholesky(A + jitter * np.eye(n), lower=True)
+        lower, info = dpotrf(A + jitter * np.eye(n), lower=1, clean=1)
+        if info == 0:
+            if quiet is not None:
+                log.log(logging.WARNING if jitter > quiet else logging.INFO,
+                        "Cholesky needed jitter %g (base %g) on a %dx%d matrix",
+                        jitter, base_jitter, n, n)
             return CholFactor(lower=lower, jitter_used=jitter)
-        except scipy.linalg.LinAlgError:
-            jitter = jitter * 10.0 if jitter > 0.0 else 1e-6 * diag_scale
+        if info < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        if quiet is None:
+            quiet = QUIET_JITTER_RTOL * (float(np.mean(np.abs(np.diag(A)))) or 1.0)
+        jitter = jitter * 10.0 if jitter > 0.0 else quiet
     raise NotPsd(f"Cholesky failed at maximum jitter {jitter / 10.0:g}")
 
 
@@ -68,7 +110,11 @@ def solve_psd(f: CholFactor, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"factor is {f.lower.shape[0]}x{f.lower.shape[0]}, rhs has {B.shape[0]} rows"
         )
-    return scipy.linalg.cho_solve((f.lower, True), B)
+    _require_finite(B)
+    X, info = dpotrs(f.lower, B, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return X
 
 
 def logdet(f: CholFactor) -> float:

@@ -1,9 +1,11 @@
 import copy
+import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from adaptive_sgp import adaptive, agp, fast_agp, optim, vsgp
+from adaptive_sgp import adaptive, agp, fast_agp, harness, optim, vsgp
 from adaptive_sgp.kernel import KernelParams
 
 from helpers import count_calls, make_state, piecewise_sinusoid
@@ -210,7 +212,51 @@ def test_step_rebuilds_caches_once(monkeypatch):
                              lam=0.97724, window_t=100, capacity_m=10)
     rebuilds = count_calls(monkeypatch, [adaptive, agp, fast_agp],
                            "rebuild_caches")
+    scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
+                   for name in ("cholesky", "cho_solve")]
     opt = agp.adam_params()
     for i in range(100, 160):
         agp.agp_step(st, opt, X[i], y[i])
     assert rebuilds[0] == 60
+    # every factorization and solve calls LAPACK directly (linalg)
+    assert [c[0] for c in scipy_calls] == [0, 0]
+
+
+def _toy_predictions(kind, X, y):
+    """Predictions of fast_agp_step or agp_step over synth_toy past the
+    first 100 samples (T=100, M=10), and the final state."""
+    model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:100], y[:100],
+                             lam=0.97724, window_t=100, capacity_m=10)
+    opt = agp.adam_params()
+    preds = []
+    for i in range(100, y.shape[0]):
+        if kind == "agp":
+            pred = agp.agp_step(st, opt, X[i], y[i])[2]
+        else:
+            pred = fast_agp.fast_agp_step(st, X[i], y[i])[1]
+        preds.append((pred.mean, pred.var))
+    return np.array(preds), st
+
+
+@pytest.mark.parametrize("kind", ["fast_agp", "agp"])
+@pytest.mark.parametrize("corrupt", ["nan_y", "inf_x"])
+def test_non_finite_sample_is_skipped_as_if_deleted(kind, corrupt, caplog):
+    t, y = harness.synth_toy(seed=0)
+    X = t[:, None]
+    bad = 250                       # stream step 150
+    Xc, yc = X.copy(), y.copy()
+    if corrupt == "nan_y":
+        yc[bad] = np.nan
+    else:
+        Xc[bad, 0] = np.inf
+    with caplog.at_level(logging.WARNING, logger="adaptive_sgp.adaptive"):
+        got, st = _toy_predictions(kind, Xc, yc)
+    ref, st_ref = _toy_predictions(kind, np.delete(X, bad, axis=0),
+                                   np.delete(y, bad))
+    step = bad - 100
+    assert np.array_equal(got[:step], ref[:step])
+    assert np.array_equal(got[step + 1:], ref[step:])
+    assert st.skipped_samples == 1 and st_ref.skipped_samples == 0
+    assert [r.levelno for r in caplog.records
+            if r.name == "adaptive_sgp.adaptive"] == [logging.WARNING]

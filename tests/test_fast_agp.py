@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adaptive_sgp import adaptive, fast_agp, harness, linalg, optim, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
@@ -273,6 +274,8 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
     chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
     rebuilds = count_calls(monkeypatch, [adaptive, fast_agp], "rebuild_caches")
+    scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
+                   for name in ("cholesky", "cho_solve")]
     changes = 0
     for i in range(100, 500):
         before = st.inducing.copy()
@@ -281,6 +284,8 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     assert changes > 0
     assert rebuilds[0] == 0
     assert chol[0] == 400
+    # every factorization and solve calls LAPACK directly (linalg)
+    assert [c[0] for c in scipy_calls] == [0, 0]
 
 
 def _max_drift(X, y, T, M, lam, iters, every):

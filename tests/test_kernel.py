@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from adaptive_sgp import bound, linalg
+from adaptive_sgp import agp_vsi, bound, kernel, linalg
 from adaptive_sgp.errors import DimensionMismatch
-from adaptive_sgp.kernel import KernelParams, kernel_matrix
+from adaptive_sgp.kernel import KernelParams, kernel_matrix, sq_dists
 
-from helpers import random_params
+from helpers import count_calls, random_instance, random_params
 
 
 def test_zero_distance_gives_signal_variance():
@@ -78,7 +78,8 @@ def test_monotone_decreasing_in_distance():
 
 def _kernel_grads(G_uu, G_xu, X, Z, p):
     return bound._chain_to_params(G_uu, G_xu, X, Z, kernel_matrix(Z, Z, p),
-                                  kernel_matrix(X, Z, p), p)
+                                  kernel_matrix(X, Z, p), sq_dists(Z, Z),
+                                  sq_dists(X, Z), p)
 
 
 def test_grad_log_variance_equals_kernel():
@@ -141,3 +142,15 @@ def test_gradient_fd_property_suite():
         numeric = _fd_kernel_grads(G_uu, G_xu, X, Z, p)
         for a, f in zip(analytic, numeric):
             assert np.max(np.abs(a - f)) < 1e-6
+
+
+def test_gradients_build_each_distance_matrix_once(monkeypatch):
+    # U-U and X-U once each per gradient, shared by the kernel matrices and
+    # the chain rule.
+    calls = count_calls(monkeypatch, [kernel, bound, agp_vsi], "sq_dists")
+    X, y, U, p, ln = random_instance(np.random.default_rng(6), n=12, m=4, d=2)
+    bound.weighted_bound_gradients(X, y, U, p, ln, np.ones(12), 1e-6)
+    assert calls[0] == 2
+    q = agp_vsi.q_from_moments(np.zeros(4), np.eye(4))
+    agp_vsi.elbo_gradients(X, y, U, p, ln, q, 0.9, 1e-6)
+    assert calls[0] == 4

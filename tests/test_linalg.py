@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adaptive_sgp import linalg
 from adaptive_sgp.errors import NotPsd, NotSymmetric, SchurNotPositive
@@ -141,3 +144,103 @@ def test_inv_shrink_undoes_inv_extend():
         ext = linalg.inv_extend(Ainv, A[:k, k], float(A[k, k]))
         out = linalg.inv_shrink(ext, k)
         assert np.max(np.abs(out - Ainv)) / np.max(np.abs(Ainv)) < 1e-10
+
+
+# The factor core calls LAPACK's dpotrf/dpotrs directly; scipy.linalg's
+# cholesky/cho_solve call the same routines with the same arguments, so
+# they are the bit-for-bit oracle.
+
+
+def test_cholesky_equals_scipy_bit_for_bit_up_to_64():
+    rng = np.random.default_rng(7)
+    for n in range(1, 65):
+        A = spd_matrix(rng, n)
+        assert np.array_equal(linalg.cholesky_psd(A, 0.0).lower,
+                              scipy.linalg.cholesky(A, lower=True)), n
+        assert np.array_equal(linalg.cholesky_psd(A, 1e-6).lower,
+                              scipy.linalg.cholesky(A + 1e-6 * np.eye(n), lower=True)), n
+
+
+def test_solve_equals_cho_solve_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in range(1, 65):
+        A = spd_matrix(rng, n)
+        f = linalg.cholesky_psd(A, 0.0)
+        for B in (rng.normal(size=n), rng.normal(size=(n, 3)), np.eye(n)):
+            expected = scipy.linalg.cho_solve((f.lower, True), B)
+            out = linalg.solve_psd(f, B)
+            assert out.shape == expected.shape
+            assert np.array_equal(out, expected), n
+
+
+def test_inv_psd_equals_cholesky_solve_formula():
+    # the formula inv_psd had when it went through scipy.linalg
+    rng = np.random.default_rng(9)
+    for n in range(1, 65):
+        A = spd_matrix(rng, n)
+        inv = scipy.linalg.cho_solve((scipy.linalg.cholesky(A, lower=True), True),
+                                     np.eye(n))
+        assert np.array_equal(linalg.inv_psd(A, 0.0), 0.5 * (inv + inv.T)), n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_a_value_error(bad):
+    A = spd_matrix(np.random.default_rng(10), 4)
+    A_bad = A.copy()
+    A_bad[2, 1] = A_bad[1, 2] = bad
+    for call in (lambda: linalg.cholesky_psd(A_bad, 0.0),
+                 lambda: linalg.inv_psd(A_bad, 0.0)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            call()
+    A_bad = A.copy()
+    A_bad[3, 3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        linalg.cholesky_psd(A_bad, 0.0)
+    f = linalg.cholesky_psd(A, 0.0)
+    for B in (np.array([1.0, bad, 0.0, 2.0]), np.full((4, 2), bad)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.solve_psd(f, B)
+
+
+@pytest.mark.parametrize("A, base, used", [
+    (np.ones((2, 2)), 0.0, 1e-06),
+    (np.ones((2, 2)), 1e-6, 1e-06),
+    (np.ones((3, 3)) - 1e-4 * np.eye(3), 0.0, 0.0009999),
+    (np.ones((3, 3)) - 1e-4 * np.eye(3), 1e-6, 0.001),
+    (np.diag([1.0, -1e-3]), 0.0, 0.005004999999999999),
+])
+def test_escalation_reports_the_same_jitter_as_before(A, base, used):
+    # values reported when the factor went through scipy.linalg.cholesky
+    assert linalg.cholesky_psd(A, base).jitter_used == used
+
+
+def _linalg_records(caplog):
+    return [r for r in caplog.records if r.name == "adaptive_sgp.linalg"]
+
+
+def test_escalation_logs_one_warning_with_base_and_used_jitter(caplog):
+    with caplog.at_level(logging.DEBUG, logger="adaptive_sgp.linalg"):
+        f = linalg.cholesky_psd(np.ones((3, 3)) - 1e-4 * np.eye(3), 0.0)
+    records = _linalg_records(caplog)
+    assert [r.levelno for r in records] == [logging.WARNING]
+    assert f.jitter_used == 0.0009999
+    assert "jitter 0.0009999 (base 0)" in records[0].getMessage()
+
+
+def test_roundoff_level_escalation_logs_at_info(caplog):
+    # The first escalation from a zero base, to 1e-6 of the mean |diagonal|.
+    with caplog.at_level(logging.DEBUG, logger="adaptive_sgp.linalg"):
+        f = linalg.cholesky_psd(np.ones((2, 2)), 0.0)
+    records = _linalg_records(caplog)
+    assert [r.levelno for r in records] == [logging.INFO]
+    assert f.jitter_used == 1e-6
+    assert "jitter 1e-06 (base 0)" in records[0].getMessage()
+
+
+def test_well_conditioned_factor_logs_nothing(caplog):
+    rng = np.random.default_rng(11)
+    with caplog.at_level(logging.DEBUG, logger="adaptive_sgp.linalg"):
+        for n in (1, 5, 40):
+            linalg.inv_psd(spd_matrix(rng, n), 0.0)
+            linalg.cholesky_psd(spd_matrix(rng, n), 1e-6)
+    assert _linalg_records(caplog) == []

@@ -1,7 +1,14 @@
-"""Package hygiene: module-level imports only, and no stale exports."""
+"""Package hygiene: module-level imports only, no stale exports, and the
+test run's BLAS pinned to the thread count conftest.py sets."""
 
 import ast
+import ctypes
+import os
 from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
 
 import adaptive_sgp
 
@@ -24,3 +31,33 @@ def test_every_export_resolves():
     missing = [name for name in adaptive_sgp.__all__
                if not hasattr(adaptive_sgp, name)]
     assert not missing, f"__all__ names with no binding: {missing}"
+
+
+def _openblas_threads() -> dict:
+    """Thread count each OpenBLAS bundled with numpy and scipy reports, by
+    library file name (loading an already loaded library reuses it)."""
+    names = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+             "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+    out = {}
+    for mod in (np, scipy):
+        libdir = Path(mod.__file__).resolve().parent.parent / f"{mod.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for sym in names:
+                fn = getattr(lib, sym, None)
+                if fn is not None:
+                    fn.argtypes = []
+                    fn.restype = ctypes.c_int
+                    out[path.name] = fn()
+                    break
+    return out
+
+
+def test_blas_is_pinned_before_numpy_loads():
+    # conftest.py sets OPENBLAS_NUM_THREADS (default 1) before numpy loads;
+    # OpenBLAS reads it only when the library loads, and never runs more
+    # threads than there are cores.
+    counts = _openblas_threads()
+    if not counts:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    assert max(counts.values()) <= int(os.environ["OPENBLAS_NUM_THREADS"]), counts
