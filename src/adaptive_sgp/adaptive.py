@@ -4,10 +4,11 @@ the relevance scores that drive inducing-set maintenance.
 
 The cached cross-moments (s_y, s_k, w_ksum) are the single source of truth
 while streaming.  Every cache move is exact: a new sample is a rank-one
-update, and a change of the inducing set extends or shrinks the cached
-inverses by bordered block identities.  ``rebuild_caches`` recomputes
-everything from the window and is needed only after a change to the kernel
-or noise, or when an extension is numerically rejected.
+update, and a change of the inducing set borders or restricts the cached
+kernel matrices and extends or shrinks the cached inverses by bordered
+block identities.  ``rebuild_caches`` recomputes everything from the window
+and is needed only after a change to the kernel or noise, or when an
+extension is numerically rejected.
 """
 
 import logging
@@ -50,8 +51,15 @@ class AdaptiveState:
     s_k: np.ndarray = field(default=None)      # Kux L Kxu
     b_lam: np.ndarray = field(default=None)    # (Kuu~ + s_k/sig2)^-1
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
+    kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
+    # Kxu (window x inducing), built on first need by fast mode's inducing
+    # addition and dropped by rebuild_caches, so full mode never carries it
+    kxu: np.ndarray | None = None
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
+    # counters
     skipped_samples: int = 0                   # non-finite samples not ingested
+    skipped_updates: int = 0                   # agp_step updates lost to NotPsd
+    rejected_candidates: int = 0               # inducing candidates scored out
 
     @property
     def noise_var(self) -> float:
@@ -90,13 +98,14 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
     return state
 
 
-def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
+def skip_nonfinite(state, x_new, y_new) -> bool:
     """True, after counting it in ``state.skipped_samples`` and logging a
     warning, when ``x_new`` or ``y_new`` holds an inf or NaN.
 
-    The streaming steps then return their prediction and leave the state
-    and the optimizer as they were, so the rest of the stream runs as if
-    the sample had never arrived."""
+    ``state`` is the step's ``AdaptiveState``, or the ``VsgpModel`` of the
+    sliding-window baseline.  Every streaming step then returns its
+    prediction and leaves its state and optimizer as they were, so the rest
+    of the stream runs as if the sample had never arrived."""
     if math.isfinite(y_new) and np.isfinite(x_new).all():
         return False
     state.skipped_samples += 1
@@ -106,24 +115,28 @@ def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
 
 
 def rebuild_caches(state: AdaptiveState) -> None:
-    """Recompute s_y, s_k, w_ksum, b_lam, kuu_inv from the window (O(T M^2)).
+    """Recompute s_y, s_k, w_ksum, kuu, b_lam, kuu_inv from the window
+    (O(T M^2)) and drop kxu.
 
     Needed after a kernel or noise change; inducing-set changes extend or
-    shrink the caches instead (``fast_agp``)."""
+    shrink the caches instead (``fast_agp``).  kxu is not kept: full mode
+    rebuilds after every step and never reads it, and fast mode builds it
+    again on its next inducing addition."""
     w = state.weights()
     Kxu = kernel_matrix(state.window_x, state.inducing, state.params)
     state.s_y = Kxu.T @ (w * state.window_y)
     state.s_k = Kxu.T @ (w[:, None] * Kxu)
     state.s_k = 0.5 * (state.s_k + state.s_k.T)
     state.w_ksum = state.params.variance * float(np.sum(w))
-    Kuu = state.kuu_jittered()
-    state.kuu_inv = linalg.inv_psd(Kuu, 0.0)
-    state.b_lam = linalg.inv_psd(Kuu + state.s_k / state.noise_var, 0.0)
+    state.kuu = state.kuu_jittered()
+    state.kxu = None
+    state.kuu_inv = linalg.inv_psd(state.kuu, 0.0)
+    state.b_lam = linalg.inv_psd(state.kuu + state.s_k / state.noise_var, 0.0)
 
 
 def refresh_b_lam(state: AdaptiveState) -> None:
-    """Refactor B_lambda from the cached s_k (O(M^3))."""
-    state.b_lam = linalg.inv_psd(state.kuu_jittered() + state.s_k / state.noise_var, 0.0)
+    """Refactor B_lambda from the cached kuu and s_k (O(M^3))."""
+    state.b_lam = linalg.inv_psd(state.kuu + state.s_k / state.noise_var, 0.0)
 
 
 def adaptive_bound(state: AdaptiveState) -> float:
@@ -135,7 +148,7 @@ def adaptive_bound(state: AdaptiveState) -> float:
 
 def adaptive_bound_gradients(state: AdaptiveState) -> dict:
     """Analytic gradient of the adaptive bound over every inducing point and
-    the three scalar hyperparameters, plus the bound ``value``."""
+    the three scalar hyperparameters."""
     return bound.weighted_bound_gradients(
         state.window_x, state.window_y, state.inducing, state.params,
         state.log_noise, state.weights(), state.jitter,
@@ -145,7 +158,7 @@ def adaptive_bound_gradients(state: AdaptiveState) -> dict:
 def adaptive_q(state: AdaptiveState):
     """Adaptive optimal variational mean and covariance:
     mu = sigma^-2 Kuu B_lam (Kux L y),  A = Kuu B_lam Kuu."""
-    Kuu = state.kuu_jittered()
+    Kuu = state.kuu
     mu = Kuu @ (state.b_lam @ state.s_y) / state.noise_var
     A = Kuu @ state.b_lam @ Kuu
     return mu, 0.5 * (A + A.T)

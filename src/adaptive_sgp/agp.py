@@ -32,9 +32,9 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     inducing point, one Adam step on {noise, kernel, newest point}, then
     rebuild the caches from scratch once, since the kernel and noise have
     moved.  A factorization failure skips the optimizer step for this
-    sample; a sample with an inf or NaN is counted and skipped whole
-    (``skip_nonfinite``), leaving state and optimizer untouched.  The
-    stream never aborts.
+    sample and counts it in ``state.skipped_updates``; a sample with an inf
+    or NaN is counted and skipped whole (``skip_nonfinite``), leaving state
+    and optimizer untouched.  The stream never aborts.
     """
     pred = adaptive_predict(state, x_new)
     if skip_nonfinite(state, x_new, y_new):
@@ -53,6 +53,7 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
         state.inducing[-1:], state.params, state.log_noise = ascent_step(
             opt, g, state.inducing[-1:], state.params, state.log_noise)
     except NotPsd:
+        state.skipped_updates += 1
         log.warning("inference step skipped: factorization failed")
 
     rebuild_caches(state)

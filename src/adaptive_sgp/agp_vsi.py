@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .adaptive import AdaptiveState, lambda_weights, rebuild_caches
+from .adaptive import (AdaptiveState, lambda_weights, rebuild_caches,
+                       skip_nonfinite)
 from .bound import _chain_to_params
 from .errors import NotPsd
 from .kernel import KernelParams, _from_sq_dists, kernel_matrix, sq_dists
@@ -175,8 +176,11 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
                  x_new, y_new: float, inner_iters: int = 50):
     """One prequential step: predict with the current q, slide the window,
     then run ``inner_iters`` Adam ascent iterations on the weighted ELBO
-    jointly over q, all inducing points, kernel, and noise."""
+    jointly over q, all inducing points, kernel, and noise.  A sample with
+    an inf or NaN is counted and skipped (``skip_nonfinite``)."""
     pred = vsi_predict(state, q, x_new)
+    if skip_nonfinite(state, x_new, y_new):
+        return state, q, opt, pred
 
     x_row = np.atleast_2d(np.asarray(x_new, dtype=float))
     state.window_x = np.vstack([state.window_x, x_row])

@@ -9,11 +9,10 @@ adaptive model (geometric forgetting weights).  The bound is
 
 evaluated through the Woodbury identity on the M x M matrix
 Binv = Kuu + sigma^-2 Kux W Kxu, so the cost is O(N M^2) and the N x N
-covariance is never materialized.  ``weighted_bound_gradients`` also
-returns the bound ``value``, computed from the gradient's own kernel
-matrices and Cholesky factors by the same code ``weighted_bound`` runs.
-Gradients are hand-derived via the chain rule through the same form and
-validated against finite differences in the test suite.
+covariance is never materialized.  ``weighted_bound`` and
+``weighted_bound_gradients`` share one set-up (``_factor``).  Gradients
+are hand-derived via the chain rule through the same form and validated
+against finite differences in the test suite.
 """
 
 import numpy as np
@@ -97,7 +96,7 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
     """Analytic gradient of :func:`weighted_bound`.
 
     Returns a dict with keys ``log_variance``, ``log_lengthscale``,
-    ``log_noise``, ``inducing`` (shaped like U) and the bound ``value``.
+    ``log_noise`` and ``inducing`` (shaped like U).
     """
     X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, S_k, s_y, f_k, f_b = _factor(
         X, y, U, params, log_noise, weights, jitter)
@@ -153,5 +152,4 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
         "log_lengthscale": float(g_ll),
         "log_noise": float(g_ln),
         "inducing": gU,
-        "value": _value(y, w, sig2, params, S_k, s_y, f_k, f_b),
     }

@@ -1,12 +1,14 @@
 """Inference-free streaming updates (the fast algorithm): one ingest path
 (rank-one data addition and windowed removal), relevance-gated
-inducing-point addition by block extension of the cached inverses, and
-pruning by block shrink of the same inverses.  Kernel and noise parameters
-are never touched here, so no step rebuilds the caches from the window
-except the Schur-complement fallback of ``maybe_add_inducing``.
+inducing-point addition, scored before it is committed, by block extension
+of the cached inverses, and pruning by block shrink of the same inverses.
+Kernel and noise parameters are never touched here, so no step rebuilds
+the caches from the window except the Schur-complement fallback of
+``maybe_add_inducing``.
 """
 
 import logging
+import math
 
 import numpy as np
 
@@ -29,8 +31,9 @@ def _kvec(state: AdaptiveState, x) -> np.ndarray:
 
 def windowed_add(state: AdaptiveState, x_new, y_new: float) -> AdaptiveState:
     """Append one sample, evicting the oldest once the window holds T, and
-    update s_y, s_k and w_ksum by rank-one terms (O(M^2)); then refactor
-    B_lambda from the cached s_k (O(M^3)).
+    update s_y, s_k and w_ksum by rank-one terms (O(M^2)) and kxu, when
+    carried, by one row; then refactor B_lambda from the cached s_k
+    (O(M^3)).
 
     s_y <- lam*s_y + k_new*y,  s_k <- lam*s_k + k_new k_new^T.  A departing
     sample carries weight lam^T after the new sample's geometric discount,
@@ -47,28 +50,63 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float) -> AdaptiveState:
     s_y = lam * state.s_y + k_new * y_new
     s_k = lam * state.s_k + np.outer(k_new, k_new)
     w_ksum = lam * state.w_ksum + var
-    window_x = np.vstack([state.window_x, x_row])
-    window_y = np.append(state.window_y, y_new)
     if evict:
         k_old = K[:, 1]
         wT = lam ** state.window_t
         s_y = s_y - wT * k_old * float(state.window_y[0])
         s_k = s_k - wT * np.outer(k_old, k_old)
         w_ksum = w_ksum - wT * var
-        window_x, window_y = window_x[1:], window_y[1:]
+    first = int(evict)
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
-    state.window_x, state.window_y = window_x, window_y
+    state.window_x = np.vstack([state.window_x, x_row])[first:]
+    state.window_y = np.append(state.window_y, y_new)[first:]
+    if state.kxu is not None:
+        state.kxu = np.vstack([state.kxu, k_new])[first:]
     refresh_b_lam(state)
     return state
 
 
-def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float):
-    """Adopt the newest input as an inducing point when the weighted
-    Nystrom residual exceeds the threshold.
+def _border(A: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
+    """The symmetric bordered matrix [[A, b], [b^T, b0]]."""
+    k = A.shape[0]
+    out = np.empty((k + 1, k + 1))
+    out[:k, :k] = A
+    out[:k, k] = b
+    out[k, :k] = b
+    out[k, k] = b0
+    return out
 
-    Both cached inverses are grown by bordered block extension (O(M^2));
-    a non-positive Schur complement (e.g. a duplicated inducing point)
-    falls back to a from-scratch rebuild.
+
+def _prune_target(kuu_inv: np.ndarray, s_k: np.ndarray, r_th: float,
+                  max_k: float):
+    """The inducing point one round of the greedy prune removes, or None
+    when the prune stops: the lowest ``removal_scores`` entry goes while it
+    is below ``r_th`` times the largest or more than ``max_k`` points
+    remain."""
+    r = removal_scores(kuu_inv, s_k)
+    m = int(np.argmin(r))
+    if r.shape[0] <= max_k and r[m] >= r_th * float(np.max(r)):
+        return None
+    return m
+
+
+def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
+                       r_th: float | None = None, max_k: float = math.inf):
+    """Adopt ``x_new`` as an inducing point when the weighted Nystrom
+    residual exceeds ``r_th_tot``; returns ``(state, added)``.
+
+    With ``r_th`` given, the candidate is scored before it is committed (the
+    basis-vector scoring of Csato & Opper 2002): the prune's first round
+    (``prune_inducing`` with ``r_th`` and ``max_k``) is applied to the
+    bordered ``kuu_inv`` and ``s_k``.  When that round would remove the
+    candidate, adding it and then pruning equals not adding it, so every
+    cache is left as it was and the candidate is counted in
+    ``state.rejected_candidates``.  The defaults never reject.
+
+    An admitted candidate borders kuu, s_k and kxu (built here on first
+    need), and both cached inverses are grown by bordered block extension
+    (O(M^2) besides kxu's column); a non-positive Schur complement (e.g. a
+    duplicated inducing point) falls back to a from-scratch rebuild.
     """
     if relevance_total(state) <= r_th_tot:
         return state, False
@@ -76,37 +114,34 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float):
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     w = state.weights()
     sig2 = state.noise_var
-    var = state.params.variance
+    kuu_diag = state.params.variance + state.jitter
+    if state.kxu is None:
+        state.kxu = kernel_matrix(state.window_x, state.inducing, state.params)
 
     b_kuu = _kvec(state, x_new)                     # k(U, x_new)
     k_x = kernel_matrix(state.window_x, x_new, state.params).ravel()
-    Kux = kernel_matrix(state.inducing, state.window_x, state.params)
-
-    b_col = b_kuu + (Kux @ (w * k_x)) / sig2
-    b0 = var + state.jitter + float(np.dot(w * k_x, k_x)) / sig2
-
+    wk_x = w * k_x
+    s_k_row = state.kxu.T @ wk_x
+    s_k_diag = float(np.dot(wk_x, k_x))
+    s_k = _border(state.s_k, s_k_row, s_k_diag)
     try:
-        kuu_inv_ext = linalg.inv_extend(state.kuu_inv, b_kuu, var + state.jitter)
-        b_lam_ext = linalg.inv_extend(state.b_lam, b_col, b0)
+        kuu_inv = linalg.inv_extend(state.kuu_inv, b_kuu, kuu_diag)
+        if (r_th is not None
+                and _prune_target(kuu_inv, s_k, r_th, max_k) == state.k_inducing):
+            state.rejected_candidates += 1
+            return state, False
+        b_lam = linalg.inv_extend(state.b_lam, b_kuu + s_k_row / sig2,
+                                  kuu_diag + s_k_diag / sig2)
     except SchurNotPositive:
         log.info("block extension rejected; rebuilding inverses from scratch")
         state.inducing = np.vstack([state.inducing, x_new])
         rebuild_caches(state)
         return state, True
 
-    state.kuu_inv = kuu_inv_ext
-    state.b_lam = b_lam_ext
-    s_y_new = float(np.dot(w * k_x, state.window_y))
-    s_k_row = Kux @ (w * k_x)
-    s_k_diag = float(np.dot(w * k_x, k_x))
-    k = state.k_inducing
-    s_k = np.empty((k + 1, k + 1))
-    s_k[:k, :k] = state.s_k
-    s_k[:k, k] = s_k_row
-    s_k[k, :k] = s_k_row
-    s_k[k, k] = s_k_diag
-    state.s_k = s_k
-    state.s_y = np.append(state.s_y, s_y_new)
+    state.kuu_inv, state.b_lam, state.s_k = kuu_inv, b_lam, s_k
+    state.kuu = _border(state.kuu, b_kuu, kuu_diag)
+    state.kxu = np.hstack([state.kxu, k_x[:, None]])
+    state.s_y = np.append(state.s_y, float(np.dot(wk_x, state.window_y)))
     state.inducing = np.vstack([state.inducing, x_new])
     return state, True
 
@@ -118,27 +153,31 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     points remain; never below one.
 
     Scores come from the cached s_k and kuu_inv, which, like b_lam, must
-    match the current window, inducing set and kernel.  Each removal shrinks kuu_inv
-    and b_lam by ``inv_shrink`` (O(M^2), no refactorisation) and restricts
-    s_k, s_y and the inducing set, so every round scores the remaining set
-    exactly and the caches stay exact afterwards."""
+    match the current window, inducing set and kernel.  Each removal shrinks
+    kuu_inv and b_lam by ``inv_shrink`` (O(M^2), no refactorisation) and
+    restricts kuu, s_k, s_y, kxu (when carried) and the inducing set, so
+    every round scores the remaining set exactly and the caches stay exact
+    afterwards."""
     while state.k_inducing > 1:
-        r = removal_scores(state.kuu_inv, state.s_k)
-        m = int(np.argmin(r))
-        if state.k_inducing <= max_k and r[m] >= r_th * float(np.max(r)):
+        m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
+        if m is None:
             break
         keep = np.arange(state.k_inducing) != m
         state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m)
         state.b_lam = linalg.inv_shrink(state.b_lam, m)
+        state.kuu = state.kuu[np.ix_(keep, keep)]
         state.s_k = state.s_k[np.ix_(keep, keep)]
         state.s_y = state.s_y[keep]
         state.inducing = state.inducing[keep]
+        if state.kxu is not None:
+            state.kxu = state.kxu[:, keep]
     return state
 
 
 def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
                   r_th: float = 1e-4):
-    """One prequential step: predict, ingest, grow/shrink the inducing set.
+    """One prequential step: predict, ingest, offer the sample as an
+    inducing point (scored against the same prune rule), then prune.
 
     Returns ``(state, pred_before)`` where the prediction is made before the
     new target is used for any update.  A sample with an inf or NaN is
@@ -148,6 +187,6 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
         return state, pred
     windowed_add(state, x_new, y_new)
     r_th_tot = state.w_ksum / state.window_t
-    maybe_add_inducing(state, x_new, r_th_tot)
+    maybe_add_inducing(state, x_new, r_th_tot, r_th=r_th, max_k=state.capacity_m)
     prune_inducing(state, r_th, state.capacity_m)
     return state, pred

@@ -31,7 +31,7 @@ def _clamp_var(v: float) -> float:
     return max(float(v), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass
 class VsgpModel:
     inducing: np.ndarray          # M x D
     params: KernelParams
@@ -40,6 +40,7 @@ class VsgpModel:
     q_cov: np.ndarray             # M x M
     kuu_inv: np.ndarray           # inverse of jittered Kuu
     jitter: float = DEFAULT_JITTER
+    skipped_samples: int = 0      # non-finite samples the w-vsgp stream skipped
 
 
 def collapsed_bound(X, y, U, params: KernelParams, log_noise: float,

@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, bound, vsgp
+from adaptive_sgp import adaptive, vsgp
 from adaptive_sgp.errors import InvalidLambda
 from adaptive_sgp.kernel import kernel_matrix
 
 from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
-                     grad_close, make_state, random_instance, rel)
+                     grad_close, make_state, rel)
 
 
 def test_lambda_weights_values():
@@ -92,18 +92,6 @@ def test_gradients_match_finite_differences():
     flat = np.concatenate([g["inducing"].ravel(),
                            [g["log_variance"], g["log_lengthscale"], g["log_noise"]]])
     assert grad_close(flat, fd_gradient(f, theta0), tol=1e-4)
-
-
-def test_gradient_value_is_the_bound():
-    # value comes from the gradient's own factors; it must be the number
-    # weighted_bound computes, bit for bit, under unit and geometric weights
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        X, y, U, params, ln = random_instance(rng)
-        for w in (np.ones(y.shape[0]),
-                  adaptive.lambda_weights(y.shape[0], float(rng.uniform(0.6, 1.0)))):
-            g = bound.weighted_bound_gradients(X, y, U, params, ln, w, 1e-6)
-            assert g["value"] == bound.weighted_bound(X, y, U, params, ln, w, 1e-6)
 
 
 def test_adaptive_q_reduces_and_matches_dense():

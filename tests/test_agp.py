@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adaptive_sgp import adaptive, agp, fast_agp, harness, optim, vsgp
+from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, optim,
+                          vsgp, wvsgp)
+from adaptive_sgp.errors import NotPsd
 from adaptive_sgp.kernel import KernelParams
 
 from helpers import count_calls, make_state, piecewise_sinusoid
@@ -222,29 +224,82 @@ def test_step_rebuilds_caches_once(monkeypatch):
     assert [c[0] for c in scipy_calls] == [0, 0]
 
 
-def _toy_predictions(kind, X, y):
-    """Predictions of fast_agp_step or agp_step over synth_toy past the
-    first 100 samples (T=100, M=10), and the final state."""
+def test_full_mode_never_carries_kxu():
+    # Only fast mode's inducing addition builds kxu; agp_step rebuilds the
+    # caches every step, which drops it, and never reads it.
+    X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
                              lam=0.97724, window_t=100, capacity_m=10)
     opt = agp.adam_params()
+    for i in range(100, 160):
+        agp.agp_step(st, opt, X[i], y[i])
+    assert st.kxu is None
+
+
+def test_failed_inference_step_is_counted(monkeypatch):
+    # Every third gradient fails to factor: the step keeps going and counts
+    # the lost update.
+    calls = [0]
+    gradients = agp.adaptive_bound_gradients
+
+    def flaky(state):
+        calls[0] += 1
+        if calls[0] % 3 == 0:
+            raise NotPsd("injected")
+        return gradients(state)
+
+    monkeypatch.setattr(agp, "adaptive_bound_gradients", flaky)
+    X, y = piecewise_sinusoid(130, 2)
+    model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:100], y[:100],
+                             lam=0.97724, window_t=100, capacity_m=10)
+    opt = agp.adam_params()
+    for i in range(100, 130):
+        agp.agp_step(st, opt, X[i], y[i])
+    assert calls[0] == 30
+    assert st.skipped_updates == 10
+    assert st.skipped_samples == 0
+
+
+def _toy_predictions(kind, X, y):
+    """Predictions of one model kind's step function over synth_toy past
+    the first 100 samples (T=100, M=10), and the object that counts skipped
+    samples (the state, or the w-vsgp model)."""
+    model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:100], y[:100],
+                             lam=0.97724, window_t=100, capacity_m=10)
+    opt = agp.adam_params()
+    q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, model.jitter)
+    wx, wy = X[:100], y[:100]
     preds = []
     for i in range(100, y.shape[0]):
         if kind == "agp":
             pred = agp.agp_step(st, opt, X[i], y[i])[2]
-        else:
+        elif kind == "fast_agp":
             pred = fast_agp.fast_agp_step(st, X[i], y[i])[1]
+        elif kind == "agp_vsi":
+            pred = agp_vsi.agp_vsi_step(st, q, opt, X[i], y[i], 10)[3]
+        else:
+            model, opt, wx, wy, pred = wvsgp.wvsgp_step(model, opt, wx, wy,
+                                                        X[i], y[i], 10)
+            st = model
         preds.append((pred.mean, pred.var))
     return np.array(preds), st
 
 
-@pytest.mark.parametrize("kind", ["fast_agp", "agp"])
+# The baselines retrain for 10 iterations per sample, so they stream only
+# the 60 samples after the batch window; the corrupt sample is the 31st.
+STREAM_LEN = {"fast_agp": 500, "agp": 500, "agp_vsi": 160, "w_vsgp": 160}
+
+
+@pytest.mark.parametrize("kind", ["fast_agp", "agp", "agp_vsi", "w_vsgp"])
 @pytest.mark.parametrize("corrupt", ["nan_y", "inf_x"])
 def test_non_finite_sample_is_skipped_as_if_deleted(kind, corrupt, caplog):
     t, y = harness.synth_toy(seed=0)
-    X = t[:, None]
-    bad = 250                       # stream step 150
+    n = STREAM_LEN[kind]
+    X, y = t[:n, None], y[:n]
+    bad = 250 if n == 500 else 130     # stream step 150 or 30
     Xc, yc = X.copy(), y.copy()
     if corrupt == "nan_y":
         yc[bad] = np.nan

@@ -20,9 +20,15 @@ def _fresh(state):
 
 def _caches_match(state, tol=1e-8):
     fresh = _fresh(state)
-    for name in ("s_y", "s_k", "b_lam", "kuu_inv"):
+    for name in ("s_y", "s_k", "b_lam", "kuu_inv", "kuu"):
         assert rel(getattr(state, name), getattr(fresh, name)) < tol, name
     assert abs(state.w_ksum - fresh.w_ksum) < tol * max(1, abs(fresh.w_ksum))
+    if state.kxu is not None:
+        assert rel(state.kxu, kernel_matrix(state.window_x, state.inducing,
+                                            state.params)) < tol
+
+
+CACHES = ("s_y", "s_k", "b_lam", "kuu_inv", "kuu", "inducing")
 
 
 # Below T samples windowed_add evicts nothing: a pure rank-one add.
@@ -120,6 +126,51 @@ def test_maybe_add_extension_matches_from_scratch():
         assert added
         assert st.k_inducing == 4
         _caches_match(st, tol=1e-7)
+
+
+def test_maybe_add_carries_kxu_through_slides_adds_and_prunes():
+    rng = np.random.default_rng(19)
+    st = make_state(rng, t_cur=10, k=3, d=2, lam=0.9, window_t=10)
+    assert st.kxu is None
+    for i in range(30):
+        x = rng.normal(size=2)
+        fast_agp.windowed_add(st, x, float(rng.normal()))
+        if i % 2 == 0:
+            fast_agp.maybe_add_inducing(st, x, -1.0)
+        if i % 5 == 0:
+            fast_agp.prune_inducing(st, 1e-4, 4)
+        _caches_match(st)
+    assert st.kxu is not None
+
+
+def test_maybe_add_rejects_candidate_the_prune_would_remove_first():
+    # At capacity, a candidate far from every window input covers nothing,
+    # so the prune's first round would remove it: no cache moves.
+    rng = np.random.default_rng(20)
+    st = make_state(rng, t_cur=12, k=4, d=2)
+    before = copy.deepcopy(st)
+    _, added = fast_agp.maybe_add_inducing(st, np.array([50.0, 50.0]), -1.0,
+                                           r_th=1e-4, max_k=4)
+    assert not added
+    assert st.rejected_candidates == 1
+    for name in CACHES:
+        assert np.array_equal(getattr(st, name), getattr(before, name)), name
+    # the window kernel built for scoring is kept, exact
+    _caches_match(st)
+
+
+def test_maybe_add_scored_admission_equals_unscored_add():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        st = make_state(rng, t_cur=12, k=3, d=2)
+        ref = copy.deepcopy(st)
+        x_new = st.window_x[-1]
+        _, added = fast_agp.maybe_add_inducing(st, x_new, -1.0, r_th=1e-4,
+                                               max_k=10)
+        fast_agp.maybe_add_inducing(ref, x_new, -1.0)
+        assert added and st.rejected_candidates == 0
+        for name in CACHES + ("kxu",):
+            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
 
 
 def test_maybe_add_duplicate_point_falls_back():
@@ -267,6 +318,45 @@ def _stream_state(X, y, T, M, lam, iters):
     return adaptive.from_batch(model, X[:T], y[:T], lam, T, M)
 
 
+def _newcomer_pruned_first(st, r_th):
+    """Whether the prune's first round removes the last inducing point,
+    computed here from the removal scores and the prune's stopping rule."""
+    r = adaptive.removal_scores(st.kuu_inv, st.s_k)
+    m = int(np.argmin(r))
+    stops = st.k_inducing <= st.capacity_m and r[m] >= r_th * np.max(r)
+    return not stops and m == st.k_inducing - 1
+
+
+# The D=1 stream rejects no candidate (its 129 inducing-set changes are all
+# admissions), so it checks the admitted path; the D=8 stream rejects 692
+# of its candidates.
+@pytest.mark.parametrize("stream, T, M, lam, n_steps, min_rejected", [
+    (lambda: piecewise_sinusoid(2100, 0), 100, 10, 0.97724, 2000, 0),
+    (lambda: lagged_series(1400, 0), 400, 40, 0.1 ** (1 / 400), 1000, 500),
+], ids=["d1", "lag8"])
+def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
+                                             min_rejected):
+    # Reference: admit every candidate past the relevance gate, then prune.
+    # A candidate the prune removes first is exactly one fast_agp_step
+    # rejects, so the inducing sets agree at every step and the rejections
+    # equal a hand count of those candidates.
+    X, y = stream()
+    st = _stream_state(X, y, T, M, lam, 50)
+    ref = copy.deepcopy(st)
+    hand_count = 0
+    for i in range(T, T + n_steps):
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        fast_agp.windowed_add(ref, X[i], y[i])
+        _, added = fast_agp.maybe_add_inducing(ref, X[i],
+                                               ref.w_ksum / ref.window_t)
+        hand_count += added and _newcomer_pruned_first(ref, 1e-4)
+        fast_agp.prune_inducing(ref, 1e-4, M)
+        assert np.array_equal(st.inducing, ref.inducing), i
+        assert st.rejected_candidates == hand_count, i
+    assert hand_count >= min_rejected
+    assert ref.rejected_candidates == 0
+
+
 def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # Extension and shrink keep the caches exact, so the only factorization
     # of a fast step is the B_lambda refresh after ingesting the sample.
@@ -290,10 +380,12 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
 
 def _max_drift(X, y, T, M, lam, iters, every):
     """Worst gap between predictions from the streamed caches and from
-    caches rebuilt from the window, checked every ``every`` steps, and the
-    number of steps that changed the inducing set."""
+    caches rebuilt from the window, and worst relative gap of the carried
+    kernel matrices kuu and kxu from ``kernel_matrix``, checked every
+    ``every`` steps; and the number of steps that changed the inducing
+    set."""
     st = _stream_state(X, y, T, M, lam, iters)
-    d_mean = d_var = 0.0
+    d_mean = d_var = d_kern = 0.0
     changes = 0
     for i in range(T, y.shape[0] - 1):
         before = st.inducing.copy()
@@ -306,16 +398,25 @@ def _max_drift(X, y, T, M, lam, iters, every):
             b = adaptive.adaptive_predict(ref, X[i + 1])
             d_mean = max(d_mean, abs(a.mean - b.mean))
             d_var = max(d_var, abs(a.var - b.var) / b.var)
-    return d_mean, d_var, changes
+            d_kern = max(d_kern, rel(st.kuu, ref.kuu))
+            if st.kxu is not None:
+                d_kern = max(d_kern, rel(st.kxu, kernel_matrix(
+                    st.window_x, st.inducing, st.params)))
+    assert st.kxu is not None
+    return d_mean, d_var, d_kern, changes
 
 
 # Fast mode never rebuilds, so kuu_inv lives on extension and shrink alone.
-# Measured worst gaps: 1.0e-6 / 3.5e-6 (mean / relative var) on the D=1
+# Measured worst gaps: 1.2e-6 / 3.6e-6 (mean / relative var) on the D=1
 # stream, all in its first 2000 steps (Kuu condition number near 1e6) and
-# flat at ~1e-8 after; 1.0e-9 / 1.1e-8 on the D=8 stream.  The gap does not
-# grow with stream length, so no periodic re-anchor is needed.
+# flat at ~1e-8 after; 7.6e-10 / 7.6e-9 on the D=8 stream.  The gap does not
+# grow with stream length, so no periodic re-anchor is needed.  The carried
+# kernel matrices kuu and kxu are moved by copying kernel values, never by
+# arithmetic, so they stay at roundoff: measured worst gaps 0 (D=1) and
+# 2.8e-16 (D=8).
 DRIFT_MEAN_TOL = 1e-5
 DRIFT_VAR_RTOL = 1e-4
+KERNEL_CACHE_RTOL = 1e-12
 
 
 @pytest.mark.parametrize("stream, T, M, lam, iters, every", [
@@ -324,7 +425,8 @@ DRIFT_VAR_RTOL = 1e-4
 ], ids=["d1", "lag8"])
 def test_long_stream_caches_do_not_drift(stream, T, M, lam, iters, every):
     X, y = stream()
-    d_mean, d_var, changes = _max_drift(X, y, T, M, lam, iters, every)
+    d_mean, d_var, d_kern, changes = _max_drift(X, y, T, M, lam, iters, every)
     assert changes > 200
     assert d_mean < DRIFT_MEAN_TOL
     assert d_var < DRIFT_VAR_RTOL
+    assert d_kern < KERNEL_CACHE_RTOL
