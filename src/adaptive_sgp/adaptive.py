@@ -8,7 +8,12 @@ update, and a change of the inducing set borders or restricts the cached
 kernel matrices and extends or shrinks the cached inverses by bordered
 block identities.  ``rebuild_caches`` recomputes everything from the window
 and is needed only after a change to the kernel or noise, or when an
-extension is numerically rejected.
+extension is numerically rejected.  ``kxu`` and ``b_lam`` are moved only
+while they are carried (not ``None``): full mode drops ``b_lam`` for the
+part of a step that its rebuild replaces.
+
+A step builds the kernel row k(U, x_new) once (``kernel_row``) and hands
+it to the prediction and to every cache move that needs it.
 """
 
 import logging
@@ -49,7 +54,8 @@ class AdaptiveState:
     # rebuild_caches
     s_y: np.ndarray = field(default=None)      # Kux L y
     s_k: np.ndarray = field(default=None)      # Kux L Kxu
-    b_lam: np.ndarray = field(default=None)    # (Kuu~ + s_k/sig2)^-1
+    # (Kuu~ + s_k/sig2)^-1; None between agp_step's predict and rebuild
+    b_lam: np.ndarray | None = field(default=None)
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
     # Kxu (window x inducing), built on first need by fast mode's inducing
@@ -121,16 +127,22 @@ def rebuild_caches(state: AdaptiveState) -> None:
     Needed after a kernel or noise change; inducing-set changes extend or
     shrink the caches instead (``fast_agp``).  kxu is not kept: full mode
     rebuilds after every step and never reads it, and fast mode builds it
-    again on its next inducing addition."""
+    again on its next inducing addition.  ``Kuu~`` is factored once, and a
+    jitter escalation of that factor is added to kuu as well, so kuu and
+    kuu_inv always describe one matrix."""
     w = state.weights()
     Kxu = kernel_matrix(state.window_x, state.inducing, state.params)
     state.s_y = Kxu.T @ (w * state.window_y)
     state.s_k = Kxu.T @ (w[:, None] * Kxu)
     state.s_k = 0.5 * (state.s_k + state.s_k.T)
     state.w_ksum = state.params.variance * float(np.sum(w))
-    state.kuu = state.kuu_jittered()
+    kuu = state.kuu_jittered()
+    f = linalg.cholesky_psd(kuu, 0.0)
+    if f.jitter_used:
+        kuu = kuu + f.jitter_used * np.eye(state.k_inducing)
+    state.kuu = kuu
     state.kxu = None
-    state.kuu_inv = linalg.inv_psd(state.kuu, 0.0)
+    state.kuu_inv = linalg.inv_from_factor(f)
     state.b_lam = linalg.inv_psd(state.kuu + state.s_k / state.noise_var, 0.0)
 
 
@@ -164,10 +176,18 @@ def adaptive_q(state: AdaptiveState):
     return mu, 0.5 * (A + A.T)
 
 
-def adaptive_predict(state: AdaptiveState, xstar) -> PredictiveDist:
-    """Adaptive predictive mean/variance at one query (O(M^2) from caches)."""
-    xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
-    ks = kernel_matrix(xstar, state.inducing, state.params).ravel()
+def kernel_row(state: AdaptiveState, x) -> np.ndarray:
+    """k(U, x): kernel products between the inducing set and one input."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return kernel_matrix(state.inducing, x, state.params).ravel()
+
+
+def adaptive_predict(state: AdaptiveState, xstar, *,
+                     k_new: np.ndarray | None = None) -> PredictiveDist:
+    """Adaptive predictive mean/variance at one query (O(M^2) from caches).
+
+    ``k_new`` is ``kernel_row(state, xstar)`` when the caller has it."""
+    ks = kernel_row(state, xstar) if k_new is None else k_new
     kss = state.params.variance
     mean = float(ks @ (state.b_lam @ state.s_y)) / state.noise_var
     var = kss + float(ks @ (state.b_lam - state.kuu_inv) @ ks)

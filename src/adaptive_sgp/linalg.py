@@ -16,9 +16,12 @@ upper part zeroed), so factors and solutions are bit-identical to theirs.
 The checks they made are kept: square and symmetric input
 (``DimensionMismatch``, ``NotSymmetric``), ``ValueError`` for an inf or
 NaN in a matrix or right-hand side, and ``ValueError`` when LAPACK reports
-an illegal argument.  A failed factorization escalates the jitter
-geometrically and logs once it succeeds (a warning unless the jitter is at
-roundoff level); ``NotPsd`` once it never does.
+an illegal argument.  Nothing else is built around the two routines: at
+zero jitter ``A`` itself is factored, and an inverse (``inv_from_factor``)
+solves against an identity, which needs no finiteness or shape check.  A
+failed factorization escalates the jitter geometrically and logs once it
+succeeds (a warning unless the jitter is at roundoff level); ``NotPsd``
+once it never does.
 """
 
 import logging
@@ -88,7 +91,9 @@ def cholesky_psd(A: np.ndarray, base_jitter: float = 0.0) -> CholFactor:
     quiet = None                    # QUIET_JITTER_RTOL * mean |diag|, once needed
     n = A.shape[0]
     for _ in range(MAX_JITTER_ESCALATIONS + 1):
-        lower, info = dpotrf(A + jitter * np.eye(n), lower=1, clean=1)
+        # A + 0*I equals A bit for bit; dpotrf copies its input either way
+        lower, info = dpotrf(A if jitter == 0.0 else A + jitter * np.eye(n),
+                             lower=1, clean=1)
         if info == 0:
             if quiet is not None:
                 log.log(logging.WARNING if jitter > quiet else logging.INFO,
@@ -122,11 +127,25 @@ def logdet(f: CholFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(f.lower))))
 
 
-def inv_psd(A: np.ndarray, base_jitter: float = 0.0) -> np.ndarray:
-    """Dense inverse of an SPD matrix via its jittered Cholesky factor."""
-    f = cholesky_psd(A, base_jitter)
-    inv = solve_psd(f, np.eye(A.shape[0]))
+def inv_from_factor(f: CholFactor) -> np.ndarray:
+    """Dense, symmetrised inverse of the factored (jittered) matrix.
+
+    The identity right-hand side is finite and sized to the factor by
+    construction, so it goes to ``dpotrs`` without ``solve_psd``'s checks;
+    LAPACK's argument check stays."""
+    inv, info = dpotrs(f.lower, np.eye(f.lower.shape[0]), lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return 0.5 * (inv + inv.T)
+
+
+def inv_psd(A: np.ndarray, base_jitter: float = 0.0) -> np.ndarray:
+    """Dense inverse of an SPD matrix via its jittered Cholesky factor.
+
+    The inverse is that of ``A + jitter_used * I``: a caller that must keep
+    ``A`` and its inverse describing one matrix factors with
+    ``cholesky_psd`` and adds ``jitter_used`` to ``A`` itself."""
+    return inv_from_factor(cholesky_psd(A, base_jitter))
 
 
 def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -> np.ndarray:

@@ -30,7 +30,8 @@ class Adam:
         For descent, pass the negated gradient.
         """
         grad = np.asarray(grad, dtype=float)
-        m, v, t = self._slots.get(name, (np.zeros_like(grad), np.zeros_like(grad), 0))
+        # A new slot starts from zero moments; 0.0 broadcasts like zeros.
+        m, v, t = self._slots.get(name, (0.0, 0.0, 0))
         t += 1
         m = self.beta1 * m + (1.0 - self.beta1) * grad
         v = self.beta2 * v + (1.0 - self.beta2) * grad**2

@@ -5,6 +5,8 @@ summation, central finite differences) so it can serve as an independent
 check on the O(N M^2) production code paths.
 """
 
+import math
+
 import numpy as np
 
 from adaptive_sgp import adaptive, bound, linalg
@@ -12,10 +14,13 @@ from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 
 def rel(a, b):
-    """Max elementwise deviation, relative to the oracle's scale."""
+    """Max elementwise deviation, relative to the oracle's scale; inf when
+    it is not finite (a missing cache, a NaN entry), so that a running
+    ``max(worst, rel(...))`` cannot drop it."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+    dev = float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+    return dev if math.isfinite(dev) else math.inf
 
 
 def random_params(rng):
@@ -168,3 +173,31 @@ def count_calls(monkeypatch, owners, name):
     for owner in owners:
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def record_calls(monkeypatch, owners, name):
+    """Replace ``name`` on every module in ``owners`` by one wrapper around
+    the original that records each call's positional arguments, each as a
+    2-D array; returns the list of recorded argument tuples."""
+    original = getattr(owners[0], name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(tuple(np.atleast_2d(np.asarray(a, dtype=float))
+                           for a in args if isinstance(a, np.ndarray)))
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def builds_between(calls, A, B) -> int:
+    """How many recorded kernel builds were between ``A`` and ``B``, in
+    either order."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+
+    def same(X, Z):
+        return np.array_equal(X, A) and np.array_equal(Z, B)
+
+    return sum(len(c) == 2 and (same(*c) or same(*c[::-1])) for c in calls)

@@ -332,12 +332,12 @@ def _stepper(step, X, y, first: int):
     return one_step
 
 
-# agp_step costs about 1.5 ms fixed plus under 2 us per window sample at
-# M=10, D=1 (interleaved fit over T=50..6400 on a 2-core x86 host).  At
-# T=50..200 the fixed part is over three quarters of a step and a doubling
-# of T moves the step by about 10% at most, so the doubling ratio there
-# cannot tell O(T M^2) from O(1) or from O(T^2).  From T=1600 the fixed part
-# is about a third of a step or less.
+# agp_step costs about 0.6-0.85 ms fixed plus about 1 us per window sample
+# at M=10, D=1 (medians of 60 round-robin steps at T=50..6400, two runs, on
+# a 2-core x86 host with one BLAS thread).  At T=50..200 the fixed part is
+# over four fifths of a step and a doubling of T moves the step by about 6%
+# at most, so the doubling ratio there cannot tell O(T M^2) from O(1) or
+# from O(T^2).  From T=1600 the fixed part is about half a step or less.
 SCALING_T = (1600, 3200, 6400)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from adaptive_sgp import adaptive, vsgp
 from adaptive_sgp.errors import InvalidLambda
-from adaptive_sgp.kernel import kernel_matrix
+from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
                      grad_close, make_state, rel)
@@ -217,3 +217,21 @@ def test_reduction_law_property_suite():
             batch, rel=1e-8, abs=1e-8)
         pred = adaptive.adaptive_predict(st, st.window_x[0])
         assert pred.var >= 0.0
+
+
+def test_rebuild_keeps_kuu_and_kuu_inv_one_matrix():
+    # With no base jitter and unit signal variance, an inducing point
+    # followed by its duplicate makes Kuu's second Cholesky pivot exactly
+    # 1 - 1 = 0, so the factor escalates the jitter.  kuu must carry that
+    # escalation, or kuu @ kuu_inv is off the identity by O(1) in the
+    # duplicated direction.
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        st = make_state(rng, t_cur=12, k=3, d=2)
+        st.jitter = 0.0
+        st.params = KernelParams(0.0, st.params.log_lengthscale)
+        st.inducing = np.vstack([st.inducing[:1], st.inducing])
+        adaptive.rebuild_caches(st)
+        raw = kernel_matrix(st.inducing, st.inducing, st.params)
+        assert np.max(np.abs(st.kuu - raw)) > 0.0      # the escalation
+        assert np.max(np.abs(st.kuu @ st.kuu_inv - np.eye(4))) < 1e-6

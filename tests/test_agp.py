@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, optim,
-                          vsgp, wvsgp)
+from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, linalg,
+                          optim, vsgp, wvsgp)
 from adaptive_sgp.errors import NotPsd
 from adaptive_sgp.kernel import KernelParams
 
-from helpers import count_calls, make_state, piecewise_sinusoid
+from helpers import (builds_between, count_calls, make_state,
+                     piecewise_sinusoid, record_calls)
 
 
 def test_adam_defaults():
@@ -207,21 +208,72 @@ def test_step_survives_degenerate_sample():
 
 def test_step_rebuilds_caches_once(monkeypatch):
     # The prune shrinks the caches, so the rebuild after the optimizer step,
-    # which moved the kernel and noise, is the step's only one.
+    # which moved the kernel and noise, is the step's only one.  It replaces
+    # B_lambda, so the step never refactors it before: four factorizations
+    # per step, two in the gradient and two in the rebuild.  The prediction
+    # and the slide share one k(U, x_new); the departing row is one more.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
                              lam=0.97724, window_t=100, capacity_m=10)
     rebuilds = count_calls(monkeypatch, [adaptive, agp, fast_agp],
                            "rebuild_caches")
+    chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
+    refreshes = count_calls(monkeypatch, [adaptive, fast_agp], "refresh_b_lam")
     scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
                    for name in ("cholesky", "cho_solve")]
+    kernel_calls = record_calls(monkeypatch, [adaptive, fast_agp],
+                                "kernel_matrix")
     opt = agp.adam_params()
     for i in range(100, 160):
+        before, oldest = st.inducing.copy(), st.window_x[:1].copy()
+        del kernel_calls[:]
         agp.agp_step(st, opt, X[i], y[i])
+        assert builds_between(kernel_calls, before, X[i]) == 1, i
+        assert builds_between(kernel_calls, before, oldest) == 1, i
     assert rebuilds[0] == 60
+    assert chol[0] == 240
+    assert refreshes[0] == 0
+    assert st.skipped_updates == 0
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
+
+
+def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
+    # The rebuild after the Adam step fails once: the step puts back the
+    # newest inducing point, the kernel and the noise as they were before
+    # the Adam step, rebuilds there, counts the lost update, and the stream
+    # goes on.
+    X, y = piecewise_sinusoid(130, 2)
+    model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:100], y[:100],
+                             lam=0.97724, window_t=100, capacity_m=10)
+    rebuild = agp.rebuild_caches
+    calls = [0]
+
+    def fails_once(state):
+        calls[0] += 1
+        if calls[0] == 11:
+            raise NotPsd("injected")
+        rebuild(state)
+
+    monkeypatch.setattr(agp, "rebuild_caches", fails_once)
+    opt = agp.adam_params()
+    for i in range(100, 130):
+        params, log_noise = st.params, st.log_noise
+        agp.agp_step(st, opt, X[i], y[i])
+        if i == 110:
+            assert (st.params, st.log_noise) == (params, log_noise)
+            assert np.array_equal(st.inducing[-1], X[i])
+            fresh = copy.deepcopy(st)
+            rebuild(fresh)
+            for name in ("s_y", "s_k", "b_lam", "kuu_inv", "kuu"):
+                assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
+        else:
+            assert (st.params, st.log_noise) != (params, log_noise)
+    assert calls[0] == 31
+    assert st.skipped_updates == 1
+    assert st.skipped_samples == 0
 
 
 def test_full_mode_never_carries_kxu():

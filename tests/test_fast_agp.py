@@ -8,8 +8,8 @@ import scipy.linalg
 from adaptive_sgp import adaptive, fast_agp, harness, linalg, optim, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
-from helpers import (count_calls, lagged_series, make_state,
-                     piecewise_sinusoid, rel)
+from helpers import (builds_between, count_calls, lagged_series, make_state,
+                     piecewise_sinusoid, record_calls, rel)
 
 
 def _fresh(state):
@@ -360,22 +360,82 @@ def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
 def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # Extension and shrink keep the caches exact, so the only factorization
     # of a fast step is the B_lambda refresh after ingesting the sample.
+    # The step builds the kernel row k(U, x_new) once for the prediction,
+    # the slide and the admission, and never the departing row while kxu
+    # is carried.
     X, y = piecewise_sinusoid(500, 1)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
     chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
     rebuilds = count_calls(monkeypatch, [adaptive, fast_agp], "rebuild_caches")
     scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
                    for name in ("cholesky", "cho_solve")]
-    changes = 0
+    kernel_calls = record_calls(monkeypatch, [adaptive, fast_agp],
+                                "kernel_matrix")
+    changes = carried = 0
     for i in range(100, 500):
-        before = st.inducing.copy()
+        before, oldest = st.inducing.copy(), st.window_x[:1].copy()
+        kxu_carried = st.kxu is not None
+        del kernel_calls[:]
         fast_agp.fast_agp_step(st, X[i], y[i])
         changes += not np.array_equal(st.inducing, before)
-    assert changes > 0
+        assert builds_between(kernel_calls, before, X[i]) == 1, i
+        if kxu_carried:
+            carried += 1
+            assert builds_between(kernel_calls, before, oldest) == 0, i
+    assert changes > 0 and carried > 300
     assert rebuilds[0] == 0
     assert chol[0] == 400
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
+
+
+def _kxu_carried(st):
+    out = copy.deepcopy(st)
+    out.kxu = kernel_matrix(out.window_x, out.inducing, out.params)
+    return out
+
+
+@pytest.mark.parametrize("carry", [False, True], ids=["kxu_none", "kxu"])
+def test_passed_kernel_row_equals_omitted(carry):
+    # Handing k(U, x_new) to the prediction, the slide and the admission is
+    # a value handed over: every cache equals the one each computes itself.
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        st = make_state(rng, t_cur=12, k=3, d=2, lam=0.9, window_t=12)
+        if carry:
+            st = _kxu_carried(st)
+        ref = copy.deepcopy(st)
+        x_new, y_new = rng.normal(size=2), float(rng.normal())
+        k_new = adaptive.kernel_row(st, x_new)
+        assert (adaptive.adaptive_predict(st, x_new, k_new=k_new)
+                == adaptive.adaptive_predict(ref, x_new))
+        fast_agp.windowed_add(st, x_new, y_new, k_new=k_new)
+        fast_agp.windowed_add(ref, x_new, y_new)
+        fast_agp.maybe_add_inducing(st, x_new, -1.0, k_new=k_new)
+        fast_agp.maybe_add_inducing(ref, x_new, -1.0)
+        for name in CACHES + ("kxu", "window_x", "window_y"):
+            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+        assert st.w_ksum == ref.w_ksum
+        _caches_match(st)
+
+
+def test_moves_leave_a_dropped_b_lam_dropped():
+    # Full mode drops b_lam until its rebuild; the slide, the admission and
+    # the prune then move every other cache exactly as with b_lam carried.
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        st = _kxu_carried(make_state(rng, t_cur=12, k=3, d=2, lam=0.9,
+                                     window_t=12))
+        ref = copy.deepcopy(st)
+        st.b_lam = None
+        x_new, y_new = rng.normal(size=2), float(rng.normal())
+        for s in (st, ref):
+            fast_agp.windowed_add(s, x_new, y_new)
+            fast_agp.maybe_add_inducing(s, x_new, -1.0)
+            fast_agp.prune_inducing(s, 1e-4, 3)
+        assert st.b_lam is None
+        for name in ("s_y", "s_k", "kuu_inv", "kuu", "inducing", "kxu"):
+            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
 
 
 def _max_drift(X, y, T, M, lam, iters, every):

@@ -152,11 +152,15 @@ def test_inv_shrink_undoes_inv_extend():
 
 
 def test_cholesky_equals_scipy_bit_for_bit_up_to_64():
+    # At zero jitter A itself goes to dpotrf, which must leave it intact,
+    # in either memory order.
     rng = np.random.default_rng(7)
     for n in range(1, 65):
         A = spd_matrix(rng, n)
-        assert np.array_equal(linalg.cholesky_psd(A, 0.0).lower,
-                              scipy.linalg.cholesky(A, lower=True)), n
+        for A_in in (A.copy(), np.asfortranarray(A)):
+            assert np.array_equal(linalg.cholesky_psd(A_in, 0.0).lower,
+                                  scipy.linalg.cholesky(A, lower=True)), n
+            assert np.array_equal(A_in, A), n
         assert np.array_equal(linalg.cholesky_psd(A, 1e-6).lower,
                               scipy.linalg.cholesky(A + 1e-6 * np.eye(n), lower=True)), n
 
