@@ -19,6 +19,7 @@ it to the prediction and to every cache move that needs it.
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,11 +31,17 @@ from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
 log = logging.getLogger(__name__)
 
 
+@lru_cache(maxsize=16)
 def lambda_weights(t_cur: int, lam: float) -> np.ndarray:
-    """Geometric weights [lam^(t_cur-1), ..., lam, 1], oldest first."""
+    """Geometric weights [lam^(t_cur-1), ..., lam, 1], oldest first.
+
+    Once the window is full every step asks for the same vector, so the
+    result is memoized and returned read-only."""
     if not 0.0 < lam <= 1.0:
         raise InvalidLambda(f"forgetting factor must be in (0, 1], got {lam}")
-    return lam ** np.arange(t_cur - 1, -1, -1, dtype=float)
+    w = lam ** np.arange(t_cur - 1, -1, -1, dtype=float)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass
@@ -64,7 +71,7 @@ class AdaptiveState:
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
     # counters
     skipped_samples: int = 0                   # non-finite samples not ingested
-    skipped_updates: int = 0                   # agp_step updates lost to NotPsd
+    skipped_updates: int = 0                   # step updates lost to NotPsd
     rejected_candidates: int = 0               # inducing candidates scored out
 
     @property
@@ -111,13 +118,25 @@ def skip_nonfinite(state, x_new, y_new) -> bool:
     ``state`` is the step's ``AdaptiveState``, or the ``VsgpModel`` of the
     sliding-window baseline.  Every streaming step then returns its
     prediction and leaves its state and optimizer as they were, so the rest
-    of the stream runs as if the sample had never arrived."""
+    of the stream runs as if the sample had never arrived.  Steps call it
+    before they predict, so that an inf or NaN input never reaches the
+    kernel (``skipped_prediction``)."""
     if math.isfinite(y_new) and np.isfinite(x_new).all():
         return False
     state.skipped_samples += 1
     log.warning("non-finite sample skipped (x=%s, y=%s); %d skipped so far",
                 x_new, y_new, state.skipped_samples)
     return True
+
+
+def skipped_prediction(x_new, predict) -> PredictiveDist:
+    """The prediction a step returns for a sample ``skip_nonfinite``
+    skipped: ``predict()`` when ``x_new`` is finite (only the target is
+    bad), else a NaN mean and variance without evaluating the kernel at the
+    inf or NaN input."""
+    if np.isfinite(x_new).all():
+        return predict()
+    return PredictiveDist(mean=math.nan, var=math.nan)
 
 
 def rebuild_caches(state: AdaptiveState) -> None:
@@ -135,7 +154,7 @@ def rebuild_caches(state: AdaptiveState) -> None:
     state.s_y = Kxu.T @ (w * state.window_y)
     state.s_k = Kxu.T @ (w[:, None] * Kxu)
     state.s_k = 0.5 * (state.s_k + state.s_k.T)
-    state.w_ksum = state.params.variance * float(np.sum(w))
+    state.w_ksum = state.params.variance * float(w.sum())
     kuu = state.kuu_jittered()
     f = linalg.cholesky_psd(kuu, 0.0)
     if f.jitter_used:
@@ -197,7 +216,7 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
 def relevance_total(state: AdaptiveState) -> float:
     """Weighted Nystrom residual of the window given the inducing set,
     computed from the caches; clamped at zero."""
-    val = state.w_ksum - float(np.sum(state.kuu_inv * state.s_k))
+    val = state.w_ksum - float((state.kuu_inv * state.s_k).sum())
     return max(val, 0.0)
 
 
@@ -211,4 +230,4 @@ def removal_scores(kuu_inv: np.ndarray, s_k: np.ndarray) -> np.ndarray:
     so a point that its neighbours already cover scores near zero.  O(M^3)
     from the caches.
     """
-    return np.sum((kuu_inv @ s_k) * kuu_inv, axis=1) / np.diag(kuu_inv)
+    return ((kuu_inv @ s_k) * kuu_inv).sum(axis=1) / kuu_inv.diagonal()

@@ -10,7 +10,7 @@ import numpy as np
 
 from .adaptive import (AdaptiveState, adaptive_bound_gradients,
                        adaptive_predict, kernel_row, rebuild_caches,
-                       skip_nonfinite)
+                       skip_nonfinite, skipped_prediction)
 from .errors import NotPsd
 from .fast_agp import prune_inducing, windowed_add
 from .optim import Adam, ascent_step
@@ -41,18 +41,20 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     the noise go back to their values before the Adam step, where the
     caches are rebuilt, and the step counts in ``state.skipped_updates``.
     A sample with an inf or NaN is counted and skipped whole
-    (``skip_nonfinite``), leaving state and optimizer untouched.  The
+    (``skip_nonfinite``), leaving state and optimizer untouched; at an inf
+    or NaN input the prediction is NaN (``skipped_prediction``).  The
     stream never aborts.
     """
+    if skip_nonfinite(state, x_new, y_new):
+        return state, opt, skipped_prediction(
+            x_new, lambda: adaptive_predict(state, x_new))
     k_new = kernel_row(state, x_new)
     pred = adaptive_predict(state, x_new, k_new=k_new)
-    if skip_nonfinite(state, x_new, y_new):
-        return state, opt, pred
 
     state.b_lam = None
     windowed_add(state, x_new, y_new, k_new=k_new)
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)
-    state.inducing = np.vstack([state.inducing, state.window_x[-1:]])
+    state.inducing = np.concatenate((state.inducing, state.window_x[-1:]))
 
     # The newest inducing point is a brand-new parameter every step, so its
     # Adam moments restart; the hyperparameters keep theirs.

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .adaptive import (AdaptiveState, lambda_weights, rebuild_caches,
-                       skip_nonfinite)
+                       skip_nonfinite, skipped_prediction)
 from .bound import _chain_to_params
 from .errors import NotPsd
 from .kernel import KernelParams, _from_sq_dists, kernel_matrix, sq_dists
@@ -177,10 +177,17 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
     """One prequential step: predict with the current q, slide the window,
     then run ``inner_iters`` Adam ascent iterations on the weighted ELBO
     jointly over q, all inducing points, kernel, and noise.  A sample with
-    an inf or NaN is counted and skipped (``skip_nonfinite``)."""
-    pred = vsi_predict(state, q, x_new)
+    an inf or NaN is counted and skipped (``skip_nonfinite``); at an inf or
+    NaN input the prediction is NaN (``skipped_prediction``).
+
+    A factorization failure in the cache rebuild after the inner loop
+    skips the step's update: the inducing points, the kernel, the noise and
+    q go back to their values before the loop, where the caches are
+    rebuilt, and the step counts in ``state.skipped_updates``."""
     if skip_nonfinite(state, x_new, y_new):
-        return state, q, opt, pred
+        return state, q, opt, skipped_prediction(
+            x_new, lambda: vsi_predict(state, q, x_new))
+    pred = vsi_predict(state, q, x_new)
 
     x_row = np.atleast_2d(np.asarray(x_new, dtype=float))
     state.window_x = np.vstack([state.window_x, x_row])
@@ -189,6 +196,8 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
         state.window_x = state.window_x[1:]
         state.window_y = state.window_y[1:]
 
+    before = (state.inducing, state.params, state.log_noise, q.mean,
+              q.cov_chol)
     for _ in range(inner_iters):
         try:
             grads = elbo_gradients(state.window_x, state.window_y,
@@ -202,5 +211,13 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
         state.inducing, state.params, state.log_noise = ascent_step(
             opt, grads, state.inducing, state.params, state.log_noise)
 
-    rebuild_caches(state)
+    try:
+        rebuild_caches(state)
+    except NotPsd:
+        state.skipped_updates += 1
+        log.warning("VSI update skipped: cache rebuild failed")
+        # Every update above builds new arrays, so these are untouched.
+        (state.inducing, state.params, state.log_noise, q.mean,
+         q.cov_chol) = before
+        rebuild_caches(state)
     return state, q, opt, pred

@@ -79,15 +79,14 @@ def _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, d2_uu, d2_xu,
     """
     ell2 = params.lengthscale**2
 
-    g_lv = float(np.sum(G_uu * Kuu_raw) + np.sum(G_xu * Kxu))
-    g_ll = float(
-        np.sum(G_uu * Kuu_raw * d2_uu) + np.sum(G_xu * Kxu * d2_xu)
-    ) / ell2
+    Cuu = G_uu * Kuu_raw
+    Cxu = G_xu * Kxu
+    g_lv = float(Cuu.sum() + Cxu.sum())
+    g_ll = float((Cuu * d2_uu).sum() + (Cxu * d2_xu).sum()) / ell2
 
     H = (G_uu + G_uu.T) * Kuu_raw
     gU = (H @ U - H.sum(axis=1)[:, None] * U) / ell2
-    C = G_xu * Kxu
-    gU += (C.T @ X - C.sum(axis=0)[:, None] * U) / ell2
+    gU += (Cxu.T @ X - Cxu.sum(axis=0)[:, None] * U) / ell2
     return g_lv, g_ll, gU
 
 
@@ -103,11 +102,8 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
     n = y.shape[0]
     Kuu_raw = Kuu - jitter * np.eye(U.shape[0])
 
-    eye = np.eye(U.shape[0])
-    B = linalg.solve_psd(f_b, eye)
-    Q = linalg.solve_psd(f_k, eye)
-    B = 0.5 * (B + B.T)
-    Q = 0.5 * (Q + Q.T)
+    B = linalg.inv_from_factor(f_b)
+    Q = linalg.inv_from_factor(f_k)
 
     c = B @ s_y
     Wy = w * y
@@ -118,28 +114,28 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
     # dF/dKuu and dF/dKxu, entrywise.
     G_uu = (
         -0.5 * (B - Q)
-        - 0.5 * np.outer(c, c) / sig2**2
+        - 0.5 * (c[:, None] * c) / sig2**2
         - 0.5 * QSkQ / sig2
     )
     G_xu = (
         -WKxu @ B / sig2
-        + np.outer(Wy, c) / sig2**2
-        - np.outer(WKxuc, c) / sig2**3
+        + Wy[:, None] * c / sig2**2
+        - WKxuc[:, None] * c / sig2**3
         + WKxu @ Q / sig2
     )
 
     g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu,
                                       d2_uu, d2_xu, params)
 
-    w_ksum = params.variance * float(np.sum(w))
+    sum_w = float(w.sum())
+    w_ksum = params.variance * sum_w
     # The lambda-weighted diagonal term sum_i w_i k_ii depends on the signal
     # variance directly.
     g_lv += -w_ksum / (2.0 * sig2)
 
-    trc = w_ksum - float(np.trace(Q @ S_k))
-    sum_w = float(np.sum(w))
+    trc = w_ksum - float((Q @ S_k).trace())
     g_ln = (
-        -0.5 * (n - np.trace(B @ S_k) / sig2)
+        -0.5 * (n - (B @ S_k).trace() / sig2)
         + 0.5 * np.dot(Wy, y) / sig2
         - (s_y @ c) / sig2**2
         + 0.5 * (c @ S_k @ c) / sig2**3

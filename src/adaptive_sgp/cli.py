@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -27,6 +28,7 @@ MODEL_FLAGS = {
     "persistence": "persistence",
 }
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _FLOAT_FIELDS = {"lam", "r_th", "lr", "jitter"}
 _INT_FIELDS = {"window_t", "capacity_m", "init_iters", "inner_iters", "seed"}
 
@@ -125,7 +127,14 @@ def run_seeds(config: ExperimentConfig, X, y, seeds: list[int]):
     if len(seeds) == 1 or _n_workers() == 1:
         results = [_run_one_seed(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=min(_n_workers(), len(seeds))) as ex:
+        # One BLAS thread per worker: the matrices are small, and BLAS
+        # threads on top of the worker processes only contend for the cores.
+        # Spawned workers load numpy afresh, so they see these (an explicit
+        # setting in the environment wins).
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
+        with ProcessPoolExecutor(max_workers=min(_n_workers(), len(seeds)),
+                                 mp_context=get_context("spawn")) as ex:
             results = list(ex.map(_run_one_seed, jobs))
     results.sort(key=lambda r: seeds.index(r[0]))
     return results

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
                        rebuild_caches, refresh_b_lam, relevance_total,
-                       removal_scores, skip_nonfinite)
+                       removal_scores, skip_nonfinite, skipped_prediction)
 from .errors import SchurNotPositive
 from .kernel import kernel_matrix
 from .vsgp import PredictiveDist
@@ -53,21 +53,21 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     if k_new is None:
         k_new = kernel_row(state, x_row)
     s_y = lam * state.s_y + k_new * y_new
-    s_k = lam * state.s_k + np.outer(k_new, k_new)
+    s_k = lam * state.s_k + k_new[:, None] * k_new
     w_ksum = lam * state.w_ksum + var
     if evict:
         k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
                  else state.kxu[0])
         wT = lam ** state.window_t
         s_y = s_y - wT * k_old * float(state.window_y[0])
-        s_k = s_k - wT * np.outer(k_old, k_old)
+        s_k = s_k - wT * (k_old[:, None] * k_old)
         w_ksum = w_ksum - wT * var
     first = int(evict)
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
-    state.window_x = np.vstack([state.window_x, x_row])[first:]
-    state.window_y = np.append(state.window_y, y_new)[first:]
+    state.window_x = np.concatenate((state.window_x, x_row))[first:]
+    state.window_y = np.concatenate((state.window_y, [y_new]))[first:]
     if state.kxu is not None:
-        state.kxu = np.vstack([state.kxu, k_new])[first:]
+        state.kxu = np.concatenate((state.kxu, k_new[None]))[first:]
     if state.b_lam is not None:
         refresh_b_lam(state)
     return state
@@ -91,8 +91,8 @@ def _prune_target(kuu_inv: np.ndarray, s_k: np.ndarray, r_th: float,
     is below ``r_th`` times the largest or more than ``max_k`` points
     remain."""
     r = removal_scores(kuu_inv, s_k)
-    m = int(np.argmin(r))
-    if r.shape[0] <= max_k and r[m] >= r_th * float(np.max(r)):
+    m = int(r.argmin())
+    if r.shape[0] <= max_k and r[m] >= r_th * float(r.max()):
         return None
     return m
 
@@ -146,15 +146,15 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
                                       kuu_diag + s_k_diag / sig2)
     except SchurNotPositive:
         log.info("block extension rejected; rebuilding inverses from scratch")
-        state.inducing = np.vstack([state.inducing, x_new])
+        state.inducing = np.concatenate((state.inducing, x_new))
         rebuild_caches(state)
         return state, True
 
     state.kuu_inv, state.b_lam, state.s_k = kuu_inv, b_lam, s_k
     state.kuu = _border(state.kuu, b_kuu, kuu_diag)
-    state.kxu = np.hstack([state.kxu, k_x[:, None]])
+    state.kxu = np.concatenate((state.kxu, k_x[:, None]), axis=1)
     state.s_y = np.append(state.s_y, float(np.dot(wk_x, state.window_y)))
-    state.inducing = np.vstack([state.inducing, x_new])
+    state.inducing = np.concatenate((state.inducing, x_new))
     return state, True
 
 
@@ -178,8 +178,8 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
         state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m)
         if state.b_lam is not None:
             state.b_lam = linalg.inv_shrink(state.b_lam, m)
-        state.kuu = state.kuu[np.ix_(keep, keep)]
-        state.s_k = state.s_k[np.ix_(keep, keep)]
+        state.kuu = state.kuu[keep][:, keep]
+        state.s_k = state.s_k[keep][:, keep]
         state.s_y = state.s_y[keep]
         state.inducing = state.inducing[keep]
         if state.kxu is not None:
@@ -194,13 +194,15 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
 
     Returns ``(state, pred_before)`` where the prediction is made before the
     new target is used for any update.  A sample with an inf or NaN is
-    counted and skipped (``skip_nonfinite``).  The inducing set is the same
+    counted and skipped (``skip_nonfinite``); at an inf or NaN input the
+    prediction is NaN (``skipped_prediction``).  The inducing set is the same
     from the prediction to the admission, so all three share one kernel
     row k(U, x_new)."""
+    if skip_nonfinite(state, x_new, y_new):
+        return state, skipped_prediction(
+            x_new, lambda: adaptive_predict(state, x_new))
     k_new = kernel_row(state, x_new)
     pred: PredictiveDist = adaptive_predict(state, x_new, k_new=k_new)
-    if skip_nonfinite(state, x_new, y_new):
-        return state, pred
     windowed_add(state, x_new, y_new, k_new=k_new)
     r_th_tot = state.w_ksum / state.window_t
     maybe_add_inducing(state, x_new, r_th_tot, r_th=r_th,

@@ -8,6 +8,7 @@ reads the squared distances its caller built the kernel matrices from
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,16 +17,20 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Log-space hyperparameters: signal variance and shared lengthscale."""
+    """Log-space hyperparameters: signal variance and shared lengthscale.
+
+    ``variance`` and ``lengthscale`` are computed on first read and kept in
+    the instance's ``__dict__``; equality and hashing use the two fields
+    only."""
 
     log_variance: float
     log_lengthscale: float
 
-    @property
+    @cached_property
     def variance(self) -> float:
         return float(np.exp(self.log_variance))
 
-    @property
+    @cached_property
     def lengthscale(self) -> float:
         return float(np.exp(self.log_lengthscale))
 
@@ -43,8 +48,8 @@ def sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if X.shape[1] != Z.shape[1]:
         raise DimensionMismatch(f"X has {X.shape[1]} columns, Z has {Z.shape[1]}")
     d2 = (
-        np.sum(X**2, axis=1)[:, None]
-        + np.sum(Z**2, axis=1)[None, :]
+        (X * X).sum(axis=1)[:, None]
+        + (Z * Z).sum(axis=1)[None, :]
         - 2.0 * X @ Z.T
     )
     return np.maximum(d2, 0.0)

@@ -48,6 +48,13 @@ def _require_finite(X: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _frobenius(A: np.ndarray) -> float:
+    """``np.linalg.norm(A)`` without its wrapper: the same ``ddot`` over the
+    entries in memory order."""
+    a = A.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 @dataclass(frozen=True)
 class CholFactor:
     """Lower-triangular Cholesky factor of a (possibly jittered) SPD matrix."""
@@ -81,10 +88,10 @@ def cholesky_psd(A: np.ndarray, base_jitter: float = 0.0) -> CholFactor:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {A.shape}")
-    norm = np.linalg.norm(A)
+    norm = _frobenius(A)
     if not math.isfinite(norm):     # an inf or NaN entry, or an overflow
         _require_finite(A)
-    if np.linalg.norm(A - A.T) > SYMMETRY_RTOL * max(norm, 1.0):
+    if _frobenius(A - A.T) > SYMMETRY_RTOL * max(norm, 1.0):
         raise NotSymmetric("input is not symmetric to 1e-8 relative tolerance")
 
     jitter = float(base_jitter)
@@ -170,7 +177,7 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -
         raise SchurNotPositive(f"Schur complement {schur:g} not positive")
     k = Ainv.shape[0]
     out = np.empty((k + 1, k + 1))
-    out[:k, :k] = Ainv + np.outer(v, v) / schur
+    out[:k, :k] = Ainv + v[:, None] * v / schur
     out[:k, k] = -v / schur
     out[k, :k] = -v / schur
     out[k, k] = 1.0 / schur
@@ -186,4 +193,4 @@ def inv_shrink(Ainv: np.ndarray, m: int) -> np.ndarray:
     """
     keep = np.arange(Ainv.shape[0]) != m
     row = Ainv[m, keep] / Ainv[m, m]
-    return Ainv[np.ix_(keep, keep)] - np.outer(Ainv[keep, m], row)
+    return Ainv[keep][:, keep] - Ainv[keep, m][:, None] * row

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import vsgp
-from .adaptive import skip_nonfinite
+from .adaptive import skip_nonfinite, skipped_prediction
 from .optim import Adam
 
 
@@ -19,10 +19,12 @@ def wvsgp_step(model: vsgp.VsgpModel, opt: Adam, window_x, window_y,
     Returns ``(model, opt, window_x, window_y, pred_before)``; the window is
     slid after prediction and the model retrained in place.  A sample with
     an inf or NaN is counted in ``model.skipped_samples`` and skipped
-    (``skip_nonfinite``)."""
-    pred = vsgp.predict(model, x_new)
+    (``skip_nonfinite``); at an inf or NaN input the prediction is NaN
+    (``skipped_prediction``)."""
     if skip_nonfinite(model, x_new, y_new):
-        return model, opt, window_x, window_y, pred
+        return model, opt, window_x, window_y, skipped_prediction(
+            x_new, lambda: vsgp.predict(model, x_new))
+    pred = vsgp.predict(model, x_new)
 
     window_x = np.vstack([np.asarray(window_x, dtype=float),
                           np.atleast_2d(np.asarray(x_new, dtype=float))])[1:]

@@ -332,12 +332,15 @@ def _stepper(step, X, y, first: int):
     return one_step
 
 
-# agp_step costs about 0.6-0.85 ms fixed plus about 1 us per window sample
-# at M=10, D=1 (medians of 60 round-robin steps at T=50..6400, two runs, on
-# a 2-core x86 host with one BLAS thread).  At T=50..200 the fixed part is
-# over four fifths of a step and a doubling of T moves the step by about 6%
-# at most, so the doubling ratio there cannot tell O(T M^2) from O(1) or
-# from O(T^2).  From T=1600 the fixed part is about half a step or less.
+# agp_step takes about 0.72-0.79 ms at T=50..200 and about 1.03-1.05 us more
+# per window sample from T=1600 to 6400 at M=10, D=1 (medians of 60
+# round-robin steps at T=50..6400, two runs, on a 2-core x86 host with one
+# BLAS thread).  At T=50..200 the fixed part is over four fifths of a step
+# and a doubling of T moves the step by under 10%, so the doubling ratio
+# there cannot tell O(T M^2) from O(1) or from O(T^2).  From T=1600 the
+# fixed part is about half a step or less.  From T=3200 the step's T x M
+# temporaries exceed glibc's 128 kB mmap threshold; their page faults are
+# part of the per-sample cost (README, Testing).
 SCALING_T = (1600, 3200, 6400)
 
 

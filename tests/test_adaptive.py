@@ -23,9 +23,22 @@ def test_lambda_weights_values():
 
 
 def test_lambda_weights_rejects_bad_lambda():
-    for bad in (0.0, -0.3, 1.2):
-        with pytest.raises(InvalidLambda):
-            adaptive.lambda_weights(5, bad)
+    for bad in (0.0, -0.3, 1.2, float("nan")):
+        for _ in range(3):          # a failed call is never memoized
+            with pytest.raises(InvalidLambda):
+                adaptive.lambda_weights(5, bad)
+
+
+def test_lambda_weights_memoized_bit_for_bit_and_read_only():
+    for t in (1, 2, 7, 100, 400):
+        for lam in (1.0, 0.5, 0.97724, 0.1 ** (1.0 / 400)):
+            expected = lam ** np.arange(t - 1, -1, -1.)
+            for _ in range(2):
+                w = adaptive.lambda_weights(t, lam)
+                assert np.array_equal(w, expected)
+                with pytest.raises(ValueError):
+                    w[0] = 2.0
+    assert adaptive.lambda_weights(0, 0.9).shape == (0,)
 
 
 def test_bound_reduces_to_batch_at_lambda_one():

@@ -212,6 +212,9 @@ def test_step_rebuilds_caches_once(monkeypatch):
     # B_lambda, so the step never refactors it before: four factorizations
     # per step, two in the gradient and two in the rebuild.  The prediction
     # and the slide share one k(U, x_new); the departing row is one more.
+    # Inverses come from their factors (inv_from_factor), never from an
+    # identity solve, and the hot path calls neither np.ix_ nor
+    # np.linalg.norm.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
@@ -219,9 +222,12 @@ def test_step_rebuilds_caches_once(monkeypatch):
     rebuilds = count_calls(monkeypatch, [adaptive, agp, fast_agp],
                            "rebuild_caches")
     chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
+    solves = count_calls(monkeypatch, [linalg], "solve_psd")
     refreshes = count_calls(monkeypatch, [adaptive, fast_agp], "refresh_b_lam")
     scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
                    for name in ("cholesky", "cho_solve")]
+    wrappers = [count_calls(monkeypatch, [np], "ix_"),
+                count_calls(monkeypatch, [np.linalg], "norm")]
     kernel_calls = record_calls(monkeypatch, [adaptive, fast_agp],
                                 "kernel_matrix")
     opt = agp.adam_params()
@@ -233,10 +239,12 @@ def test_step_rebuilds_caches_once(monkeypatch):
         assert builds_between(kernel_calls, before, oldest) == 1, i
     assert rebuilds[0] == 60
     assert chol[0] == 240
+    assert solves[0] == 0
     assert refreshes[0] == 0
     assert st.skipped_updates == 0
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
+    assert [c[0] for c in wrappers] == [0, 0]
 
 
 def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
@@ -345,6 +353,9 @@ def _toy_predictions(kind, X, y):
 STREAM_LEN = {"fast_agp": 500, "agp": 500, "agp_vsi": 160, "w_vsgp": 160}
 
 
+# An inf input must never reach the kernel, where its distances would
+# raise (under this filter) invalid-value RuntimeWarnings.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["fast_agp", "agp", "agp_vsi", "w_vsgp"])
 @pytest.mark.parametrize("corrupt", ["nan_y", "inf_x"])
 def test_non_finite_sample_is_skipped_as_if_deleted(kind, corrupt, caplog):
@@ -364,6 +375,9 @@ def test_non_finite_sample_is_skipped_as_if_deleted(kind, corrupt, caplog):
     step = bad - 100
     assert np.array_equal(got[:step], ref[:step])
     assert np.array_equal(got[step + 1:], ref[step:])
+    # a bad target still gets its prediction; a bad input predicts NaN
+    assert np.isfinite(got[step]).all() == (corrupt == "nan_y")
+    assert np.isnan(got[step]).all() == (corrupt == "inf_x")
     assert st.skipped_samples == 1 and st_ref.skipped_samples == 0
     assert [r.levelno for r in caplog.records
             if r.name == "adaptive_sgp.adaptive"] == [logging.WARNING]

@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
 from adaptive_sgp import adaptive, agp_vsi, vsgp
+from adaptive_sgp.errors import NotPsd
+from adaptive_sgp.optim import Adam
 from adaptive_sgp.agp_vsi import VariationalQ, elbo_lambda, q_from_moments
 from adaptive_sgp.kernel import KernelParams
 
-from helpers import fd_gradient, grad_close, make_state
+from helpers import fd_gradient, grad_close, make_state, piecewise_sinusoid
 
 
 def _optimal_q(st):
@@ -131,3 +135,45 @@ def test_step_converges_toward_closed_form_q():
                                              inner_iters=50)
     mu_star, _ = adaptive.adaptive_q(st)
     assert np.linalg.norm(q.mean - mu_star) / np.linalg.norm(mu_star) < 0.1
+
+
+def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
+    # The rebuild after the inner loop fails once: the step puts back the
+    # inducing points, the kernel, the noise and q as they were before the
+    # loop, rebuilds there, counts the lost update, and the stream goes on.
+    X, y = piecewise_sinusoid(50, 2)
+    model = vsgp.fit_batch(X[:30], y[:30], M=4, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:30], y[:30],
+                             lam=0.95, window_t=30, capacity_m=4)
+    q = _optimal_q(st)
+    rebuild = agp_vsi.rebuild_caches
+    calls = [0]
+
+    def fails_once(state):
+        calls[0] += 1
+        if calls[0] == 6:
+            raise NotPsd("injected")
+        rebuild(state)
+
+    monkeypatch.setattr(agp_vsi, "rebuild_caches", fails_once)
+    opt = Adam(lr=0.05)
+    for i in range(30, 45):
+        before = (st.inducing.copy(), st.params, st.log_noise, q.mean.copy(),
+                  q.cov_chol.copy())
+        st, q, opt, _ = agp_vsi.agp_vsi_step(st, q, opt, X[i], y[i],
+                                             inner_iters=3)
+        same = [np.array_equal(a, b) for a, b in zip(
+            (st.inducing, st.params, st.log_noise, q.mean, q.cov_chol),
+            before)]
+        if i == 35:
+            assert all(same)
+            assert np.array_equal(st.window_x[-1], X[i])
+            fresh = copy.deepcopy(st)
+            rebuild(fresh)
+            for name in ("s_y", "s_k", "b_lam", "kuu_inv", "kuu"):
+                assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
+        else:
+            assert not any(same)
+    assert calls[0] == 16
+    assert st.skipped_updates == 1
+    assert st.skipped_samples == 0

@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from adaptive_sgp import harness
+from adaptive_sgp import cli, harness
 from adaptive_sgp.cli import cli_main, read_data_csv
 from adaptive_sgp.harness import ExperimentConfig
 
@@ -155,3 +156,39 @@ def test_sweep_lambda_schema(toy_csv, tmp_path):
     assert lams == sorted(lams) == [0.9, 1.0]
     for r in rows[1:]:
         assert np.isfinite(float(r[1])) and np.isfinite(float(r[2]))
+
+
+def _worker_with_env(args):
+    """``run_seeds``' worker that also returns the BLAS thread settings of
+    the process it ran in."""
+    return (*cli._run_one_seed(args),
+            {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS})
+
+
+def _comparable(records):
+    return [(r.step, r.x.tolist(), r.y_true, r.pred_mean, r.pred_var,
+             r.noise_var, r.k_inducing) for r in records]
+
+
+def test_worker_pool_pins_blas_and_matches_serial_run(monkeypatch):
+    # Two spawned workers give the serial run's records (all but the
+    # timings), and each sees one BLAS thread unless the environment sets
+    # its own value.
+    times, targets = harness.synth_toy(3)
+    X = times[:, None]
+    config = ExperimentConfig(model_kind="fast_agp", window_t=50,
+                              capacity_m=6, init_iters=50)
+    serial = cli.run_seeds(config, X, targets, [0, 1])
+
+    monkeypatch.setenv("ADAPTIVE_SGP_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setattr(cli, "_run_one_seed", _worker_with_env)
+    pooled = cli.run_seeds(config, X, targets, [0, 1])
+
+    assert [r[0] for r in pooled] == [0, 1]
+    for (_, recs, _), (_, got, _, env) in zip(serial, pooled):
+        assert _comparable(got) == _comparable(recs)
+        assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                       "MKL_NUM_THREADS": "1"}

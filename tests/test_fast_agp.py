@@ -362,13 +362,15 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # of a fast step is the B_lambda refresh after ingesting the sample.
     # The step builds the kernel row k(U, x_new) once for the prediction,
     # the slide and the admission, and never the departing row while kxu
-    # is carried.
+    # is carried.  The hot path calls neither np.ix_ nor np.linalg.norm.
     X, y = piecewise_sinusoid(500, 1)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
     chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
     rebuilds = count_calls(monkeypatch, [adaptive, fast_agp], "rebuild_caches")
     scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
                    for name in ("cholesky", "cho_solve")]
+    wrappers = [count_calls(monkeypatch, [np], "ix_"),
+                count_calls(monkeypatch, [np.linalg], "norm")]
     kernel_calls = record_calls(monkeypatch, [adaptive, fast_agp],
                                 "kernel_matrix")
     changes = carried = 0
@@ -387,6 +389,7 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     assert chol[0] == 400
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
+    assert [c[0] for c in wrappers] == [0, 0]
 
 
 def _kxu_carried(st):

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -154,3 +158,28 @@ def test_gradients_build_each_distance_matrix_once(monkeypatch):
     q = agp_vsi.q_from_moments(np.zeros(4), np.eye(4))
     agp_vsi.elbo_gradients(X, y, U, p, ln, q, 0.9, 1e-6)
     assert calls[0] == 4
+
+
+def test_kernel_params_cache_exp_of_their_fields():
+    for lv, ll in [(0.0, 0.0), (np.log(2.3), 0.4), (-3.1, 1.7), (5.0, -2.5)]:
+        p = KernelParams(lv, ll)
+        assert p.variance == float(np.exp(lv))
+        assert p.lengthscale == float(np.exp(ll))
+        # a second read returns the kept value
+        assert p.variance is p.variance
+
+
+def test_kernel_params_equality_and_hash_use_fields_only():
+    a, b = KernelParams(0.3, -0.7), KernelParams(0.3, -0.7)
+    assert a.variance > 0 and a.lengthscale > 0     # now cached on a only
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != KernelParams(0.3, -0.6)
+    for c in (copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+              copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert c == a and hash(c) == hash(a)
+        assert c.variance == a.variance and c.lengthscale == a.lengthscale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.log_variance = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.log_lengthscale = 1.0
