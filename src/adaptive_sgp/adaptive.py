@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bound, linalg
-from .kernel import KernelParams, kernel_matrix
+from .kernel import KernelParams, _as_inputs, kernel_matrix
 from .errors import InvalidLambda
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
 
@@ -93,11 +93,8 @@ class AdaptiveState:
 def from_batch(model: VsgpModel, window_x, window_y, lam: float,
                window_t: int, capacity_m: int) -> AdaptiveState:
     """Wrap a trained batch model as the initial streaming state."""
-    window_x = np.asarray(window_x, dtype=float)
-    if window_x.ndim == 1:
-        window_x = window_x[:, None]
     state = AdaptiveState(
-        window_x=window_x.copy(),
+        window_x=_as_inputs(window_x).copy(),
         window_y=np.asarray(window_y, dtype=float).ravel().copy(),
         inducing=model.inducing.copy(),
         params=model.params,

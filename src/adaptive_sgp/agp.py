@@ -18,10 +18,9 @@ from .optim import Adam, ascent_step
 log = logging.getLogger(__name__)
 
 
-def adam_params(lr: float = 0.05, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> Adam:
+def adam_params(lr: float = 0.05) -> Adam:
     """Fresh optimizer state for streaming inference."""
-    return Adam(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return Adam(lr=lr)
 
 
 def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,

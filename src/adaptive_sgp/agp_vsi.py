@@ -3,7 +3,9 @@ with a free-form Gaussian q(f_u), optimized for several Adam iterations per
 incoming sample over q, all inducing points, kernel, and noise.
 
 The per-sample likelihood expectations are Gaussian and therefore evaluated
-in closed form; no sampling is involved.
+in closed form; no sampling is involved.  Only the ELBO is this module's
+own: it sets up through ``kernel._inducing_kernels``, predicts with
+``vsgp.predict`` and slides the window with ``fast_agp.windowed_add``.
 """
 
 import logging
@@ -16,9 +18,10 @@ from .adaptive import (AdaptiveState, lambda_weights, rebuild_caches,
                        skip_nonfinite, skipped_prediction)
 from .bound import _chain_to_params
 from .errors import NotPsd
-from .kernel import KernelParams, _from_sq_dists, kernel_matrix, sq_dists
+from .fast_agp import windowed_add
+from .kernel import KernelParams, _inducing_kernels
 from .optim import Adam, ascent_step
-from .vsgp import PredictiveDist, _clamp_var
+from .vsgp import PredictiveDist, VsgpModel, predict
 
 log = logging.getLogger(__name__)
 
@@ -42,21 +45,22 @@ def q_from_moments(mean: np.ndarray, cov: np.ndarray,
     return VariationalQ(mean=np.asarray(mean, dtype=float).copy(), cov_chol=f.lower)
 
 
-def _setup(window_x, window_y, inducing, params, log_noise, lam, jitter):
-    X = np.asarray(window_x, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+def _setup(window_x, window_y, inducing, params, log_noise, q, lam, jitter):
+    """The ELBO's shared set-up: the kernel set-up, weights, noise, Q =
+    Kuu^-1, q's covariance A, the rows a_i = Kuu^-1 k_i of ``Amat``, the
+    residuals e, and the per-sample a_i^T A a_i and k_i^T a_i."""
+    X, U, d2_uu, d2_xu, Kuu, Kxu = _inducing_kernels(window_x, inducing,
+                                                     params, jitter)
     y = np.asarray(window_y, dtype=float).ravel()
-    U = np.asarray(inducing, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
     w = lambda_weights(y.shape[0], lam)
     sig2 = float(np.exp(log_noise))
-    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
-    Kuu = _from_sq_dists(d2_uu, params) + jitter * np.eye(U.shape[0])
-    Kxu = _from_sq_dists(d2_xu, params)
     Q = linalg.inv_psd(Kuu, 0.0)
-    return X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q
+    Amat = Kxu @ Q
+    e = y - Amat @ q.mean
+    A = q.cov
+    u_quad = np.einsum("ij,ij->i", Amat @ A, Amat)
+    q_ii = np.einsum("ij,ij->i", Kxu, Amat)
+    return X, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q, A, Amat, e, u_quad, q_ii
 
 
 def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
@@ -64,14 +68,9 @@ def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
                 jitter: float = 1e-6) -> float:
     """Forgetting-weighted ELBO: weighted expected log-likelihood terms
     (closed form) minus the unweighted KL(q || p(f_u))."""
-    X, y, U, w, sig2, _, _, Kuu, Kxu, Q = _setup(
-        window_x, window_y, inducing, params, log_noise, lam, jitter)
+    _, U, w, sig2, _, _, Kuu, _, Q, A, _, e, u_quad, q_ii = _setup(
+        window_x, window_y, inducing, params, log_noise, q, lam, jitter)
     k = U.shape[0]
-    A = q.cov
-    Amat = Kxu @ Q                       # rows a_i = Kuu^-1 k_i
-    e = y - Amat @ q.mean
-    u_quad = np.einsum("ij,ij->i", Amat @ A, Amat)
-    q_ii = np.einsum("ij,ij->i", Kxu, Amat)
     k_ii = params.variance
 
     lik = float(np.sum(w * (
@@ -97,16 +96,12 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     The ``q_chol`` entry is expressed in the optimization parametrization:
     strict lower triangle as-is, diagonal in log-space.
     """
-    X, y, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q = _setup(
-        window_x, window_y, inducing, params, log_noise, lam, jitter)
+    (X, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q, A, Amat, e, u_quad,
+     q_ii) = _setup(window_x, window_y, inducing, params, log_noise, q, lam,
+                    jitter)
     Kuu_raw = Kuu - jitter * np.eye(U.shape[0])
-    A = q.cov
     L = q.cov_chol
-    Amat = Kxu @ Q
-    e = y - Amat @ q.mean
     we = w * e
-    u_quad = np.einsum("ij,ij->i", Amat @ A, Amat)
-    q_ii = np.einsum("ij,ij->i", Kxu, Amat)
     k_ii = params.variance
 
     g = Q @ q.mean
@@ -125,10 +120,10 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     g_ln = float(np.sum(w * (-0.5 + (e**2 + u_quad + (k_ii - q_ii)) / (2.0 * sig2))))
 
     s_e = Kxu.T @ we
-    S_k = Kxu.T @ (w[:, None] * Kxu)
+    WKxu = w[:, None] * Kxu
+    S_k = Kxu.T @ WKxu
     QSkQ = Q @ S_k @ Q
     QAQ = Q @ A @ Q
-    WKxu = w[:, None] * Kxu
 
     G_uu = (
         -np.outer(g, Q @ s_e) / sig2
@@ -157,13 +152,12 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
 
 
 def vsi_predict(state: AdaptiveState, q: VariationalQ, xstar) -> PredictiveDist:
-    """Predictive distribution using the explicit q (batch-posterior form)."""
-    xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
-    ks = kernel_matrix(xstar, state.inducing, state.params).ravel()
-    a = state.kuu_inv @ ks
-    mean = float(a @ q.mean)
-    var = state.params.variance - float(ks @ a) + float(a @ q.cov @ a)
-    return PredictiveDist(mean=mean, var=_clamp_var(var))
+    """Predictive distribution using the explicit q: ``vsgp.predict`` on
+    the batch-model view of the inducing set, the kernel and q."""
+    return predict(VsgpModel(inducing=state.inducing, params=state.params,
+                             log_noise=state.log_noise, q_mean=q.mean,
+                             q_cov=q.cov, kuu_inv=state.kuu_inv,
+                             jitter=state.jitter), xstar)
 
 
 def _apply_chol_update(L: np.ndarray, upd: np.ndarray) -> np.ndarray:
@@ -176,9 +170,10 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
                  x_new, y_new: float, inner_iters: int = 50):
     """One prequential step: predict with the current q, slide the window,
     then run ``inner_iters`` Adam ascent iterations on the weighted ELBO
-    jointly over q, all inducing points, kernel, and noise.  A sample with
-    an inf or NaN is counted and skipped (``skip_nonfinite``); at an inf or
-    NaN input the prediction is NaN (``skipped_prediction``).
+    jointly over q, all inducing points, kernel, and noise.  As in
+    ``agp_step``, the slide drops ``b_lam``, which the rebuild replaces.  A
+    sample with an inf or NaN is counted and skipped (``skip_nonfinite``);
+    at an inf or NaN input the prediction is NaN (``skipped_prediction``).
 
     A factorization failure in the cache rebuild after the inner loop
     skips the step's update: the inducing points, the kernel, the noise and
@@ -189,12 +184,8 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
             x_new, lambda: vsi_predict(state, q, x_new))
     pred = vsi_predict(state, q, x_new)
 
-    x_row = np.atleast_2d(np.asarray(x_new, dtype=float))
-    state.window_x = np.vstack([state.window_x, x_row])
-    state.window_y = np.append(state.window_y, float(y_new))
-    if state.window_y.shape[0] > state.window_t:
-        state.window_x = state.window_x[1:]
-        state.window_y = state.window_y[1:]
+    state.b_lam = None
+    windowed_add(state, x_new, y_new)
 
     before = (state.inducing, state.params, state.log_noise, q.mean,
               q.cov_chol)

@@ -10,33 +10,28 @@ adaptive model (geometric forgetting weights).  The bound is
 evaluated through the Woodbury identity on the M x M matrix
 Binv = Kuu + sigma^-2 Kux W Kxu, so the cost is O(N M^2) and the N x N
 covariance is never materialized.  ``weighted_bound`` and
-``weighted_bound_gradients`` share one set-up (``_factor``).  Gradients
-are hand-derived via the chain rule through the same form and validated
-against finite differences in the test suite.
+``weighted_bound_gradients`` share one set-up (``_factor``), which builds
+its kernel matrices through ``kernel._inducing_kernels`` like the
+explicit-q ELBO and ``vsgp.optimal_q``.  Gradients are hand-derived via
+the chain rule through the same form and validated against finite
+differences in the test suite.
 """
 
 import numpy as np
 
 from . import linalg
-from .kernel import KernelParams, _from_sq_dists, sq_dists
+from .kernel import KernelParams, _inducing_kernels
 
 
 def _factor(X, y, U, params: KernelParams, log_noise: float, weights, jitter: float):
     """Inputs as arrays, the squared distances U-U and X-U and the kernel
-    matrices built from them, the weighted cross-moments S_k = Kux W Kxu
-    and s_y = Kux W y, and the factors of Kuu and Binv."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
+    matrices built from them (``kernel._inducing_kernels``), the weighted
+    cross-moments S_k = Kux W Kxu and s_y = Kux W y, and the factors of Kuu
+    and Binv."""
+    X, U, d2_uu, d2_xu, Kuu, Kxu = _inducing_kernels(X, U, params, jitter)
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     sig2 = float(np.exp(log_noise))
-    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
-    Kuu = _from_sq_dists(d2_uu, params) + jitter * np.eye(U.shape[0])
-    Kxu = _from_sq_dists(d2_xu, params)
     S_k = Kxu.T @ (w[:, None] * Kxu)
     s_y = Kxu.T @ (w * y)
     f_k = linalg.cholesky_psd(Kuu, 0.0)

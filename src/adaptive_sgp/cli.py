@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from . import harness
 from .errors import AdaptiveSgpError
 from .harness import ExperimentConfig
+from .kernel import _as_inputs
 
 MODEL_FLAGS = {
     "fast-agp": "fast_agp",
@@ -38,9 +40,7 @@ def _fmt(x: float) -> str:
 
 
 def write_data_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_inputs(X)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t"] + [f"x{d}" for d in range(X.shape[1])] + ["y"])
@@ -48,9 +48,21 @@ def write_data_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
             w.writerow([i] + [_fmt(v) for v in X[i]] + [_fmt(y[i])])
 
 
-def read_data_csv(path: str):
+def _read_csv_rows(path: str) -> list:
+    """The rows of a CSV file: a header and data rows no shorter than it."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise AdaptiveSgpError(f"{path}: empty file, no header")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) < len(rows[0]):
+            raise AdaptiveSgpError(f"{path}: line {line} has {len(row)} "
+                                   f"fields, the header {len(rows[0])}")
+    return rows
+
+
+def read_data_csv(path: str):
+    rows = _read_csv_rows(path)
     header = rows[0]
     xcols = [i for i, name in enumerate(header) if name.startswith("x")]
     ycol = header.index("y")
@@ -112,18 +124,14 @@ def _n_workers() -> int:
 
 
 def _run_one_seed(args):
-    config_kwargs, X, y, seed = args
-    config = ExperimentConfig(**{**config_kwargs, "seed": seed})
+    config, X, y = args
     records, summary = harness.run_experiment(config, X, y)
-    return seed, records, summary
+    return config.seed, records, summary
 
 
 def run_seeds(config: ExperimentConfig, X, y, seeds: list[int]):
-    """Run one experiment per seed, in parallel, deterministic by seed order."""
-    kwargs = {k: getattr(config, k) for k in (
-        "model_kind", "window_t", "capacity_m", "lam", "r_th", "init_iters",
-        "inner_iters", "lr", "jitter")}
-    jobs = [(kwargs, X, y, s) for s in seeds]
+    """Run one experiment per seed, in parallel; results in seed order."""
+    jobs = [(replace(config, seed=s), X, y) for s in seeds]
     if len(seeds) == 1 or _n_workers() == 1:
         results = [_run_one_seed(j) for j in jobs]
     else:
@@ -136,7 +144,6 @@ def run_seeds(config: ExperimentConfig, X, y, seeds: list[int]):
         with ProcessPoolExecutor(max_workers=min(_n_workers(), len(seeds)),
                                  mp_context=get_context("spawn")) as ex:
             results = list(ex.map(_run_one_seed, jobs))
-    results.sort(key=lambda r: seeds.index(r[0]))
     return results
 
 
@@ -161,7 +168,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_seeds(n: int) -> None:
+    if n < 1:
+        raise AdaptiveSgpError(f"--seeds must be at least 1, got {n}")
+
+
 def cmd_run(args) -> int:
+    _check_seeds(args.seeds)
     file_values = read_config_file(args.config) if args.config else {}
     overrides = {
         "model_kind": MODEL_FLAGS[args.model],
@@ -194,6 +207,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
+    _check_seeds(args.seeds)
     file_values = read_config_file(args.config) if args.config else {}
     config = build_config(file_values, {"model_kind": "agp", "seed": args.seed})
     X, y = read_data_csv(args.data)
@@ -219,8 +233,7 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    with open(args.infile, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv_rows(args.infile)
     ycol = rows[0].index("y") if "y" in rows[0] else len(rows[0]) - 1
     series = np.array([float(r[ycol]) for r in rows[1:]])
     X, y = harness.lag_embed(series, args.lags, args.horizon)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import adaptive, agp, agp_vsi, fast_agp, vsgp, wvsgp
 from .errors import EmptyRecords, InvalidLambda, MapeUndefined, TooShort
+from .kernel import _as_inputs
 
 MODEL_KINDS = ("fast_agp", "agp", "agp_vsi", "w_vsgp")
 
@@ -47,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS + ("persistence",):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        if self.window_t < 1 or self.capacity_m < 1:
+            raise ValueError("window_t and capacity_m must be at least 1")
         if self.capacity_m > self.window_t:
             raise ValueError("capacity_m must not exceed window_t")
         lam = self.resolved_lambda()
@@ -160,9 +163,7 @@ def run_experiment(config: ExperimentConfig, X_all, y_all):
     """
     if config.model_kind not in MODEL_KINDS:
         raise ValueError(f"unsupported model kind {config.model_kind!r}")
-    X_all = np.asarray(X_all, dtype=float)
-    if X_all.ndim == 1:
-        X_all = X_all[:, None]
+    X_all = _as_inputs(X_all)
     y_all = np.asarray(y_all, dtype=float).ravel()
     T = config.window_t
     if y_all.shape[0] < T + 1:

@@ -1,10 +1,11 @@
 """Squared-exponential kernel.
 
 Single isotropic lengthscale; both hyperparameters live in log-space so
-positivity never needs a constrained optimizer.  The kernel's analytic
-partials are contracted directly in ``bound._chain_to_params``, which
-reads the squared distances its caller built the kernel matrices from
-(``_from_sq_dists``), so a gradient computes each distance matrix once.
+positivity never needs a constrained optimizer.  Data and inducing inputs
+are read by ``_as_inputs``.  The collapsed bound, the explicit-q ELBO and
+``vsgp.optimal_q`` set up ``Kuu``/``Kxu`` through ``_inducing_kernels``,
+whose squared distances the chain rule (``bound._chain_to_params``)
+reuses, so a gradient computes each distance matrix once.
 """
 
 from dataclasses import dataclass
@@ -36,9 +37,20 @@ class KernelParams:
 
 
 def _as_2d(X) -> np.ndarray:
+    """``X`` as a float 2-D array, a 1-D one read as one point (a row), as
+    ``kernel_matrix`` takes it; data sets are read by ``_as_inputs``."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
+    return X
+
+
+def _as_inputs(X) -> np.ndarray:
+    """``X`` as a float N x D array, a 1-D one read as N inputs of dimension
+    1 (a column); a single query point is read by ``_as_2d``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
     return X
 
 
@@ -63,3 +75,14 @@ def kernel_matrix(X, Z, p: KernelParams) -> np.ndarray:
 def _from_sq_dists(d2: np.ndarray, p: KernelParams) -> np.ndarray:
     """The kernel from squared distances, for callers that reuse them."""
     return p.variance * np.exp(-0.5 * d2 / p.lengthscale**2)
+
+
+def _inducing_kernels(X, U, p: KernelParams, jitter: float):
+    """``(X, U, d2_uu, d2_xu, Kuu, Kxu)``: the inputs read by ``_as_inputs``,
+    the squared distances U-U and X-U, and the kernel matrices built from
+    them, ``Kuu`` with ``jitter`` on its diagonal."""
+    X, U = _as_inputs(X), _as_inputs(U)
+    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
+    Kuu = _from_sq_dists(d2_uu, p) + jitter * np.eye(U.shape[0])
+    Kxu = _from_sq_dists(d2_xu, p)
+    return X, U, d2_uu, d2_xu, Kuu, Kxu

@@ -35,6 +35,7 @@ from .errors import DimensionMismatch, NotPsd, NotSymmetric, SchurNotPositive
 
 MAX_JITTER_ESCALATIONS = 6
 SYMMETRY_RTOL = 1e-8
+SCHUR_RTOL = 1e-12
 # Escalations to at most this share of the mean |diagonal| log at INFO, larger
 # ones at WARNING.  The first escalation from a zero base lands exactly here:
 # a roundoff-level perturbation, like the 1e-6 jitter Kuu carries anyway.
@@ -155,7 +156,7 @@ def inv_psd(A: np.ndarray, base_jitter: float = 0.0) -> np.ndarray:
     return inv_from_factor(cholesky_psd(A, base_jitter))
 
 
-def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -> np.ndarray:
+def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     """Inverse of the bordered matrix [[A, b], [b^T, b0]] in O(k^2).
 
     ``Ainv`` must be the inverse of A.  Uses the block-inversion identities;
@@ -164,8 +165,8 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -
     Raises
     ------
     SchurNotPositive
-        When the Schur complement is <= ``tol * max(|b0|, 1)``; the caller
-        should rebuild the inverse from scratch.
+        When the Schur complement is <= ``SCHUR_RTOL * max(|b0|, 1)``; the
+        caller should rebuild the inverse from scratch.
     """
     Ainv = np.asarray(Ainv, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -173,7 +174,7 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, tol: float = 1e-12) -
         raise DimensionMismatch("border vector length does not match inverse size")
     v = Ainv @ b
     schur = float(b0 - b @ v)
-    if schur <= tol * max(abs(b0), 1.0):
+    if schur <= SCHUR_RTOL * max(abs(b0), 1.0):
         raise SchurNotPositive(f"Schur complement {schur:g} not positive")
     k = Ainv.shape[0]
     out = np.empty((k + 1, k + 1))

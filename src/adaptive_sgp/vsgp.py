@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bound, linalg
-from .kernel import KernelParams, kernel_matrix
+from .kernel import KernelParams, _as_inputs, _inducing_kernels, kernel_matrix
 from .optim import Adam, ascent_step
 
 DEFAULT_JITTER = 1e-6
@@ -58,17 +58,10 @@ def optimal_q(X, y, U, params: KernelParams, log_noise: float,
     mu = sigma^-2 Kuu B Kux y,  A = Kuu B Kuu,
     with B = (Kuu + sigma^-2 Kux Kxu)^-1.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U[:, None]
+    _, _, _, _, Kuu, Kxu = _inducing_kernels(X, U, params, jitter)
     y = np.asarray(y, dtype=float).ravel()
     sig2 = float(np.exp(log_noise))
 
-    Kuu = kernel_matrix(U, U, params) + jitter * np.eye(U.shape[0])
-    Kxu = kernel_matrix(X, U, params)
     f_b = linalg.cholesky_psd(Kuu + Kxu.T @ Kxu / sig2, 0.0)
     BKuxy = linalg.solve_psd(f_b, Kxu.T @ y)
     BKuu = linalg.solve_psd(f_b, Kuu)
@@ -91,9 +84,7 @@ def predict(model: VsgpModel, xstar) -> PredictiveDist:
 
 def init_hyperparams(X, y) -> tuple[KernelParams, float]:
     """Deterministic data-dependent starting point for batch training."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_inputs(X)
     y = np.asarray(y, dtype=float).ravel()
     y_var = max(float(np.var(y)), 1e-6)
     scale = float(np.mean(np.std(X, axis=0))) or 1.0
@@ -107,9 +98,7 @@ def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
               jitter: float = DEFAULT_JITTER) -> VsgpModel:
     """Train a batch model: subset-of-data inducing initialization followed
     by ``iters`` Adam ascent steps on the collapsed bound."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_inputs(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     if not 1 <= M <= n:

@@ -126,7 +126,7 @@ def test_config_file_with_flag_override(toy_csv, tmp_path):
     assert data["n_steps"] == 440
 
 
-def test_bad_invocations_fail(toy_csv, tmp_path):
+def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
     # Unknown model name is rejected by the parser.
     assert cli_main(["run", "--model", "nope", "--data", str(toy_csv)]) != 0
     # Missing data file.
@@ -140,6 +140,29 @@ def test_bad_invocations_fail(toy_csv, tmp_path):
     # Invalid forgetting factor.
     assert cli_main(["run", "--model", "agp", "--data", str(toy_csv),
                      "--lambda", "1.5"]) != 0
+
+    # Bad outside input returns 1 with one error line, not a traceback.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    short = tmp_path / "short.csv"
+    short.write_text("t,x0,y\n0,0.5,1.0\n1,0.7\n")
+    sweep = ["sweep-lambda", "--values", "0.9", "--data", str(toy_csv),
+             "--out", str(tmp_path / "sweep.csv")]
+    for argv in (
+        ["run", "--model", "agp", "--data", str(toy_csv),
+         "--window-t", "0", "--capacity-m", "0"],
+        ["run", "--model", "agp", "--data", str(toy_csv), "--seeds", "0",
+         "--records", str(tmp_path / "records.csv")],
+        sweep + ["--seeds", "0"],
+        ["run", "--model", "agp", "--data", str(empty)],
+        ["run", "--model", "agp", "--data", str(short)],
+        ["embed", "--lags", "2", "--horizon", "1", "--in", str(empty),
+         "--out", str(tmp_path / "embedded.csv")],
+    ):
+        capsys.readouterr()
+        assert cli_main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_sweep_lambda_schema(toy_csv, tmp_path):

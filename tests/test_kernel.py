@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from adaptive_sgp import agp_vsi, bound, kernel, linalg
+from adaptive_sgp import adaptive, agp_vsi, bound, harness, kernel, linalg, vsgp
 from adaptive_sgp.errors import DimensionMismatch
 from adaptive_sgp.kernel import KernelParams, kernel_matrix, sq_dists
 
@@ -151,7 +151,7 @@ def test_gradient_fd_property_suite():
 def test_gradients_build_each_distance_matrix_once(monkeypatch):
     # U-U and X-U once each per gradient, shared by the kernel matrices and
     # the chain rule.
-    calls = count_calls(monkeypatch, [kernel, bound, agp_vsi], "sq_dists")
+    calls = count_calls(monkeypatch, [kernel], "sq_dists")
     X, y, U, p, ln = random_instance(np.random.default_rng(6), n=12, m=4, d=2)
     bound.weighted_bound_gradients(X, y, U, p, ln, np.ones(12), 1e-6)
     assert calls[0] == 2
@@ -183,3 +183,62 @@ def test_kernel_params_equality_and_hash_use_fields_only():
         a.log_variance = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         b.log_lengthscale = 1.0
+
+
+def _bits(obj):
+    """A bit-exact, comparable image of a result, timings left out."""
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _bits(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+                if f.name not in ("elapsed_us", "total_time_us")}
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+def _one_d_call(name):
+    """``(call, X, U)``: ``call(X, U)`` runs function ``name`` on a random
+    1-D instance with N x 1 inputs ``X`` and M x 1 inducing points ``U``
+    (which the last three functions do not take)."""
+    X, y, U, p, ln = random_instance(np.random.default_rng(7), n=30, m=4, d=1)
+    w = adaptive.lambda_weights(30, 0.9)
+    q = agp_vsi.q_from_moments(np.linspace(-1.0, 1.0, 4), 0.3 * np.eye(4))
+    model = vsgp.fit_batch(X, y, 4, 5, seed=0)
+    config = harness.ExperimentConfig(window_t=20, capacity_m=4, init_iters=5)
+    calls = {
+        "weighted_bound": lambda X, U: bound.weighted_bound(
+            X, y, U, p, ln, w, 1e-6),
+        "weighted_bound_gradients": lambda X, U: bound.weighted_bound_gradients(
+            X, y, U, p, ln, w, 1e-6),
+        "optimal_q": lambda X, U: vsgp.optimal_q(X, y, U, p, ln),
+        "elbo_lambda": lambda X, U: agp_vsi.elbo_lambda(
+            X, y, U, p, ln, q, 0.9),
+        "elbo_gradients": lambda X, U: agp_vsi.elbo_gradients(
+            X, y, U, p, ln, q, 0.9),
+        "fit_batch": lambda X, _: vsgp.fit_batch(X, y, 4, 5, seed=0),
+        "from_batch": lambda X, _: adaptive.from_batch(model, X, y, 0.9, 30, 4),
+        "run_experiment": lambda X, _: harness.run_experiment(config, X, y),
+    }
+    return calls[name], X, U
+
+
+TAKES_U = ("weighted_bound", "weighted_bound_gradients", "optimal_q",
+           "elbo_lambda", "elbo_gradients")
+
+
+@pytest.mark.parametrize(
+    "name", TAKES_U + ("fit_batch", "from_batch", "run_experiment"))
+def test_one_d_inputs_are_n_points_of_dimension_one(name):
+    # A 1-D data or inducing array is N inputs of dimension 1, bit for bit.
+    call, X, U = _one_d_call(name)
+    ref = _bits(call(X, U))
+    assert _bits(call(X.ravel(), U)) == ref
+    if name in TAKES_U:
+        assert _bits(call(X, U.ravel())) == ref
+        assert _bits(call(X.ravel(), U.ravel())) == ref
