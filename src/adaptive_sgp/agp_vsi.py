@@ -49,8 +49,8 @@ def _setup(window_x, window_y, inducing, params, log_noise, q, lam, jitter):
     """The ELBO's shared set-up: the kernel set-up, weights, noise, Q =
     Kuu^-1, q's covariance A, the rows a_i = Kuu^-1 k_i of ``Amat``, the
     residuals e, and the per-sample a_i^T A a_i and k_i^T a_i."""
-    X, U, d2_uu, d2_xu, Kuu, Kxu = _inducing_kernels(window_x, inducing,
-                                                     params, jitter)
+    X, U, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu = _inducing_kernels(
+        window_x, inducing, params, jitter)
     y = np.asarray(window_y, dtype=float).ravel()
     w = lambda_weights(y.shape[0], lam)
     sig2 = float(np.exp(log_noise))
@@ -60,7 +60,8 @@ def _setup(window_x, window_y, inducing, params, log_noise, q, lam, jitter):
     A = q.cov
     u_quad = np.einsum("ij,ij->i", Amat @ A, Amat)
     q_ii = np.einsum("ij,ij->i", Kxu, Amat)
-    return X, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q, A, Amat, e, u_quad, q_ii
+    return (X, U, w, sig2, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu, Q, A, Amat, e,
+            u_quad, q_ii)
 
 
 def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
@@ -68,7 +69,7 @@ def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
                 jitter: float = 1e-6) -> float:
     """Forgetting-weighted ELBO: weighted expected log-likelihood terms
     (closed form) minus the unweighted KL(q || p(f_u))."""
-    _, U, w, sig2, _, _, Kuu, _, Q, A, _, e, u_quad, q_ii = _setup(
+    _, U, w, sig2, _, _, _, Kuu, _, Q, A, _, e, u_quad, q_ii = _setup(
         window_x, window_y, inducing, params, log_noise, q, lam, jitter)
     k = U.shape[0]
     k_ii = params.variance
@@ -96,10 +97,9 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     The ``q_chol`` entry is expressed in the optimization parametrization:
     strict lower triangle as-is, diagonal in log-space.
     """
-    (X, U, w, sig2, d2_uu, d2_xu, Kuu, Kxu, Q, A, Amat, e, u_quad,
+    (X, U, w, sig2, d2_uu, d2_xu, Kuu_raw, _, Kxu, Q, A, Amat, e, u_quad,
      q_ii) = _setup(window_x, window_y, inducing, params, log_noise, q, lam,
                     jitter)
-    Kuu_raw = Kuu - jitter * np.eye(U.shape[0])
     L = q.cov_chol
     we = w * e
     k_ii = params.variance
@@ -131,11 +131,7 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
         - 0.5 * QSkQ / sig2
         + 0.5 * (QAQ + np.outer(g, g) - Q)
     )
-    G_xu = (
-        np.outer(we, g) / sig2
-        - WKxu @ QAQ / sig2
-        + WKxu @ Q / sig2
-    )
+    G_xu = linalg.add_outer(WKxu @ ((Q - QAQ) / sig2), we / sig2, g)
 
     g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu,
                                       d2_uu, d2_xu, params)

@@ -6,6 +6,7 @@ first T samples only initialize the batch model and are excluded from the
 metrics.
 """
 
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -52,6 +53,12 @@ class ExperimentConfig:
             raise ValueError("window_t and capacity_m must be at least 1")
         if self.capacity_m > self.window_t:
             raise ValueError("capacity_m must not exceed window_t")
+        for name in ("init_iters", "inner_iters", "r_th", "jitter"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         lam = self.resolved_lambda()
         if not 0.0 < lam <= 1.0:
             raise InvalidLambda(f"lambda {lam} outside (0, 1]")
@@ -115,6 +122,8 @@ def lag_embed(series, lags: int, horizon: int):
     """Turn a scalar series into (X, y) with ``lags`` consecutive values as
     input and the value ``horizon`` steps past the last lag as target."""
     series = np.asarray(series, dtype=float).ravel()
+    if lags < 1:
+        raise TooShort("lags must be >= 1")
     if horizon < 1:
         raise TooShort("horizon must be >= 1")
     n = series.shape[0]

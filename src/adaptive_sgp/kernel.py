@@ -78,11 +78,13 @@ def _from_sq_dists(d2: np.ndarray, p: KernelParams) -> np.ndarray:
 
 
 def _inducing_kernels(X, U, p: KernelParams, jitter: float):
-    """``(X, U, d2_uu, d2_xu, Kuu, Kxu)``: the inputs read by ``_as_inputs``,
-    the squared distances U-U and X-U, and the kernel matrices built from
-    them, ``Kuu`` with ``jitter`` on its diagonal."""
+    """``(X, U, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu)``: the inputs read by
+    ``_as_inputs``, the squared distances U-U and X-U, and the kernel
+    matrices built from them, ``Kuu`` with ``jitter`` on its diagonal and
+    ``Kuu_raw`` without it."""
     X, U = _as_inputs(X), _as_inputs(U)
     d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
-    Kuu = _from_sq_dists(d2_uu, p) + jitter * np.eye(U.shape[0])
+    Kuu_raw = _from_sq_dists(d2_uu, p)
+    Kuu = Kuu_raw + jitter * np.eye(U.shape[0])
     Kxu = _from_sq_dists(d2_xu, p)
-    return X, U, d2_uu, d2_xu, Kuu, Kxu
+    return X, U, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NotPsd, NotSymmetric, SchurNotPositive
@@ -154,6 +155,12 @@ def inv_psd(A: np.ndarray, base_jitter: float = 0.0) -> np.ndarray:
     ``A`` and its inverse describing one matrix factors with
     ``cholesky_psd`` and adds ``jitter_used`` to ``A`` itself."""
     return inv_from_factor(cholesky_psd(A, base_jitter))
+
+
+def add_outer(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``A + x y^T`` for a C-ordered float ``A``, written into ``A`` with no
+    temporary: BLAS ``dger`` updates its F-ordered transpose in place."""
+    return dger(1.0, y, x, a=A.T, overwrite_a=True).T
 
 
 def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:

@@ -58,7 +58,13 @@ def optimal_q(X, y, U, params: KernelParams, log_noise: float,
     mu = sigma^-2 Kuu B Kux y,  A = Kuu B Kuu,
     with B = (Kuu + sigma^-2 Kux Kxu)^-1.
     """
-    _, _, _, _, Kuu, Kxu = _inducing_kernels(X, U, params, jitter)
+    return _optimal_q(X, y, U, params, log_noise, jitter)[:2]
+
+
+def _optimal_q(X, y, U, params: KernelParams, log_noise: float, jitter: float):
+    """``optimal_q``'s mean and covariance, and the jittered Kuu they were
+    built from."""
+    _, _, _, _, _, Kuu, Kxu = _inducing_kernels(X, U, params, jitter)
     y = np.asarray(y, dtype=float).ravel()
     sig2 = float(np.exp(log_noise))
 
@@ -68,7 +74,7 @@ def optimal_q(X, y, U, params: KernelParams, log_noise: float,
     mu = Kuu @ BKuxy / sig2
     A = Kuu @ BKuu
     A = 0.5 * (A + A.T)
-    return mu, A
+    return mu, A, Kuu
 
 
 def predict(model: VsgpModel, xstar) -> PredictiveDist:
@@ -124,8 +130,7 @@ def train(X, y, U, params: KernelParams, log_noise: float, opt: Adam,
                                            jitter)
         U, params, log_noise = ascent_step(opt, g, U, params, log_noise)
 
-    mu, A = optimal_q(X, y, U, params, log_noise, jitter)
-    Kuu = kernel_matrix(U, U, params) + jitter * np.eye(U.shape[0])
+    mu, A, Kuu = _optimal_q(X, y, U, params, log_noise, jitter)
     kuu_inv = linalg.inv_psd(Kuu, 0.0)
     return VsgpModel(inducing=U, params=params, log_noise=log_noise,
                      q_mean=mu, q_cov=A, kuu_inv=kuu_inv, jitter=jitter)

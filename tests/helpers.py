@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from adaptive_sgp import adaptive, bound, linalg
-from adaptive_sgp.kernel import KernelParams, kernel_matrix
+from adaptive_sgp.kernel import KernelParams, kernel_matrix, sq_dists
 
 
 def rel(a, b):
@@ -87,6 +87,48 @@ def flat_bound_gradients(X, y, U, params, log_noise, jitter=1e-6):
         g["inducing"].ravel(),
         [g["log_variance"], g["log_lengthscale"], g["log_noise"]],
     ])
+
+
+def reference_bound_gradients(X, y, U, params, log_noise, w, jitter=1e-6):
+    """Gradient of the weighted collapsed bound assembled term by term:
+    dF/dKuu and dF/dKxu as sums of their separate terms, dense inverses,
+    and each kernel partial contracted on its own.  Same dict as
+    ``bound.weighted_bound_gradients``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    w = np.asarray(w, dtype=float).ravel()
+    n, m = y.shape[0], U.shape[0]
+    sig2 = np.exp(log_noise)
+    ell2 = params.lengthscale**2
+    Kuu = kernel_matrix(U, U, params)
+    Kxu = kernel_matrix(X, U, params)
+    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
+    WKxu = w[:, None] * Kxu
+    S_k = Kxu.T @ WKxu
+    s_y = Kxu.T @ (w * y)
+    Q = np.linalg.inv(Kuu + jitter * np.eye(m))
+    B = np.linalg.inv(Kuu + jitter * np.eye(m) + S_k / sig2)
+    c = B @ s_y
+    WKxuc = WKxu @ c
+
+    G_uu = (-0.5 * (B - Q) - 0.5 * np.outer(c, c) / sig2**2
+            - 0.5 * Q @ S_k @ Q / sig2)
+    G_xu = (-WKxu @ B / sig2 + np.outer(w * y, c) / sig2**2
+            - np.outer(WKxuc, c) / sig2**3 + WKxu @ Q / sig2)
+
+    Cuu, Cxu = G_uu * Kuu, G_xu * Kxu
+    g_lv = Cuu.sum() + Cxu.sum() - params.variance * w.sum() / (2.0 * sig2)
+    g_ll = ((Cuu * d2_uu).sum() + (Cxu * d2_xu).sum()) / ell2
+    H = (G_uu + G_uu.T) * Kuu
+    gU = (H @ U - H.sum(axis=1)[:, None] * U
+          + Cxu.T @ X - Cxu.sum(axis=0)[:, None] * U) / ell2
+    trc = params.variance * w.sum() - np.trace(Q @ S_k)
+    g_ln = (-0.5 * (n - np.trace(B @ S_k) / sig2)
+            + 0.5 * np.dot(w * y, y) / sig2 - (s_y @ c) / sig2**2
+            + 0.5 * (c @ S_k @ c) / sig2**3 - 0.5 * (w.sum() - n)
+            + trc / (2.0 * sig2))
+    return {"log_variance": float(g_lv), "log_lengthscale": float(g_ll),
+            "log_noise": float(g_ln), "inducing": gU}
 
 
 def dense_gp_lml(X, y, params, log_noise):

@@ -148,6 +148,8 @@ def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
     short.write_text("t,x0,y\n0,0.5,1.0\n1,0.7\n")
     sweep = ["sweep-lambda", "--values", "0.9", "--data", str(toy_csv),
              "--out", str(tmp_path / "sweep.csv")]
+    negative = tmp_path / "negative.cfg"
+    negative.write_text("init_iters = -5\n")
     for argv in (
         ["run", "--model", "agp", "--data", str(toy_csv),
          "--window-t", "0", "--capacity-m", "0"],
@@ -157,6 +159,10 @@ def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
         ["run", "--model", "agp", "--data", str(empty)],
         ["run", "--model", "agp", "--data", str(short)],
         ["embed", "--lags", "2", "--horizon", "1", "--in", str(empty),
+         "--out", str(tmp_path / "embedded.csv")],
+        ["run", "--model", "agp", "--data", str(toy_csv),
+         "--config", str(negative)],
+        ["embed", "--lags", "0", "--horizon", "1", "--in", str(toy_csv),
          "--out", str(tmp_path / "embedded.csv")],
     ):
         capsys.readouterr()

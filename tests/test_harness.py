@@ -122,6 +122,9 @@ def test_lag_embed_rejects_bad_inputs():
         lag_embed([1.0, 2.0, 3.0], lags=2, horizon=0)
     with pytest.raises(TooShort):
         lag_embed([1.0, 2.0, 3.0], lags=3, horizon=1)
+    for lags in (0, -1):
+        with pytest.raises(TooShort, match="lags"):
+            lag_embed(np.arange(20.0), lags=lags, horizon=1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +236,20 @@ def test_config_validation():
         ExperimentConfig(lam=1.5)
     assert ExperimentConfig(window_t=100).resolved_lambda() == pytest.approx(
         0.1 ** 0.01, rel=1e-15)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("init_iters", -5), ("inner_iters", -3), ("lr", -1.0), ("lr", 0.0),
+    ("lr", float("nan")), ("lr", float("inf")), ("r_th", -1.0),
+    ("r_th", float("nan")), ("jitter", -1.0)])
+def test_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_zero_iterations_and_thresholds():
+    cfg = ExperimentConfig(init_iters=0, inner_iters=0, r_th=0.0, jitter=0.0)
+    assert cfg.init_iters == cfg.inner_iters == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import pickle
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, agp_vsi, bound, harness, kernel, linalg, vsgp
+from adaptive_sgp import (adaptive, agp_vsi, bound, harness, kernel, linalg,
+                          vsgp, wvsgp)
 from adaptive_sgp.errors import DimensionMismatch
 from adaptive_sgp.kernel import KernelParams, kernel_matrix, sq_dists
+from adaptive_sgp.optim import Adam
 
-from helpers import count_calls, random_instance, random_params
+from helpers import (count_calls, random_instance, random_params,
+                     reference_bound_gradients, rel)
 
 
 def test_zero_distance_gives_signal_variance():
@@ -81,7 +84,9 @@ def test_monotone_decreasing_in_distance():
 
 
 def _kernel_grads(G_uu, G_xu, X, Z, p):
-    return bound._chain_to_params(G_uu, G_xu, X, Z, kernel_matrix(Z, Z, p),
+    # _chain_to_params overwrites its G_xu.
+    return bound._chain_to_params(G_uu, G_xu.copy(), X, Z,
+                                  kernel_matrix(Z, Z, p),
                                   kernel_matrix(X, Z, p), sq_dists(Z, Z),
                                   sq_dists(X, Z), p)
 
@@ -158,6 +163,54 @@ def test_gradients_build_each_distance_matrix_once(monkeypatch):
     q = agp_vsi.q_from_moments(np.zeros(4), np.eye(4))
     agp_vsi.elbo_gradients(X, y, U, p, ln, q, 0.9, 1e-6)
     assert calls[0] == 4
+
+
+def test_fit_batch_builds_each_distance_matrix_once(monkeypatch):
+    # 200 gradients at 2 each, and optimal_q's 2, whose jittered Kuu the
+    # cached inverse reuses; a sliding-window step adds its prediction's 1.
+    calls = count_calls(monkeypatch, [kernel], "sq_dists")
+    X, y, U, p, ln = random_instance(np.random.default_rng(7), n=30, m=5, d=2)
+    model = vsgp.fit_batch(X, y, 5, 200, seed=0)
+    assert calls[0] == 402
+    wvsgp.wvsgp_step(model, Adam(), X, y, X[0], y[0], inner_iters=5)
+    assert calls[0] == 402 + 1 + 12
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_gradients_match_term_by_term_reference(d):
+    # The one-product dF/dKxu, its in-place rank-one term and the in-place
+    # chain rule equal the term-by-term assembly, on well-conditioned
+    # problems (cond(Kuu) <= 1e3), with unit and geometric weights.
+    rng = np.random.default_rng(40 + d)
+    checked = 0
+    for _ in range(100):
+        X, y, U, p, ln = random_instance(rng, d=d)
+        p = KernelParams(p.log_variance, p.log_lengthscale + 0.5 * np.log(d))
+        Kuu = kernel_matrix(U, U, p) + 1e-6 * np.eye(U.shape[0])
+        if np.linalg.cond(Kuu) > 1e3:
+            continue
+        n = y.shape[0]
+        lam = float(rng.uniform(0.7, 1.0))
+        for w in (np.ones(n), adaptive.lambda_weights(n, lam)):
+            got = bound.weighted_bound_gradients(X, y, U, p, ln, w, 1e-6)
+            ref = reference_bound_gradients(X, y, U, p, ln, w, 1e-6)
+            for key in ref:
+                assert rel(got[key], ref[key]) < 1e-10, (key, w[0])
+        checked += 1
+    assert checked >= 20
+
+
+def test_gradients_leave_their_inputs_unchanged():
+    # The gradients work in place on their own arrays only.
+    rng = np.random.default_rng(8)
+    X, y, U, p, ln = random_instance(rng, n=15, m=4, d=3)
+    w = adaptive.lambda_weights(15, 0.9).copy()
+    q = agp_vsi.q_from_moments(rng.normal(size=4), np.eye(4))
+    before = [a.copy() for a in (X, y, U, w)]
+    bound.weighted_bound_gradients(X, y, U, p, ln, w, 1e-6)
+    agp_vsi.elbo_gradients(X, y, U, p, ln, q, 0.9, 1e-6)
+    for a, b in zip((X, y, U, w), before):
+        assert np.array_equal(a, b)
 
 
 def test_kernel_params_cache_exp_of_their_fields():
