@@ -5,12 +5,13 @@ the relevance scores that drive inducing-set maintenance.
 The cached cross-moments (s_y, s_k, w_ksum) are the single source of truth
 while streaming.  Every cache move is exact: a new sample is a rank-one
 update, and a change of the inducing set borders or restricts the cached
-kernel matrices and extends or shrinks the cached inverses by bordered
+kernel matrices and extends or shrinks the cached ``kuu_inv`` by bordered
 block identities.  ``rebuild_caches`` recomputes everything from the window
 and is needed only after a change to the kernel or noise, or when an
-extension is numerically rejected.  ``kxu`` and ``b_lam`` are moved only
-while they are carried (not ``None``): full mode drops ``b_lam`` for the
-part of a step that its rebuild replaces.
+extension is numerically rejected.  ``kxu`` is moved only while it is
+carried (not ``None``).  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
+cache move marks ``b_lam`` stale, and ``refresh_b_lam`` factors it once per
+step, before the prediction's triangular solve.
 
 A step builds the kernel row k(U, x_new) once (``kernel_row``) and hands
 it to the prediction and to every cache move that needs it.
@@ -61,8 +62,8 @@ class AdaptiveState:
     # rebuild_caches
     s_y: np.ndarray = field(default=None)      # Kux L y
     s_k: np.ndarray = field(default=None)      # Kux L Kxu
-    # (Kuu~ + s_k/sig2)^-1; None between agp_step's predict and rebuild
-    b_lam: np.ndarray | None = field(default=None)
+    # (chol(Kuu~ + s_k/sig2), L^-1 s_y); None once a cache move makes it stale
+    b_lam: tuple[linalg.CholFactor, np.ndarray] | None = None
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
     # Kxu (window x inducing), built on first need by fast mode's inducing
@@ -137,8 +138,8 @@ def skipped_prediction(x_new, predict) -> PredictiveDist:
 
 
 def rebuild_caches(state: AdaptiveState) -> None:
-    """Recompute s_y, s_k, w_ksum, kuu, b_lam, kuu_inv from the window
-    (O(T M^2)) and drop kxu.
+    """Recompute s_y, s_k, w_ksum, kuu, kuu_inv from the window (O(T M^2)),
+    drop kxu and mark b_lam stale.
 
     Needed after a kernel or noise change; inducing-set changes extend or
     shrink the caches instead (``fast_agp``).  kxu is not kept: full mode
@@ -159,12 +160,13 @@ def rebuild_caches(state: AdaptiveState) -> None:
     state.kuu = kuu
     state.kxu = None
     state.kuu_inv = linalg.inv_from_factor(f)
-    state.b_lam = linalg.inv_psd(state.kuu + state.s_k / state.noise_var, 0.0)
+    state.b_lam = None
 
 
 def refresh_b_lam(state: AdaptiveState) -> None:
-    """Refactor B_lambda from the cached kuu and s_k (O(M^3))."""
-    state.b_lam = linalg.inv_psd(state.kuu + state.s_k / state.noise_var, 0.0)
+    """Carry L = chol(Kuu~ + s_k/sig2), jitter kept, and L^-1 s_y (O(M^3))."""
+    f = linalg.cholesky_psd(state.kuu + state.s_k / state.noise_var, 0.0)
+    state.b_lam = f, linalg.solve_lower(f, state.s_y)
 
 
 def adaptive_bound(state: AdaptiveState) -> float:
@@ -185,11 +187,12 @@ def adaptive_bound_gradients(state: AdaptiveState) -> dict:
 
 def adaptive_q(state: AdaptiveState):
     """Adaptive optimal variational mean and covariance:
-    mu = sigma^-2 Kuu B_lam (Kux L y),  A = Kuu B_lam Kuu."""
-    Kuu = state.kuu
-    mu = Kuu @ (state.b_lam @ state.s_y) / state.noise_var
-    A = Kuu @ state.b_lam @ Kuu
-    return mu, 0.5 * (A + A.T)
+    mu = sigma^-2 V^T L^-1 (Kux L y),  A = V^T V,  V = L^-1 Kuu."""
+    if state.b_lam is None:
+        refresh_b_lam(state)
+    f, l_s_y = state.b_lam
+    V = linalg.solve_lower(f, state.kuu)
+    return V.T @ l_s_y / state.noise_var, V.T @ V
 
 
 def kernel_row(state: AdaptiveState, x) -> np.ndarray:
@@ -200,13 +203,17 @@ def kernel_row(state: AdaptiveState, x) -> np.ndarray:
 
 def adaptive_predict(state: AdaptiveState, xstar, *,
                      k_new: np.ndarray | None = None) -> PredictiveDist:
-    """Adaptive predictive mean/variance at one query (O(M^2) from caches).
-
-    ``k_new`` is ``kernel_row(state, xstar)`` when the caller has it."""
+    """Adaptive predictive mean/variance at one query (O(M^2) from caches;
+    a stale B_lambda is factored first): with v = L^-1 k, mean =
+    v^T L^-1 s_y / sig2 and var = kss - k^T kuu_inv k + v^T v.  ``k_new``
+    is ``kernel_row(state, xstar)`` when the caller has it."""
+    if state.b_lam is None:
+        refresh_b_lam(state)
+    f, l_s_y = state.b_lam
     ks = kernel_row(state, xstar) if k_new is None else k_new
-    kss = state.params.variance
-    mean = float(ks @ (state.b_lam @ state.s_y)) / state.noise_var
-    var = kss + float(ks @ (state.b_lam - state.kuu_inv) @ ks)
+    v = linalg.solve_lower(f, ks)
+    mean = float(v @ l_s_y) / state.noise_var
+    var = state.params.variance - float(ks @ state.kuu_inv @ ks) + float(v @ v)
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .adaptive import (AdaptiveState, adaptive_bound_gradients,
                        adaptive_predict, kernel_row, rebuild_caches,
-                       skip_nonfinite, skipped_prediction)
+                       refresh_b_lam, skip_nonfinite, skipped_prediction)
 from .errors import NotPsd
 from .fast_agp import prune_inducing, windowed_add
 from .optim import Adam, ascent_step
@@ -27,13 +27,13 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
              r_th: float = 1e-4):
     """One prequential step with a single inference iteration.
 
-    Order: predict, ingest x_new through ``windowed_add``, prune to M-1
-    (the caches shrink with the inducing set), adopt x_new as the newest
-    inducing point, one Adam step on {noise, kernel, newest point}, then
-    rebuild the caches from scratch once, since the kernel and noise have
-    moved.  The prediction and the ingest share one kernel row k(U, x_new).
-    ``b_lam`` is dropped after the prediction, so the ingest and the prune
-    neither refactor nor shrink it: the rebuild replaces it.
+    Order: factor B_lambda and predict, ingest x_new through
+    ``windowed_add``, prune to M-1 (the caches shrink with the inducing
+    set), adopt x_new as the newest inducing point, one Adam step on
+    {noise, kernel, newest point}, then rebuild the caches from scratch
+    once, since the kernel and noise have moved.  The prediction and the
+    ingest share one kernel row k(U, x_new).  B_lambda is factored only for
+    the prediction: the ingest, the prune and the rebuild mark it stale.
 
     A factorization failure in the gradient or in the rebuild after the
     Adam step skips the update: the newest inducing point, the kernel and
@@ -47,10 +47,10 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     if skip_nonfinite(state, x_new, y_new):
         return state, opt, skipped_prediction(
             x_new, lambda: adaptive_predict(state, x_new))
+    refresh_b_lam(state)
     k_new = kernel_row(state, x_new)
     pred = adaptive_predict(state, x_new, k_new=k_new)
 
-    state.b_lam = None
     windowed_add(state, x_new, y_new, k_new=k_new)
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)
     state.inducing = np.concatenate((state.inducing, state.window_x[-1:]))

@@ -166,10 +166,10 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
                  x_new, y_new: float, inner_iters: int = 50):
     """One prequential step: predict with the current q, slide the window,
     then run ``inner_iters`` Adam ascent iterations on the weighted ELBO
-    jointly over q, all inducing points, kernel, and noise.  As in
-    ``agp_step``, the slide drops ``b_lam``, which the rebuild replaces.  A
-    sample with an inf or NaN is counted and skipped (``skip_nonfinite``);
-    at an inf or NaN input the prediction is NaN (``skipped_prediction``).
+    jointly over q, all inducing points, kernel, and noise.  The prediction
+    reads q, never B_lambda, so the step never factors it.  A sample with
+    an inf or NaN is counted and skipped (``skip_nonfinite``); at an inf or
+    NaN input the prediction is NaN (``skipped_prediction``).
 
     A factorization failure in the cache rebuild after the inner loop
     skips the step's update: the inducing points, the kernel, the noise and
@@ -179,8 +179,6 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
         return state, q, opt, skipped_prediction(
             x_new, lambda: vsi_predict(state, q, x_new))
     pred = vsi_predict(state, q, x_new)
-
-    state.b_lam = None
     windowed_add(state, x_new, y_new)
 
     before = (state.inducing, state.params, state.log_noise, q.mean,

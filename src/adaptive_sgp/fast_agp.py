@@ -1,19 +1,18 @@
 """Inference-free streaming updates (the fast algorithm): one ingest path
 (rank-one data addition and windowed removal), relevance-gated
 inducing-point addition, scored before it is committed, by block extension
-of the cached inverses, and pruning by block shrink of the same inverses.
-Kernel and noise parameters are never touched here, so no step rebuilds
-the caches from the window except the Schur-complement fallback of
-``maybe_add_inducing``.
+of the cached kernel matrices and ``kuu_inv``, and pruning by block shrink
+of the same caches.  Kernel and noise parameters are never touched here, so
+no step rebuilds the caches from the window except the Schur-complement
+fallback of ``maybe_add_inducing``.
 
 A step builds one kernel row per sample: ``fast_agp_step`` computes
 k(U, x_new) once and passes it as ``k_new`` to the prediction, the slide
 and the admission, each of which builds the same row itself when it is
 omitted.  While ``kxu`` is carried the slide reads the departing row from
 it, and the admission builds only the candidate's column k(X, x_new).
-``b_lam`` is refreshed, extended and shrunk only while it is carried, so
-full mode (``agp_step``), which drops it until its rebuild, pays for none
-of those moves.
+Every cache move marks ``b_lam`` stale; the step factors B_lambda once,
+just before its prediction (``refresh_b_lam``).
 """
 
 import logging
@@ -27,7 +26,6 @@ from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
                        removal_scores, skip_nonfinite, skipped_prediction)
 from .errors import SchurNotPositive
 from .kernel import kernel_matrix
-from .vsgp import PredictiveDist
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +34,7 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
                  k_new: np.ndarray | None = None) -> AdaptiveState:
     """Append one sample, evicting the oldest once the window holds T, and
     update s_y, s_k and w_ksum by rank-one terms (O(M^2)) and kxu, when
-    carried, by one row; then, when b_lam is carried, refactor B_lambda
-    from the cached s_k (O(M^3)).
+    carried, by one row; b_lam is marked stale.
 
     s_y <- lam*s_y + k_new*y,  s_k <- lam*s_k + k_new k_new^T.  A departing
     sample carries weight lam^T after the new sample's geometric discount,
@@ -68,8 +65,7 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     state.window_y = np.concatenate((state.window_y, [y_new]))[first:]
     if state.kxu is not None:
         state.kxu = np.concatenate((state.kxu, k_new[None]))[first:]
-    if state.b_lam is not None:
-        refresh_b_lam(state)
+    state.b_lam = None
     return state
 
 
@@ -112,18 +108,16 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     ``state.rejected_candidates``.  The defaults never reject.
 
     An admitted candidate borders kuu, s_k and kxu (built here on first
-    need), and kuu_inv and, when carried, b_lam are grown by bordered block
-    extension (O(M^2) besides kxu's column); a non-positive Schur
-    complement (e.g. a duplicated inducing point) falls back to a
-    from-scratch rebuild.  ``k_new`` is ``kernel_row(state, x_new)`` when
-    the caller has it.
+    need), grows kuu_inv by bordered block extension (O(M^2) besides kxu's
+    column) and marks b_lam stale; a non-positive Schur complement (e.g. a
+    duplicated inducing point) falls back to a from-scratch rebuild.
+    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.
     """
     if relevance_total(state) <= r_th_tot:
         return state, False
 
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     w = state.weights()
-    sig2 = state.noise_var
     kuu_diag = state.params.variance + state.jitter
     if state.kxu is None:
         state.kxu = kernel_matrix(state.window_x, state.inducing, state.params)
@@ -140,17 +134,13 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
                 and _prune_target(kuu_inv, s_k, r_th, max_k) == state.k_inducing):
             state.rejected_candidates += 1
             return state, False
-        b_lam = state.b_lam
-        if b_lam is not None:
-            b_lam = linalg.inv_extend(b_lam, b_kuu + s_k_row / sig2,
-                                      kuu_diag + s_k_diag / sig2)
     except SchurNotPositive:
         log.info("block extension rejected; rebuilding inverses from scratch")
         state.inducing = np.concatenate((state.inducing, x_new))
         rebuild_caches(state)
         return state, True
 
-    state.kuu_inv, state.b_lam, state.s_k = kuu_inv, b_lam, s_k
+    state.kuu_inv, state.b_lam, state.s_k = kuu_inv, None, s_k
     state.kuu = _border(state.kuu, b_kuu, kuu_diag)
     state.kxu = np.concatenate((state.kxu, k_x[:, None]), axis=1)
     state.s_y = np.append(state.s_y, float(np.dot(wk_x, state.window_y)))
@@ -164,20 +154,19 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     that increase is below ``r_th`` times the largest or more than ``max_k``
     points remain; never below one.
 
-    Scores come from the cached s_k and kuu_inv, which, like b_lam, must
-    match the current window, inducing set and kernel.  Each removal shrinks
-    kuu_inv and b_lam (when carried) by ``inv_shrink`` (O(M^2), no
-    refactorisation) and restricts kuu, s_k, s_y, kxu (when carried) and the
-    inducing set, so every round scores the remaining set exactly and the
-    caches stay exact afterwards."""
+    Scores come from the cached s_k and kuu_inv, which must match the
+    current window, inducing set and kernel.  Each removal shrinks kuu_inv
+    by ``inv_shrink`` (O(M^2), no refactorisation), restricts kuu, s_k,
+    s_y, kxu (when carried) and the inducing set, and marks b_lam stale, so
+    every round scores the remaining set exactly and the caches stay exact
+    afterwards."""
     while state.k_inducing > 1:
         m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
         if m is None:
             break
         keep = np.arange(state.k_inducing) != m
         state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m)
-        if state.b_lam is not None:
-            state.b_lam = linalg.inv_shrink(state.b_lam, m)
+        state.b_lam = None
         state.kuu = state.kuu[keep][:, keep]
         state.s_k = state.s_k[keep][:, keep]
         state.s_y = state.s_y[keep]
@@ -201,8 +190,9 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
     if skip_nonfinite(state, x_new, y_new):
         return state, skipped_prediction(
             x_new, lambda: adaptive_predict(state, x_new))
+    refresh_b_lam(state)
     k_new = kernel_row(state, x_new)
-    pred: PredictiveDist = adaptive_predict(state, x_new, k_new=k_new)
+    pred = adaptive_predict(state, x_new, k_new=k_new)
     windowed_add(state, x_new, y_new, k_new=k_new)
     r_th_tot = state.w_ksum / state.window_t
     maybe_add_inducing(state, x_new, r_th_tot, r_th=r_th,

@@ -1,25 +1,22 @@
 """Dense SPD linear algebra: jittered Cholesky, solves, log-determinants,
-and the bordered block-inverse extension and shrink used to grow and
-shrink cached inverses.
+and the bordered block-inverse extension (``inv_extend``) and shrink
+(``inv_shrink``), O(M^2) each, of ``Kuu~^-1``, the one inverse the
+streaming state keeps; B_lambda is read through triangular solves.
 
-Inverses of the M x M core matrices are cached as dense matrices because the
-streaming updates modify them additively: adding an inducing point borders
-them (``inv_extend``) and removing one shrinks them (``inv_shrink``), both
-in O(M^2).  Cholesky factors are only used for from-scratch (re)builds.
-
-Factorizations and solves call LAPACK's ``dpotrf``/``dpotrs`` directly.
-With M around 10 a streaming step is bound by per-call overhead, not
-flops, and ``scipy.linalg.cholesky``/``cho_solve`` spend several times the
-cost of these two routines on input validation and batch dispatch around
-them.  They call them with the same arguments as here (lower triangle,
-upper part zeroed), so factors and solutions are bit-identical to theirs.
-The checks they made are kept: square and symmetric input
-(``DimensionMismatch``, ``NotSymmetric``), ``ValueError`` for an inf or
-NaN in a matrix or right-hand side, and ``ValueError`` when LAPACK reports
-an illegal argument.  Nothing else is built around the two routines: at
-zero jitter ``A`` itself is factored, and an inverse (``inv_from_factor``)
-solves against an identity, which needs no finiteness or shape check.  A
-failed factorization escalates the jitter geometrically and logs once it
+Factorizations and solves call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs``
+directly.  With M around 10 a streaming step is bound by per-call
+overhead, not flops, and ``scipy.linalg.cholesky``/``cho_solve`` spend
+several times the cost of these routines on input validation and batch
+dispatch around them.  They call them with the same arguments as here
+(lower triangle, upper part zeroed), so factors and solutions are
+bit-identical to theirs.  The checks they made are kept: square and
+symmetric input (``DimensionMismatch``, ``NotSymmetric``), ``ValueError``
+for an inf or NaN in a matrix or right-hand side, and ``ValueError`` when
+LAPACK reports an illegal argument.  Nothing else is built around the
+routines: at zero jitter ``A`` itself is factored, and an inverse
+(``inv_from_factor``) or a triangular solve (``solve_lower``) takes the
+library's own finite, factor-sized operands, unchecked.  A failed
+factorization escalates the jitter geometrically and logs once it
 succeeds (a warning unless the jitter is at roundoff level); ``NotPsd``
 once it never does.
 """
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionMismatch, NotPsd, NotSymmetric, SchurNotPositive
 
@@ -128,6 +125,14 @@ def solve_psd(f: CholFactor, B: np.ndarray) -> np.ndarray:
     X, info = dpotrs(f.lower, B, lower=1)
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return X
+
+
+def solve_lower(f: CholFactor, B: np.ndarray) -> np.ndarray:
+    """``L^-1 B`` for the factor's lower triangle L: one forward solve."""
+    X, info = dtrtrs(f.lower, B, lower=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs: illegal value in argument {-info}")
     return X
 
 

@@ -6,11 +6,23 @@ check on the O(N M^2) production code paths.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from adaptive_sgp import adaptive, bound, linalg
 from adaptive_sgp.kernel import KernelParams, kernel_matrix, sq_dists
+
+
+def b_lam_inv(state):
+    """(Kuu~ + s_k/sig2)^-1, the inverse of B_lambda that ``state`` implies:
+    from its carried factor, or, when it is stale, from a new factor of its
+    kuu and s_k.  The state is left as it is."""
+    if state.b_lam is None:
+        f = linalg.cholesky_psd(state.kuu + state.s_k / state.noise_var, 0.0)
+    else:
+        f = state.b_lam[0]
+    return linalg.inv_from_factor(f)
 
 
 def rel(a, b):
@@ -202,10 +214,23 @@ def lagged_series(n, seed, lags=8, seg_len=150):
     return X, series[lags:].copy()
 
 
-def count_calls(monkeypatch, owners, name):
-    """Replace ``name`` on every module in ``owners`` by one counting
-    wrapper around the original; returns the one-element call counter."""
-    original = getattr(owners[0], name)
+def _bindings(owner, name):
+    """``owner.name`` and the namespaces that bind it: ``owner`` and every
+    ``adaptive_sgp`` module holding the same object under that name (a
+    ``from .x import name`` binding), so that no call path escapes."""
+    original = getattr(owner, name)
+    owners = [owner] + [
+        mod for key, mod in list(sys.modules.items())
+        if (key == "adaptive_sgp" or key.startswith("adaptive_sgp."))
+        and mod is not owner and getattr(mod, name, None) is original]
+    return original, owners
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name``, in every namespace that binds it
+    (``_bindings``), by one counting wrapper around the original; returns
+    the one-element call counter."""
+    original, owners = _bindings(owner, name)
     calls = [0]
 
     def counted(*args, **kwargs):
@@ -217,11 +242,12 @@ def count_calls(monkeypatch, owners, name):
     return calls
 
 
-def record_calls(monkeypatch, owners, name):
-    """Replace ``name`` on every module in ``owners`` by one wrapper around
-    the original that records each call's positional arguments, each as a
-    2-D array; returns the list of recorded argument tuples."""
-    original = getattr(owners[0], name)
+def record_calls(monkeypatch, owner, name):
+    """Replace ``owner.name``, in every namespace that binds it
+    (``_bindings``), by one wrapper around the original that records each
+    call's positional arguments, each as a 2-D array; returns the list of
+    recorded argument tuples."""
+    original, owners = _bindings(owner, name)
     calls = []
 
     def recorded(*args, **kwargs):

@@ -20,7 +20,8 @@ from adaptive_sgp.agp_vsi import VariationalQ
 from adaptive_sgp.harness import ExperimentConfig
 from adaptive_sgp.kernel import KernelParams
 
-from helpers import fd_gradient, flat_bound_gradients, random_instance, rel
+from helpers import (b_lam_inv, fd_gradient, flat_bound_gradients,
+                     random_instance, rel)
 
 N_SEEDS = 20
 TOY_T, TOY_M, TOY_LAM = 100, 10, 0.97724
@@ -142,7 +143,8 @@ def test_criterion_2_streaming_cache_oracle():
         rebuild_caches(ref)
         worst = max(worst,
                     rel(st.s_y, ref.s_y), rel(st.s_k, ref.s_k),
-                    rel(st.b_lam, ref.b_lam), rel(st.kuu_inv, ref.kuu_inv))
+                    rel(b_lam_inv(st), b_lam_inv(ref)),
+                    rel(st.kuu_inv, ref.kuu_inv))
     dt = time.time() - t0
     _report(2, worst < 1e-7 and dt < 30.0,
             f"cache drift worst rel err {worst:.2e} over 200 steps "
@@ -176,7 +178,7 @@ def test_criterion_3_block_extension_oracle():
         assert added and st.k_inducing == k + 1
         ref = deepcopy(st)
         rebuild_caches(ref)
-        worst = max(worst, rel(st.b_lam, ref.b_lam),
+        worst = max(worst, rel(b_lam_inv(st), b_lam_inv(ref)),
                     rel(st.kuu_inv, ref.kuu_inv))
     dt = time.time() - t0
     _report(3, worst < 1e-7 and dt < 10.0,
@@ -273,6 +275,15 @@ def test_criterion_4_gradient_suite():
             f"weighted {worst_weighted:.2e}, explicit-q {worst_vsi:.2e}, {dt:.1f}s")
 
 
+def _paired(runs_a, runs_b, key: str) -> str:
+    """The per-seed paired difference a - b of ``key``: its mean, its
+    standard error and the seeds on which a is lower (wins).  Reported
+    beside a verdict, never part of its rule."""
+    d = np.array([ra[key] - rb[key] for ra, rb in zip(runs_a, runs_b)])
+    se = float(np.std(d, ddof=1)) / np.sqrt(d.size)
+    return f"{d.mean():+.4f} +/- {se:.4f}, {int((d < 0).sum())}/{d.size} wins"
+
+
 def test_criterion_5_toy_experiment_ordering(toy_runs):
     mse_agp = float(np.mean([r["mse"] for r in toy_runs["agp"]]))
     mse_fast = float(np.mean([r["mse"] for r in toy_runs["fast_agp"]]))
@@ -281,7 +292,11 @@ def test_criterion_5_toy_experiment_ordering(toy_runs):
     _report(5, ok,
             f"mean MSE over {N_SEEDS} seeds: single-step {mse_agp:.4f} < "
             f"fixed-hyper {mse_fast:.4f} < window-retrain {mse_w:.4f}; "
-            f"bands single-step<0.15, fixed-hyper<0.40")
+            f"bands single-step<0.15, fixed-hyper<0.40; paired "
+            f"single-step - fixed-hyper "
+            f"{_paired(toy_runs['agp'], toy_runs['fast_agp'], 'mse')}, "
+            f"fixed-hyper - window-retrain "
+            f"{_paired(toy_runs['fast_agp'], toy_runs['w_vsgp'], 'mse')}")
 
 
 def test_criterion_6_calibration(toy_runs):
@@ -302,7 +317,9 @@ def test_criterion_7_forgetting_helps_at_transition(toy_runs):
     _report(7, tr_forget < tr_none,
             f"transition-window mean MSE over {N_SEEDS} seeds: "
             f"lam={TOY_LAM} {tr_forget:.4f} vs lam=1.0 {tr_none:.4f} "
-            f"(forgetting must be strictly better)")
+            f"(forgetting must be strictly better); paired lam={TOY_LAM} - "
+            f"lam=1.0 "
+            f"{_paired(toy_runs['agp'], toy_runs['agp_lam1'], 'transition')}")
 
 
 def _round_robin_us(steps: dict, rounds: int) -> dict:

@@ -10,7 +10,7 @@ from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, linalg,
 from adaptive_sgp.errors import NotPsd
 from adaptive_sgp.kernel import KernelParams
 
-from helpers import (builds_between, count_calls, make_state,
+from helpers import (b_lam_inv, builds_between, count_calls, make_state,
                      piecewise_sinusoid, record_calls)
 
 
@@ -208,28 +208,28 @@ def test_step_survives_degenerate_sample():
 
 def test_step_rebuilds_caches_once(monkeypatch):
     # The prune shrinks the caches, so the rebuild after the optimizer step,
-    # which moved the kernel and noise, is the step's only one.  It replaces
-    # B_lambda, so the step never refactors it before: four factorizations
-    # per step, two in the gradient and two in the rebuild.  The prediction
-    # and the slide share one k(U, x_new); the departing row is one more.
-    # Inverses come from their factors (inv_from_factor), never from an
-    # identity solve, and the hot path calls neither np.ix_ nor
-    # np.linalg.norm.
+    # which moved the kernel and noise, is the step's only one.  B_lambda is
+    # factored once, for the prediction, and never inverted: four
+    # factorizations per step (the prediction's, two in the gradient, one in
+    # the rebuild) and three inverses (two in the gradient, kuu_inv in the
+    # rebuild).  The prediction and the slide share one k(U, x_new); the
+    # departing row is one more.  Inverses come from their factors
+    # (inv_from_factor), never from an identity solve, and the hot path
+    # calls neither np.ix_ nor np.linalg.norm.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
                              lam=0.97724, window_t=100, capacity_m=10)
-    rebuilds = count_calls(monkeypatch, [adaptive, agp, fast_agp],
-                           "rebuild_caches")
-    chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
-    solves = count_calls(monkeypatch, [linalg], "solve_psd")
-    refreshes = count_calls(monkeypatch, [adaptive, fast_agp], "refresh_b_lam")
-    scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
+    rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
+    chol = count_calls(monkeypatch, linalg, "cholesky_psd")
+    inverses = count_calls(monkeypatch, linalg, "inv_from_factor")
+    solves = count_calls(monkeypatch, linalg, "solve_psd")
+    refreshes = count_calls(monkeypatch, adaptive, "refresh_b_lam")
+    scipy_calls = [count_calls(monkeypatch, scipy.linalg, name)
                    for name in ("cholesky", "cho_solve")]
-    wrappers = [count_calls(monkeypatch, [np], "ix_"),
-                count_calls(monkeypatch, [np.linalg], "norm")]
-    kernel_calls = record_calls(monkeypatch, [adaptive, fast_agp],
-                                "kernel_matrix")
+    wrappers = [count_calls(monkeypatch, np, "ix_"),
+                count_calls(monkeypatch, np.linalg, "norm")]
+    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix")
     opt = agp.adam_params()
     for i in range(100, 160):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
@@ -239,8 +239,9 @@ def test_step_rebuilds_caches_once(monkeypatch):
         assert builds_between(kernel_calls, before, oldest) == 1, i
     assert rebuilds[0] == 60
     assert chol[0] == 240
+    assert inverses[0] == 180
     assert solves[0] == 0
-    assert refreshes[0] == 0
+    assert refreshes[0] == 60
     assert st.skipped_updates == 0
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
@@ -275,8 +276,9 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
             assert np.array_equal(st.inducing[-1], X[i])
             fresh = copy.deepcopy(st)
             rebuild(fresh)
-            for name in ("s_y", "s_k", "b_lam", "kuu_inv", "kuu"):
+            for name in ("s_y", "s_k", "kuu_inv", "kuu"):
                 assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
+            assert np.array_equal(b_lam_inv(st), b_lam_inv(fresh))
         else:
             assert (st.params, st.log_noise) != (params, log_noise)
     assert calls[0] == 31

@@ -3,13 +3,14 @@ import copy
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, agp_vsi, vsgp
+from adaptive_sgp import adaptive, agp_vsi, linalg, vsgp
 from adaptive_sgp.errors import NotPsd
 from adaptive_sgp.optim import Adam
 from adaptive_sgp.agp_vsi import VariationalQ, elbo_lambda, q_from_moments
 from adaptive_sgp.kernel import KernelParams
 
-from helpers import fd_gradient, grad_close, make_state, piecewise_sinusoid
+from helpers import (b_lam_inv, count_calls, fd_gradient, grad_close,
+                     make_state, piecewise_sinusoid)
 
 
 def _optimal_q(st):
@@ -120,6 +121,26 @@ def test_step_zero_iterations_is_pure_slide():
     assert np.isfinite(pred.mean)
 
 
+def test_step_never_factors_b_lam(monkeypatch):
+    # The prediction reads q, never B_lambda, so a step factors only Kuu~:
+    # once per inner iteration and once in the rebuild.
+    X, y = piecewise_sinusoid(40, 3)
+    model = vsgp.fit_batch(X[:30], y[:30], M=4, iters=20, seed=0)
+    st = adaptive.from_batch(model, X[:30], y[:30],
+                             lam=0.95, window_t=30, capacity_m=4)
+    q = q_from_moments(model.q_mean, model.q_cov)
+    refreshes = count_calls(monkeypatch, adaptive, "refresh_b_lam")
+    chol = count_calls(monkeypatch, linalg, "cholesky_psd")
+    opt = Adam(lr=0.05)
+    for i in range(30, 40):
+        st, q, opt, _ = agp_vsi.agp_vsi_step(st, q, opt, X[i], y[i],
+                                             inner_iters=3)
+        assert st.b_lam is None
+    assert refreshes[0] == 0
+    assert chol[0] == 10 * (3 + 1)
+    assert st.skipped_updates == 0
+
+
 def test_step_converges_toward_closed_form_q():
     rng = np.random.default_rng(5)
     x = rng.uniform(-2, 2, 140)
@@ -170,8 +191,9 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
             assert np.array_equal(st.window_x[-1], X[i])
             fresh = copy.deepcopy(st)
             rebuild(fresh)
-            for name in ("s_y", "s_k", "b_lam", "kuu_inv", "kuu"):
+            for name in ("s_y", "s_k", "kuu_inv", "kuu"):
                 assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
+            assert np.array_equal(b_lam_inv(st), b_lam_inv(fresh))
         else:
             assert not any(same)
     assert calls[0] == 16

@@ -136,5 +136,11 @@ def test_full_step_survives_degenerate_streams(case):
         _check_prediction(pred, x)
         assert np.isfinite(state.inducing).all()
         assert math.isfinite(state.log_noise)
-    assert state.b_lam is not None and state.kxu is None
+    assert state.kxu is None
+    # A step's moves leave B_lambda stale; a skipped sample's prediction
+    # factors it, and that factor describes the current caches.
+    if state.b_lam is not None:
+        fresh = copy.deepcopy(state)
+        adaptive.refresh_b_lam(fresh)
+        assert np.array_equal(state.b_lam[0].lower, fresh.b_lam[0].lower)
     _check_against_rebuild(state, rng)

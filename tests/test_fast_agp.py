@@ -8,8 +8,8 @@ import scipy.linalg
 from adaptive_sgp import adaptive, fast_agp, harness, linalg, optim, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
-from helpers import (builds_between, count_calls, lagged_series, make_state,
-                     piecewise_sinusoid, record_calls, rel)
+from helpers import (b_lam_inv, builds_between, count_calls, lagged_series,
+                     make_state, piecewise_sinusoid, record_calls, rel)
 
 
 def _fresh(state):
@@ -18,10 +18,15 @@ def _fresh(state):
     return out
 
 
+def _cache(state, name):
+    """A cache by name; "b_lam" is the B_lambda inverse the state implies."""
+    return b_lam_inv(state) if name == "b_lam" else getattr(state, name)
+
+
 def _caches_match(state, tol=1e-8):
     fresh = _fresh(state)
     for name in ("s_y", "s_k", "b_lam", "kuu_inv", "kuu"):
-        assert rel(getattr(state, name), getattr(fresh, name)) < tol, name
+        assert rel(_cache(state, name), _cache(fresh, name)) < tol, name
     assert abs(state.w_ksum - fresh.w_ksum) < tol * max(1, abs(fresh.w_ksum))
     if state.kxu is not None:
         assert rel(state.kxu, kernel_matrix(state.window_x, state.inducing,
@@ -154,7 +159,7 @@ def test_maybe_add_rejects_candidate_the_prune_would_remove_first():
     assert not added
     assert st.rejected_candidates == 1
     for name in CACHES:
-        assert np.array_equal(getattr(st, name), getattr(before, name)), name
+        assert np.array_equal(_cache(st, name), _cache(before, name)), name
     # the window kernel built for scoring is kept, exact
     _caches_match(st)
 
@@ -170,7 +175,7 @@ def test_maybe_add_scored_admission_equals_unscored_add():
         fast_agp.maybe_add_inducing(ref, x_new, -1.0)
         assert added and st.rejected_candidates == 0
         for name in CACHES + ("kxu",):
-            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+            assert np.array_equal(_cache(st, name), _cache(ref, name)), name
 
 
 def test_maybe_add_duplicate_point_falls_back():
@@ -359,20 +364,21 @@ def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
 
 def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # Extension and shrink keep the caches exact, so the only factorization
-    # of a fast step is the B_lambda refresh after ingesting the sample.
-    # The step builds the kernel row k(U, x_new) once for the prediction,
-    # the slide and the admission, and never the departing row while kxu
-    # is carried.  The hot path calls neither np.ix_ nor np.linalg.norm.
+    # of a fast step is B_lambda's, for the prediction, and no step forms an
+    # inverse.  The step builds the kernel row k(U, x_new) once for the
+    # prediction, the slide and the admission, and never the departing row
+    # while kxu is carried.  The hot path calls neither np.ix_ nor
+    # np.linalg.norm.
     X, y = piecewise_sinusoid(500, 1)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
-    chol = count_calls(monkeypatch, [linalg], "cholesky_psd")
-    rebuilds = count_calls(monkeypatch, [adaptive, fast_agp], "rebuild_caches")
-    scipy_calls = [count_calls(monkeypatch, [scipy.linalg], name)
+    chol = count_calls(monkeypatch, linalg, "cholesky_psd")
+    inverses = count_calls(monkeypatch, linalg, "inv_from_factor")
+    rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
+    scipy_calls = [count_calls(monkeypatch, scipy.linalg, name)
                    for name in ("cholesky", "cho_solve")]
-    wrappers = [count_calls(monkeypatch, [np], "ix_"),
-                count_calls(monkeypatch, [np.linalg], "norm")]
-    kernel_calls = record_calls(monkeypatch, [adaptive, fast_agp],
-                                "kernel_matrix")
+    wrappers = [count_calls(monkeypatch, np, "ix_"),
+                count_calls(monkeypatch, np.linalg, "norm")]
+    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix")
     changes = carried = 0
     for i in range(100, 500):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
@@ -387,6 +393,7 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     assert changes > 0 and carried > 300
     assert rebuilds[0] == 0
     assert chol[0] == 400
+    assert inverses[0] == 0
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
     assert [c[0] for c in wrappers] == [0, 0]
@@ -417,26 +424,30 @@ def test_passed_kernel_row_equals_omitted(carry):
         fast_agp.maybe_add_inducing(st, x_new, -1.0, k_new=k_new)
         fast_agp.maybe_add_inducing(ref, x_new, -1.0)
         for name in CACHES + ("kxu", "window_x", "window_y"):
-            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+            assert np.array_equal(_cache(st, name), _cache(ref, name)), name
         assert st.w_ksum == ref.w_ksum
         _caches_match(st)
 
 
 def test_moves_leave_a_dropped_b_lam_dropped():
-    # Full mode drops b_lam until its rebuild; the slide, the admission and
-    # the prune then move every other cache exactly as with b_lam carried.
+    # B_lambda is factored only for a prediction: the slide, the admission
+    # and the prune each mark a carried factor stale, and move every other
+    # cache exactly as when it is stale already.
     rng = np.random.default_rng(23)
+    moves = (lambda s, x, y: fast_agp.windowed_add(s, x, y),
+             lambda s, x, y: fast_agp.maybe_add_inducing(s, x, -1.0),
+             lambda s, x, y: fast_agp.prune_inducing(s, 1e-4, 3))
     for _ in range(10):
         st = _kxu_carried(make_state(rng, t_cur=12, k=3, d=2, lam=0.9,
                                      window_t=12))
         ref = copy.deepcopy(st)
-        st.b_lam = None
         x_new, y_new = rng.normal(size=2), float(rng.normal())
-        for s in (st, ref):
-            fast_agp.windowed_add(s, x_new, y_new)
-            fast_agp.maybe_add_inducing(s, x_new, -1.0)
-            fast_agp.prune_inducing(s, 1e-4, 3)
-        assert st.b_lam is None
+        for move in moves:
+            adaptive.refresh_b_lam(st)
+            move(st, x_new, y_new)
+            move(ref, x_new, y_new)
+            assert st.b_lam is None and ref.b_lam is None
+        assert st.k_inducing == 3
         for name in ("s_y", "s_k", "kuu_inv", "kuu", "inducing", "kxu"):
             assert np.array_equal(getattr(st, name), getattr(ref, name)), name
 

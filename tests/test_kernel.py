@@ -156,7 +156,7 @@ def test_gradient_fd_property_suite():
 def test_gradients_build_each_distance_matrix_once(monkeypatch):
     # U-U and X-U once each per gradient, shared by the kernel matrices and
     # the chain rule.
-    calls = count_calls(monkeypatch, [kernel], "sq_dists")
+    calls = count_calls(monkeypatch, kernel, "sq_dists")
     X, y, U, p, ln = random_instance(np.random.default_rng(6), n=12, m=4, d=2)
     bound.weighted_bound_gradients(X, y, U, p, ln, np.ones(12), 1e-6)
     assert calls[0] == 2
@@ -168,7 +168,7 @@ def test_gradients_build_each_distance_matrix_once(monkeypatch):
 def test_fit_batch_builds_each_distance_matrix_once(monkeypatch):
     # 200 gradients at 2 each, and optimal_q's 2, whose jittered Kuu the
     # cached inverse reuses; a sliding-window step adds its prediction's 1.
-    calls = count_calls(monkeypatch, [kernel], "sq_dists")
+    calls = count_calls(monkeypatch, kernel, "sq_dists")
     X, y, U, p, ln = random_instance(np.random.default_rng(7), n=30, m=5, d=2)
     model = vsgp.fit_batch(X, y, 5, 200, seed=0)
     assert calls[0] == 402

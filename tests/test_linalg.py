@@ -177,6 +177,21 @@ def test_solve_equals_cho_solve_bit_for_bit():
             assert np.array_equal(out, expected), n
 
 
+def test_solve_lower_equals_solve_triangular_bit_for_bit():
+    # solve_triangular calls dtrtrs with the same arguments; the right-hand
+    # side is left intact.
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        f = linalg.cholesky_psd(spd_matrix(rng, n), 0.0)
+        for B in (rng.normal(size=n), rng.normal(size=(n, 3)), np.eye(n)):
+            B_in = B.copy()
+            out = linalg.solve_lower(f, B_in)
+            expected = scipy.linalg.solve_triangular(f.lower, B, lower=True)
+            assert out.shape == expected.shape
+            assert np.array_equal(out, expected), n
+            assert np.array_equal(B_in, B), n
+
+
 def test_inv_psd_equals_cholesky_solve_formula():
     # the formula inv_psd had when it went through scipy.linalg
     rng = np.random.default_rng(9)
