@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bound, linalg
-from .kernel import KernelParams, _as_inputs, kernel_matrix
+from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
 from .errors import InvalidLambda
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
 
@@ -197,8 +197,7 @@ def adaptive_q(state: AdaptiveState):
 
 def kernel_row(state: AdaptiveState, x) -> np.ndarray:
     """k(U, x): kernel products between the inducing set and one input."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return kernel_matrix(state.inducing, x, state.params).ravel()
+    return kernel_column(state.inducing, x, state.params)
 
 
 def adaptive_predict(state: AdaptiveState, xstar, *,

@@ -47,7 +47,8 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     if skip_nonfinite(state, x_new, y_new):
         return state, opt, skipped_prediction(
             x_new, lambda: adaptive_predict(state, x_new))
-    refresh_b_lam(state)
+    if state.b_lam is None:
+        refresh_b_lam(state)
     k_new = kernel_row(state, x_new)
     pred = adaptive_predict(state, x_new, k_new=k_new)
 

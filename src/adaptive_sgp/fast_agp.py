@@ -10,9 +10,12 @@ A step builds one kernel row per sample: ``fast_agp_step`` computes
 k(U, x_new) once and passes it as ``k_new`` to the prediction, the slide
 and the admission, each of which builds the same row itself when it is
 omitted.  While ``kxu`` is carried the slide reads the departing row from
-it, and the admission builds only the candidate's column k(X, x_new).
-Every cache move marks ``b_lam`` stale; the step factors B_lambda once,
-just before its prediction (``refresh_b_lam``).
+it, and the admission builds only the candidate's column k(X, x_new).  All
+of these one-point kernels are ``kernel_column`` vectors, and each change
+of s_k or ``kuu_inv`` by one sample or one point is one BLAS rank-one
+update (``linalg.add_outer``) of a new array.  Every cache move marks
+``b_lam`` stale; the step factors B_lambda just before its prediction
+(``refresh_b_lam``) unless a skipped sample's prediction left it current.
 """
 
 import logging
@@ -25,7 +28,7 @@ from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
                        rebuild_caches, refresh_b_lam, relevance_total,
                        removal_scores, skip_nonfinite, skipped_prediction)
 from .errors import SchurNotPositive
-from .kernel import kernel_matrix
+from .kernel import kernel_column, kernel_matrix
 
 log = logging.getLogger(__name__)
 
@@ -50,14 +53,14 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     if k_new is None:
         k_new = kernel_row(state, x_row)
     s_y = lam * state.s_y + k_new * y_new
-    s_k = lam * state.s_k + k_new[:, None] * k_new
+    s_k = linalg.add_outer(lam * state.s_k, k_new, k_new)
     w_ksum = lam * state.w_ksum + var
     if evict:
         k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
                  else state.kxu[0])
         wT = lam ** state.window_t
         s_y = s_y - wT * k_old * float(state.window_y[0])
-        s_k = s_k - wT * (k_old[:, None] * k_old)
+        s_k = linalg.add_outer(s_k, -wT * k_old, k_old)
         w_ksum = w_ksum - wT * var
     first = int(evict)
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
@@ -123,7 +126,7 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
         state.kxu = kernel_matrix(state.window_x, state.inducing, state.params)
 
     b_kuu = kernel_row(state, x_new) if k_new is None else k_new
-    k_x = kernel_matrix(state.window_x, x_new, state.params).ravel()
+    k_x = kernel_column(state.window_x, x_new, state.params)
     wk_x = w * k_x
     s_k_row = state.kxu.T @ wk_x
     s_k_diag = float(np.dot(wk_x, k_x))
@@ -157,22 +160,22 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     Scores come from the cached s_k and kuu_inv, which must match the
     current window, inducing set and kernel.  Each removal shrinks kuu_inv
     by ``inv_shrink`` (O(M^2), no refactorisation), restricts kuu, s_k,
-    s_y, kxu (when carried) and the inducing set, and marks b_lam stale, so
-    every round scores the remaining set exactly and the caches stay exact
-    afterwards."""
+    s_y, kxu (when carried) and the inducing set by one index array, and
+    marks b_lam stale, so every round scores the remaining set exactly and
+    the caches stay exact afterwards."""
     while state.k_inducing > 1:
         m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
         if m is None:
             break
-        keep = np.arange(state.k_inducing) != m
+        keep = (np.arange(state.k_inducing) != m).nonzero()[0]
         state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m)
         state.b_lam = None
-        state.kuu = state.kuu[keep][:, keep]
-        state.s_k = state.s_k[keep][:, keep]
-        state.s_y = state.s_y[keep]
-        state.inducing = state.inducing[keep]
+        state.kuu = state.kuu.take(keep, 0).take(keep, 1)
+        state.s_k = state.s_k.take(keep, 0).take(keep, 1)
+        state.s_y = state.s_y.take(keep)
+        state.inducing = state.inducing.take(keep, 0)
         if state.kxu is not None:
-            state.kxu = state.kxu[:, keep]
+            state.kxu = state.kxu.take(keep, 1)
     return state
 
 
@@ -190,7 +193,8 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
     if skip_nonfinite(state, x_new, y_new):
         return state, skipped_prediction(
             x_new, lambda: adaptive_predict(state, x_new))
-    refresh_b_lam(state)
+    if state.b_lam is None:
+        refresh_b_lam(state)
     k_new = kernel_row(state, x_new)
     pred = adaptive_predict(state, x_new, k_new=k_new)
     windowed_add(state, x_new, y_new, k_new=k_new)

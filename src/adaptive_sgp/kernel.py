@@ -5,7 +5,8 @@ positivity never needs a constrained optimizer.  Data and inducing inputs
 are read by ``_as_inputs``.  The collapsed bound, the explicit-q ELBO and
 ``vsgp.optimal_q`` set up ``Kuu``/``Kxu`` through ``_inducing_kernels``,
 whose squared distances the chain rule (``bound._chain_to_params``)
-reuses, so a gradient computes each distance matrix once.
+reuses, so a gradient computes each distance matrix once.  A streaming
+step's one-point kernels, k(U, x) and k(X, x), are ``kernel_column``s.
 """
 
 from dataclasses import dataclass
@@ -70,6 +71,28 @@ def sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def kernel_matrix(X, Z, p: KernelParams) -> np.ndarray:
     """k(x, z) = variance * exp(-||x - z||^2 / (2 lengthscale^2))."""
     return _from_sq_dists(sq_dists(X, Z), p)
+
+
+def kernel_column(X, x, p: KernelParams) -> np.ndarray:
+    """k(X, x) for the rows of ``X`` and one point ``x``, as a vector.
+
+    ``kernel_matrix(X, x[None]).ravel()`` by one matrix-vector product, in
+    place: distances as (|X|^2 + |x|^2) - 2 X x, clipped at 0, then the
+    kernel in ``_from_sq_dists``' order.  Bit-identical to it at D=1; at
+    larger D the sums may round differently."""
+    X = _as_2d(X)
+    x = np.asarray(x, dtype=float).ravel()
+    if X.shape[1] != x.shape[0]:
+        raise DimensionMismatch(f"X has {X.shape[1]} columns, x has {x.shape[0]}")
+    k = np.einsum("ij,ij->i", X, X)
+    k += x @ x
+    k -= 2.0 * (X @ x)
+    np.maximum(k, 0.0, out=k)
+    k *= -0.5
+    k /= p.lengthscale**2
+    np.exp(k, out=k)
+    k *= p.variance
+    return k
 
 
 def _from_sq_dists(d2: np.ndarray, p: KernelParams) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense SPD linear algebra: jittered Cholesky, solves, log-determinants,
 and the bordered block-inverse extension (``inv_extend``) and shrink
-(``inv_shrink``), O(M^2) each, of ``Kuu~^-1``, the one inverse the
-streaming state keeps; B_lambda is read through triangular solves.
+(``inv_shrink``) of ``Kuu~^-1``, the one inverse the streaming state keeps,
+each one BLAS rank-one update (``add_outer``) of a new array, O(M^2);
+B_lambda is read through triangular solves.
 
 Factorizations and solves call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs``
 directly.  With M around 10 a streaming step is bound by per-call
@@ -188,13 +189,12 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     schur = float(b0 - b @ v)
     if schur <= SCHUR_RTOL * max(abs(b0), 1.0):
         raise SchurNotPositive(f"Schur complement {schur:g} not positive")
+    # [[Ainv, 0], [0, 0]] + u u^T / schur with u = [v, -1], on a new array
     k = Ainv.shape[0]
-    out = np.empty((k + 1, k + 1))
-    out[:k, :k] = Ainv + v[:, None] * v / schur
-    out[:k, k] = -v / schur
-    out[k, :k] = -v / schur
-    out[k, k] = 1.0 / schur
-    return out
+    out = np.zeros((k + 1, k + 1))
+    out[:k, :k] = Ainv
+    u = np.concatenate((v, (-1.0,)))
+    return add_outer(out, u / schur, u)
 
 
 def inv_shrink(Ainv: np.ndarray, m: int) -> np.ndarray:
@@ -204,6 +204,8 @@ def inv_shrink(Ainv: np.ndarray, m: int) -> np.ndarray:
     Ainv - Ainv[:, m] Ainv[m, :] / Ainv[m, m], then row and column m
     dropped (the basis-vector deletion of Csato & Opper 2002).
     """
-    keep = np.arange(Ainv.shape[0]) != m
-    row = Ainv[m, keep] / Ainv[m, m]
-    return Ainv[keep][:, keep] - Ainv[keep, m][:, None] * row
+    keep = (np.arange(Ainv.shape[0]) != m).nonzero()[0]
+    rows = Ainv.take(keep, 0)
+    # a new array: Ainv is never written
+    return add_outer(rows.take(keep, 1), rows[:, m],
+                     Ainv[m].take(keep) / -Ainv[m, m])

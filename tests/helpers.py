@@ -143,6 +143,36 @@ def reference_bound_gradients(X, y, U, params, log_noise, w, jitter=1e-6):
             "log_noise": float(g_ln), "inducing": gU}
 
 
+def reference_inv_extend(Ainv, b, b0):
+    """``linalg.inv_extend`` in its elementwise form, for a positive Schur
+    complement: the block-inversion identities written out block by block."""
+    v = Ainv @ b
+    schur = float(b0 - b @ v)
+    k = Ainv.shape[0]
+    out = np.empty((k + 1, k + 1))
+    out[:k, :k] = Ainv + v[:, None] * v / schur
+    out[:k, k] = -v / schur
+    out[k, :k] = -v / schur
+    out[k, k] = 1.0 / schur
+    return out
+
+
+def reference_inv_shrink(Ainv, m):
+    """``linalg.inv_shrink`` in its elementwise form, by boolean masks."""
+    keep = np.arange(Ainv.shape[0]) != m
+    row = Ainv[m, keep] / Ainv[m, m]
+    return Ainv[keep][:, keep] - Ainv[keep, m][:, None] * row
+
+
+def reference_slide_s_k(s_k, lam, k_new, k_old=None, w_old=0.0):
+    """``fast_agp.windowed_add``'s s_k in its elementwise form:
+    lam s_k + k_new k_new^T, less ``w_old`` k_old k_old^T on an eviction."""
+    out = lam * s_k + k_new[:, None] * k_new
+    if k_old is not None:
+        out = out - w_old * (k_old[:, None] * k_old)
+    return out
+
+
 def dense_gp_lml(X, y, params, log_noise):
     """Exact O(N^3) Gaussian-process log marginal likelihood."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -242,21 +272,25 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def record_calls(monkeypatch, owner, name):
-    """Replace ``owner.name``, in every namespace that binds it
+def record_calls(monkeypatch, owner, *names):
+    """Replace each ``owner.name``, in every namespace that binds it
     (``_bindings``), by one wrapper around the original that records each
-    call's positional arguments, each as a 2-D array; returns the list of
-    recorded argument tuples."""
-    original, owners = _bindings(owner, name)
+    call's positional array arguments, each as a 2-D array (a 1-D one as a
+    row); returns the one list of recorded argument tuples, in call order
+    across all ``names``."""
     calls = []
 
-    def recorded(*args, **kwargs):
-        calls.append(tuple(np.atleast_2d(np.asarray(a, dtype=float))
-                           for a in args if isinstance(a, np.ndarray)))
-        return original(*args, **kwargs)
+    def recorder(original):
+        def recorded(*args, **kwargs):
+            calls.append(tuple(np.atleast_2d(np.asarray(a, dtype=float))
+                               for a in args if isinstance(a, np.ndarray)))
+            return original(*args, **kwargs)
+        return recorded
 
-    for owner in owners:
-        monkeypatch.setattr(owner, name, recorded)
+    for name in names:
+        original, owners = _bindings(owner, name)
+        for ns in owners:
+            monkeypatch.setattr(ns, name, recorder(original))
     return calls
 
 

@@ -213,9 +213,10 @@ def test_step_rebuilds_caches_once(monkeypatch):
     # factorizations per step (the prediction's, two in the gradient, one in
     # the rebuild) and three inverses (two in the gradient, kuu_inv in the
     # rebuild).  The prediction and the slide share one k(U, x_new); the
-    # departing row is one more.  Inverses come from their factors
-    # (inv_from_factor), never from an identity solve, and the hot path
-    # calls neither np.ix_ nor np.linalg.norm.
+    # departing row is one more.  Both are one-point kernels
+    # (kernel_column), recorded with the matrix builds.  Inverses come from
+    # their factors (inv_from_factor), never from an identity solve, and the
+    # hot path calls neither np.ix_ nor np.linalg.norm.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
@@ -229,7 +230,8 @@ def test_step_rebuilds_caches_once(monkeypatch):
                    for name in ("cholesky", "cho_solve")]
     wrappers = [count_calls(monkeypatch, np, "ix_"),
                 count_calls(monkeypatch, np.linalg, "norm")]
-    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix")
+    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix",
+                                "kernel_column")
     opt = agp.adam_params()
     for i in range(100, 160):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()

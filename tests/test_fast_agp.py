@@ -9,7 +9,8 @@ from adaptive_sgp import adaptive, fast_agp, harness, linalg, optim, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (b_lam_inv, builds_between, count_calls, lagged_series,
-                     make_state, piecewise_sinusoid, record_calls, rel)
+                     make_state, piecewise_sinusoid, record_calls,
+                     reference_slide_s_k, rel)
 
 
 def _fresh(state):
@@ -367,7 +368,8 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # of a fast step is B_lambda's, for the prediction, and no step forms an
     # inverse.  The step builds the kernel row k(U, x_new) once for the
     # prediction, the slide and the admission, and never the departing row
-    # while kxu is carried.  The hot path calls neither np.ix_ nor
+    # while kxu is carried; one-point kernels (kernel_column) are recorded
+    # with the matrix builds.  The hot path calls neither np.ix_ nor
     # np.linalg.norm.
     X, y = piecewise_sinusoid(500, 1)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
@@ -378,7 +380,8 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
                    for name in ("cholesky", "cho_solve")]
     wrappers = [count_calls(monkeypatch, np, "ix_"),
                 count_calls(monkeypatch, np.linalg, "norm")]
-    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix")
+    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix",
+                                "kernel_column")
     changes = carried = 0
     for i in range(100, 500):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
@@ -397,6 +400,44 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
     assert [c[0] for c in wrappers] == [0, 0]
+
+
+@pytest.mark.parametrize("evict", [False, True])
+def test_slide_s_k_equals_its_elementwise_form_and_keeps_its_input(evict):
+    # lam s_k + k k^T (less the departing row's term) is one rank-one update
+    # of a new array each: the state's previous s_k is never written.
+    rng = np.random.default_rng(30 + evict)
+    for i in range(50):
+        st = make_state(rng, t_cur=8, window_t=8 if evict else 12)
+        x = rng.normal(size=st.window_x.shape[1])
+        k_new = adaptive.kernel_row(st, x)
+        k_old = adaptive.kernel_row(st, st.window_x[0]) if evict else None
+        s_k, s_k0 = st.s_k, st.s_k.copy()
+        expected = reference_slide_s_k(s_k0, st.lam, k_new, k_old,
+                                       st.lam ** st.window_t)
+        fast_agp.windowed_add(st, x, float(rng.normal()))
+        assert np.array_equal(s_k, s_k0), i
+        dev = np.max(np.abs(st.s_k - expected)) / np.max(np.abs(expected))
+        assert dev < 1e-13, i
+
+
+def test_a_skipped_target_leaves_b_lam_factored_for_the_next_step(monkeypatch):
+    # A sample skipped for a NaN target still predicts, which factors
+    # B_lambda; the next step finds that factor current and does not factor
+    # it again: 10 factorizations in 20 steps, not 20.  Predictions equal
+    # those of steps that each factor B_lambda afresh, bit for bit.
+    X, y = piecewise_sinusoid(120, 1)
+    y[100::2] = np.nan
+    st = _stream_state(X, y, 100, 10, 0.97724, 50)
+    ref = copy.deepcopy(st)
+    chol = count_calls(monkeypatch, linalg, "cholesky_psd")
+    preds = [fast_agp.fast_agp_step(st, X[i], y[i])[1] for i in range(100, 120)]
+    assert chol[0] == 10
+    for i, pred in zip(range(100, 120), preds):
+        adaptive.refresh_b_lam(ref)
+        expected = fast_agp.fast_agp_step(ref, X[i], y[i])[1]
+        assert (pred.mean, pred.var) == (expected.mean, expected.var), i
+    assert st.skipped_samples == 10
 
 
 def _kxu_carried(st):

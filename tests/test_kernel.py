@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,55 @@ def test_dimension_mismatch_rejected():
     p = KernelParams(0.0, 0.0)
     with pytest.raises(DimensionMismatch):
         kernel_matrix(np.zeros((3, 2)), np.zeros((3, 1)), p)
+
+
+# kernel_column is kernel_matrix for one point, without its temporaries.
+
+
+def _column_case(rng, d):
+    n = int(rng.integers(1, 50))
+    scale = 10.0 ** rng.uniform(-2.0, 3.0)
+    X = rng.uniform(-1.0, 1.0, size=(n, d)) * scale
+    x = rng.uniform(-1.0, 1.0, size=d) * scale
+    p = KernelParams(float(rng.uniform(-2.0, 2.0)),
+                     float(np.log(scale) + rng.uniform(-2.0, 1.0)))
+    return X, x, p
+
+
+def test_kernel_column_equals_kernel_matrix_bit_for_bit_at_d1():
+    rng = np.random.default_rng(20)
+    for i in range(3000):
+        X, x, p = _column_case(rng, 1)
+        assert np.array_equal(kernel.kernel_column(X, x, p),
+                              kernel_matrix(X, x[None], p).ravel()), i
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kernel_column_matches_kernel_matrix_at_d2_to_d8(d):
+    rng = np.random.default_rng(21 + d)
+    for i in range(300):
+        X, x, p = _column_case(rng, d)
+        col = kernel.kernel_column(X, x, p)
+        assert col.shape == (X.shape[0],)
+        dev = np.max(np.abs(col - kernel_matrix(X, x[None], p).ravel()))
+        assert dev <= 1e-12 * p.variance, i
+
+
+def test_kernel_column_rejects_a_point_of_another_dimension():
+    p = KernelParams(0.0, 0.0)
+    for x in (np.zeros(3), np.zeros(1)):
+        with pytest.raises(DimensionMismatch):
+            kernel.kernel_column(np.zeros((4, 2)), x, p)
+
+
+def test_kernel_column_is_exactly_zero_far_away_without_warnings():
+    p = KernelParams(0.3, 0.0)
+    X = np.array([[0.0, 0.0], [1e3, 0.0], [0.0, -1e8], [1e100, 1e100]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        col = kernel.kernel_column(X, np.zeros(2), p)
+    assert col[0] == p.variance
+    assert np.array_equal(col[1:], np.zeros(3))
 
 
 # rebuild_caches and windowed_add take k(x, x) to be the signal variance.

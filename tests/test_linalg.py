@@ -7,7 +7,7 @@ import scipy.linalg
 from adaptive_sgp import linalg
 from adaptive_sgp.errors import NotPsd, NotSymmetric, SchurNotPositive
 
-from helpers import spd_matrix
+from helpers import reference_inv_extend, reference_inv_shrink, spd_matrix
 
 
 def test_cholesky_identity():
@@ -144,6 +144,33 @@ def test_inv_shrink_undoes_inv_extend():
         ext = linalg.inv_extend(Ainv, A[:k, k], float(A[k, k]))
         out = linalg.inv_shrink(ext, k)
         assert np.max(np.abs(out - Ainv)) / np.max(np.abs(Ainv)) < 1e-10
+
+
+def _rel_to(out, ref):
+    return float(np.max(np.abs(out - ref)) / np.max(np.abs(ref)))
+
+
+def test_inv_extend_equals_its_elementwise_form_and_keeps_its_inputs():
+    # One rank-one update of a new array: the caller's Ainv and b stay.
+    rng = np.random.default_rng(12)
+    for n in range(2, 65):
+        A = spd_matrix(rng, n)
+        Ainv, b, b0 = np.linalg.inv(A[:-1, :-1]), A[:-1, -1].copy(), A[-1, -1]
+        Ainv_in, b_in = Ainv.copy(), b.copy()
+        out = linalg.inv_extend(Ainv_in, b_in, b0)
+        assert _rel_to(out, reference_inv_extend(Ainv, b, b0)) < 1e-13, n
+        assert np.array_equal(Ainv_in, Ainv) and np.array_equal(b_in, b), n
+
+
+def test_inv_shrink_equals_its_elementwise_form_and_keeps_its_input():
+    rng = np.random.default_rng(13)
+    for n in range(2, 65):
+        Ainv = np.linalg.inv(spd_matrix(rng, n))
+        for m in {0, int(rng.integers(n)), n - 1}:
+            Ainv_in = Ainv.copy()
+            out = linalg.inv_shrink(Ainv_in, m)
+            assert _rel_to(out, reference_inv_shrink(Ainv, m)) < 1e-13, (n, m)
+            assert np.array_equal(Ainv_in, Ainv), (n, m)
 
 
 # The factor core calls LAPACK's dpotrf/dpotrs directly; scipy.linalg's
