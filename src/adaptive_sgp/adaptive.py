@@ -7,8 +7,9 @@ while streaming.  Every cache move is exact: a new sample is a rank-one
 update, and a change of the inducing set borders or restricts the cached
 kernel matrices and extends or shrinks the cached ``kuu_inv`` by bordered
 block identities.  ``rebuild_caches`` recomputes everything from the window
-and is needed only after a change to the kernel or noise, or when an
-extension is numerically rejected.  ``kxu`` is moved only while it is
+(``bound._window_setup``, which the bound also starts from) and is needed
+only after a change to the kernel or noise, or when an extension is
+numerically rejected.  ``kxu`` is moved only while it is
 carried (not ``None``).  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
 cache move marks ``b_lam`` stale, and ``refresh_b_lam`` factors it once per
 step, before the prediction's triangular solve.
@@ -25,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bound, linalg
+# perfbench test_tracer_installs_everywhere_and_restores pins kernel_matrix
 from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
 from .errors import InvalidLambda
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
@@ -86,10 +88,6 @@ class AdaptiveState:
     def weights(self) -> np.ndarray:
         return lambda_weights(self.window_y.shape[0], self.lam)
 
-    def kuu_jittered(self) -> np.ndarray:
-        Kuu = kernel_matrix(self.inducing, self.inducing, self.params)
-        return Kuu + self.jitter * np.eye(self.k_inducing)
-
 
 def from_batch(model: VsgpModel, window_x, window_y, lam: float,
                window_t: int, capacity_m: int) -> AdaptiveState:
@@ -147,19 +145,17 @@ def rebuild_caches(state: AdaptiveState) -> None:
     again on its next inducing addition.  ``Kuu~`` is factored once, and a
     jitter escalation of that factor is added to kuu as well, so kuu and
     kuu_inv always describe one matrix."""
-    w = state.weights()
-    Kxu = kernel_matrix(state.window_x, state.inducing, state.params)
-    state.s_y = Kxu.T @ (w * state.window_y)
-    state.s_k = Kxu.T @ (w[:, None] * Kxu)
-    state.s_k = 0.5 * (state.s_k + state.s_k.T)
-    state.w_ksum = state.params.variance * float(w.sum())
-    kuu = state.kuu_jittered()
-    f = linalg.cholesky_psd(kuu, 0.0)
-    if f.jitter_used:
-        kuu = kuu + f.jitter_used * np.eye(state.k_inducing)
-    state.kuu = kuu
+    s = bound._window_setup(state.window_x, state.window_y, state.inducing,
+                            state.params, state.log_noise, state.weights(),
+                            state.jitter)
+    state.s_y = s.s_y
+    state.s_k = 0.5 * (s.S_k + s.S_k.T)
+    state.w_ksum = state.params.variance * float(s.w.sum())
+    state.kuu = s.Kuu
+    if s.f_k.jitter_used:
+        state.kuu = s.Kuu + s.f_k.jitter_used * np.eye(state.k_inducing)
     state.kxu = None
-    state.kuu_inv = linalg.inv_from_factor(f)
+    state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None
 
 
@@ -186,13 +182,12 @@ def adaptive_bound_gradients(state: AdaptiveState) -> dict:
 
 
 def adaptive_q(state: AdaptiveState):
-    """Adaptive optimal variational mean and covariance:
-    mu = sigma^-2 V^T L^-1 (Kux L y),  A = V^T V,  V = L^-1 Kuu."""
+    """Adaptive optimal variational mean and covariance
+    (``bound._q_from_factor`` from the carried factor of B_lambda)."""
     if state.b_lam is None:
         refresh_b_lam(state)
-    f, l_s_y = state.b_lam
-    V = linalg.solve_lower(f, state.kuu)
-    return V.T @ l_s_y / state.noise_var, V.T @ V
+    return bound._q_from_factor(state.b_lam[0], state.s_y, state.kuu,
+                                state.noise_var)
 
 
 def kernel_row(state: AdaptiveState, x) -> np.ndarray:

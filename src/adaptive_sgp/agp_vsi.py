@@ -4,7 +4,8 @@ incoming sample over q, all inducing points, kernel, and noise.
 
 The per-sample likelihood expectations are Gaussian and therefore evaluated
 in closed form; no sampling is involved.  Only the ELBO is this module's
-own: it sets up through ``kernel._inducing_kernels``, predicts with
+own: it sets up through ``bound._window_setup``, whose one factor of Kuu
+gives both Kuu^-1 and the KL's log-determinant, predicts with
 ``vsgp.predict`` and slides the window with ``fast_agp.windowed_add``.
 """
 
@@ -13,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import bound, linalg
 from .adaptive import (AdaptiveState, lambda_weights, rebuild_caches,
                        skip_nonfinite, skipped_prediction)
-from .bound import _chain_to_params
 from .errors import NotPsd
 from .fast_agp import windowed_add
-from .kernel import KernelParams, _inducing_kernels
+from .kernel import KernelParams
 from .optim import Adam, ascent_step
 from .vsgp import PredictiveDist, VsgpModel, predict
 
@@ -46,22 +46,19 @@ def q_from_moments(mean: np.ndarray, cov: np.ndarray,
 
 
 def _setup(window_x, window_y, inducing, params, log_noise, q, lam, jitter):
-    """The ELBO's shared set-up: the kernel set-up, weights, noise, Q =
-    Kuu^-1, q's covariance A, the rows a_i = Kuu^-1 k_i of ``Amat``, the
-    residuals e, and the per-sample a_i^T A a_i and k_i^T a_i."""
-    X, U, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu = _inducing_kernels(
-        window_x, inducing, params, jitter)
-    y = np.asarray(window_y, dtype=float).ravel()
-    w = lambda_weights(y.shape[0], lam)
-    sig2 = float(np.exp(log_noise))
-    Q = linalg.inv_psd(Kuu, 0.0)
-    Amat = Kxu @ Q
-    e = y - Amat @ q.mean
+    """The ELBO's shared set-up: ``bound._window_setup`` under the
+    forgetting weights, Q = Kuu^-1 from its factor, q's covariance A, the
+    rows a_i = Kuu^-1 k_i of ``Amat``, the residuals e, and the per-sample
+    a_i^T A a_i and k_i^T a_i."""
+    s = bound._window_setup(window_x, window_y, inducing, params, log_noise,
+                            lambda_weights(np.size(window_y), lam), jitter)
+    Q = linalg.inv_from_factor(s.f_k)
+    Amat = s.Kxu @ Q
+    e = s.y - Amat @ q.mean
     A = q.cov
     u_quad = np.einsum("ij,ij->i", Amat @ A, Amat)
-    q_ii = np.einsum("ij,ij->i", Kxu, Amat)
-    return (X, U, w, sig2, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu, Q, A, Amat, e,
-            u_quad, q_ii)
+    q_ii = np.einsum("ij,ij->i", s.Kxu, Amat)
+    return s, Q, A, Amat, e, u_quad, q_ii
 
 
 def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
@@ -69,9 +66,9 @@ def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
                 jitter: float = 1e-6) -> float:
     """Forgetting-weighted ELBO: weighted expected log-likelihood terms
     (closed form) minus the unweighted KL(q || p(f_u))."""
-    _, U, w, sig2, _, _, _, Kuu, _, Q, A, _, e, u_quad, q_ii = _setup(
+    s, Q, A, _, e, u_quad, q_ii = _setup(
         window_x, window_y, inducing, params, log_noise, q, lam, jitter)
-    k = U.shape[0]
+    w, sig2 = s.w, s.sig2
     k_ii = params.variance
 
     lik = float(np.sum(w * (
@@ -82,10 +79,9 @@ def elbo_lambda(window_x, window_y, inducing, params: KernelParams,
     )))
 
     logdet_A = 2.0 * float(np.sum(np.log(np.diag(q.cov_chol))))
-    logdet_K = linalg.logdet(linalg.cholesky_psd(Kuu, 0.0))
     g = Q @ q.mean
-    kl = 0.5 * (float(np.sum(Q * A)) + float(q.mean @ g) - k
-                + logdet_K - logdet_A)
+    kl = 0.5 * (float(np.sum(Q * A)) + float(q.mean @ g) - s.U.shape[0]
+                + linalg.logdet(s.f_k) - logdet_A)
     return lik - kl
 
 
@@ -97,9 +93,9 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     The ``q_chol`` entry is expressed in the optimization parametrization:
     strict lower triangle as-is, diagonal in log-space.
     """
-    (X, U, w, sig2, d2_uu, d2_xu, Kuu_raw, _, Kxu, Q, A, Amat, e, u_quad,
-     q_ii) = _setup(window_x, window_y, inducing, params, log_noise, q, lam,
-                    jitter)
+    s, Q, A, Amat, e, u_quad, q_ii = _setup(
+        window_x, window_y, inducing, params, log_noise, q, lam, jitter)
+    w, sig2, Kxu, S_k = s.w, s.sig2, s.Kxu, s.S_k
     L = q.cov_chol
     we = w * e
     k_ii = params.variance
@@ -120,8 +116,6 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     g_ln = float(np.sum(w * (-0.5 + (e**2 + u_quad + (k_ii - q_ii)) / (2.0 * sig2))))
 
     s_e = Kxu.T @ we
-    WKxu = w[:, None] * Kxu
-    S_k = Kxu.T @ WKxu
     QSkQ = Q @ S_k @ Q
     QAQ = Q @ A @ Q
 
@@ -131,10 +125,10 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
         - 0.5 * QSkQ / sig2
         + 0.5 * (QAQ + np.outer(g, g) - Q)
     )
-    G_xu = linalg.add_outer(WKxu @ ((Q - QAQ) / sig2), we / sig2, g)
+    G_xu = linalg.add_outer(s.WKxu @ ((Q - QAQ) / sig2), we / sig2, g)
 
-    g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu,
-                                      d2_uu, d2_xu, params)
+    g_lv, g_ll, gU = bound._chain_to_params(G_uu, G_xu, s.X, s.U, s.Kuu_raw,
+                                            Kxu, s.d2_uu, s.d2_xu, params)
     g_lv += -params.variance * float(np.sum(w)) / (2.0 * sig2)
 
     return {

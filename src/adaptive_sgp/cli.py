@@ -93,7 +93,7 @@ def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
         if key in _INT_FIELDS:
             kwargs[key] = int(value)
         elif key in _FLOAT_FIELDS:
-            kwargs[key] = value if value == "auto" else float(value)
+            kwargs[key] = value if (key, value) == ("lam", "auto") else float(value)
         elif key == "model_kind":
             kwargs[key] = MODEL_FLAGS.get(str(value), str(value))
         else:

@@ -2,11 +2,11 @@
 
 Single isotropic lengthscale; both hyperparameters live in log-space so
 positivity never needs a constrained optimizer.  Data and inducing inputs
-are read by ``_as_inputs``.  The collapsed bound, the explicit-q ELBO and
-``vsgp.optimal_q`` set up ``Kuu``/``Kxu`` through ``_inducing_kernels``,
-whose squared distances the chain rule (``bound._chain_to_params``)
-reuses, so a gradient computes each distance matrix once.  A streaming
-step's one-point kernels, k(U, x) and k(X, x), are ``kernel_column``s.
+are read by ``_as_inputs``.  A window's ``Kuu``/``Kxu`` are built from
+``sq_dists`` by ``_from_sq_dists`` in ``bound._window_setup``, whose
+squared distances the chain rule (``bound._chain_to_params``) reuses, so a
+gradient computes each distance matrix once.  A streaming step's one-point
+kernels, k(U, x) and k(X, x), are ``kernel_column``s.
 """
 
 from dataclasses import dataclass
@@ -99,15 +99,3 @@ def _from_sq_dists(d2: np.ndarray, p: KernelParams) -> np.ndarray:
     """The kernel from squared distances, for callers that reuse them."""
     return p.variance * np.exp(-0.5 * d2 / p.lengthscale**2)
 
-
-def _inducing_kernels(X, U, p: KernelParams, jitter: float):
-    """``(X, U, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu)``: the inputs read by
-    ``_as_inputs``, the squared distances U-U and X-U, and the kernel
-    matrices built from them, ``Kuu`` with ``jitter`` on its diagonal and
-    ``Kuu_raw`` without it."""
-    X, U = _as_inputs(X), _as_inputs(U)
-    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
-    Kuu_raw = _from_sq_dists(d2_uu, p)
-    Kuu = Kuu_raw + jitter * np.eye(U.shape[0])
-    Kxu = _from_sq_dists(d2_xu, p)
-    return X, U, d2_uu, d2_xu, Kuu_raw, Kuu, Kxu

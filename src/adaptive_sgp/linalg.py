@@ -154,15 +154,6 @@ def inv_from_factor(f: CholFactor) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def inv_psd(A: np.ndarray, base_jitter: float = 0.0) -> np.ndarray:
-    """Dense inverse of an SPD matrix via its jittered Cholesky factor.
-
-    The inverse is that of ``A + jitter_used * I``: a caller that must keep
-    ``A`` and its inverse describing one matrix factors with
-    ``cholesky_psd`` and adds ``jitter_used`` to ``A`` itself."""
-    return inv_from_factor(cholesky_psd(A, base_jitter))
-
-
 def add_outer(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``A + x y^T`` for a C-ordered float ``A``, written into ``A`` with no
     temporary: BLAS ``dger`` updates its F-ordered transpose in place."""

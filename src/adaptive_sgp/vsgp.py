@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bound, linalg
-from .kernel import KernelParams, _as_inputs, _inducing_kernels, kernel_matrix
+from .kernel import KernelParams, _as_inputs, kernel_matrix
 from .optim import Adam, ascent_step
 
 DEFAULT_JITTER = 1e-6
@@ -53,28 +53,13 @@ def collapsed_bound(X, y, U, params: KernelParams, log_noise: float,
 
 def optimal_q(X, y, U, params: KernelParams, log_noise: float,
               jitter: float = DEFAULT_JITTER):
-    """Closed-form optimal variational mean and covariance.
-
-    mu = sigma^-2 Kuu B Kux y,  A = Kuu B Kuu,
+    """Closed-form optimal variational mean and covariance
+    (``bound._q_from_factor``): mu = sigma^-2 Kuu B Kux y,  A = Kuu B Kuu,
     with B = (Kuu + sigma^-2 Kux Kxu)^-1.
     """
-    return _optimal_q(X, y, U, params, log_noise, jitter)[:2]
-
-
-def _optimal_q(X, y, U, params: KernelParams, log_noise: float, jitter: float):
-    """``optimal_q``'s mean and covariance, and the jittered Kuu they were
-    built from."""
-    _, _, _, _, _, Kuu, Kxu = _inducing_kernels(X, U, params, jitter)
-    y = np.asarray(y, dtype=float).ravel()
-    sig2 = float(np.exp(log_noise))
-
-    f_b = linalg.cholesky_psd(Kuu + Kxu.T @ Kxu / sig2, 0.0)
-    BKuxy = linalg.solve_psd(f_b, Kxu.T @ y)
-    BKuu = linalg.solve_psd(f_b, Kuu)
-    mu = Kuu @ BKuxy / sig2
-    A = Kuu @ BKuu
-    A = 0.5 * (A + A.T)
-    return mu, A, Kuu
+    s, f_b = bound._factor(X, y, U, params, log_noise, np.ones(np.size(y)),
+                           jitter)
+    return bound._q_from_factor(f_b, s.s_y, s.Kuu, s.sig2)
 
 
 def predict(model: VsgpModel, xstar) -> PredictiveDist:
@@ -120,7 +105,8 @@ def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
 def train(X, y, U, params: KernelParams, log_noise: float, opt: Adam,
           iters: int, jitter: float) -> VsgpModel:
     """``iters`` Adam ascent steps on the collapsed bound over all of
-    (U, kernel, noise), then the optimal q and the cached Kuu inverse.
+    (U, kernel, noise), then the optimal q and the cached Kuu inverse from
+    one ``bound._factor``.
 
     ``X`` is N x D and ``y`` has N entries; ``opt`` keeps its moments, so a
     warm-started caller passes the same optimizer every time."""
@@ -130,7 +116,8 @@ def train(X, y, U, params: KernelParams, log_noise: float, opt: Adam,
                                            jitter)
         U, params, log_noise = ascent_step(opt, g, U, params, log_noise)
 
-    mu, A, Kuu = _optimal_q(X, y, U, params, log_noise, jitter)
-    kuu_inv = linalg.inv_psd(Kuu, 0.0)
+    s, f_b = bound._factor(X, y, U, params, log_noise, ones, jitter)
+    mu, A = bound._q_from_factor(f_b, s.s_y, s.Kuu, s.sig2)
     return VsgpModel(inducing=U, params=params, log_noise=log_noise,
-                     q_mean=mu, q_cov=A, kuu_inv=kuu_inv, jitter=jitter)
+                     q_mean=mu, q_cov=A, kuu_inv=linalg.inv_from_factor(s.f_k),
+                     jitter=jitter)

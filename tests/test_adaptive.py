@@ -11,6 +11,13 @@ from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
                      grad_close, make_state, rel)
 
 
+def _kuu_jittered(st):
+    # Kuu + jitter I from the kernel, not st.kuu, which also carries any
+    # jitter escalation of its factor
+    return (kernel_matrix(st.inducing, st.inducing, st.params)
+            + st.jitter * np.eye(st.k_inducing))
+
+
 def test_lambda_weights_values():
     assert np.allclose(adaptive.lambda_weights(4, 1.0), np.ones(4))
     assert np.allclose(adaptive.lambda_weights(3, 0.5), [0.25, 0.5, 1.0])
@@ -55,7 +62,7 @@ def test_bound_single_sample_scalar_formula():
     y = st.window_y[0]
     sig2 = st.noise_var
     kut = kernel_matrix(st.inducing, st.window_x, st.params).ravel()
-    q_tt = kut @ np.linalg.solve(st.kuu_jittered(), kut)
+    q_tt = kut @ np.linalg.solve(_kuu_jittered(st), kut)
     k_tt = st.params.variance
     var = sig2 + q_tt
     expected = (-0.5 * (np.log(2 * np.pi * var) + y ** 2 / var)
@@ -118,7 +125,7 @@ def test_adaptive_q_reduces_and_matches_dense():
     st2 = make_state(rng, lam=0.8)
     w = st2.weights()
     sig2 = st2.noise_var
-    Kuu = st2.kuu_jittered()
+    Kuu = _kuu_jittered(st2)
     Kxu = kernel_matrix(st2.window_x, st2.inducing, st2.params)
     B = np.linalg.inv(Kuu + Kxu.T @ (w[:, None] * Kxu) / sig2)
     mu_d = Kuu @ B @ Kxu.T @ (w * st2.window_y) / sig2
@@ -198,7 +205,7 @@ def test_relevance_total_direct_sum_oracle():
         st = make_state(rng)
         w = st.weights()
         Kxu = kernel_matrix(st.window_x, st.inducing, st.params)
-        Kuu = st.kuu_jittered()
+        Kuu = _kuu_jittered(st)
         direct = sum(
             w[i] * (st.params.variance - Kxu[i] @ np.linalg.solve(Kuu, Kxu[i]))
             for i in range(w.shape[0]))

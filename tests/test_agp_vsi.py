@@ -59,6 +59,19 @@ def test_degenerate_q_is_penalized():
     assert low < best
 
 
+def test_elbo_factors_kuu_once(monkeypatch):
+    # One factor of Kuu~ gives both Kuu^-1 and the KL's log-determinant.
+    rng = np.random.default_rng(3)
+    st = make_state(rng, t_cur=10, k=3, d=2, lam=0.9)
+    q = _optimal_q(st)
+    chol = count_calls(monkeypatch, linalg, "cholesky_psd")
+    inverses = count_calls(monkeypatch, linalg, "inv_from_factor")
+    elbo_lambda(st.window_x, st.window_y, st.inducing, st.params,
+                st.log_noise, q, st.lam, st.jitter)
+    assert chol[0] == 1
+    assert inverses[0] == 1
+
+
 def test_elbo_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     st = make_state(rng, t_cur=8, k=3, d=2, lam=0.8)

@@ -171,6 +171,26 @@ def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("key", ["r_th", "jitter", "lr"])
+def test_only_lambda_takes_auto(toy_csv, tmp_path, capsys, key):
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text(f"{key} = auto\n")
+    capsys.readouterr()
+    assert cli_main(["run", "--model", "fast-agp", "--data", str(toy_csv),
+                     "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_lambda_auto_runs(toy_csv, tmp_path):
+    summary = tmp_path / "summary.json"
+    assert cli_main(["run", "--model", "fast-agp", "--data", str(toy_csv),
+                     "--window-t", "50", "--capacity-m", "6",
+                     "--lambda", "auto", "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["n_steps"] == 450
+
+
 def test_sweep_lambda_schema(toy_csv, tmp_path):
     out = tmp_path / "sweep.csv"
     cfgfile = tmp_path / "run.cfg"

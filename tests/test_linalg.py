@@ -219,14 +219,15 @@ def test_solve_lower_equals_solve_triangular_bit_for_bit():
             assert np.array_equal(B_in, B), n
 
 
-def test_inv_psd_equals_cholesky_solve_formula():
-    # the formula inv_psd had when it went through scipy.linalg
+def test_inv_from_factor_equals_cholesky_solve_formula():
+    # the formula the inverse had when it went through scipy.linalg
     rng = np.random.default_rng(9)
     for n in range(1, 65):
         A = spd_matrix(rng, n)
         inv = scipy.linalg.cho_solve((scipy.linalg.cholesky(A, lower=True), True),
                                      np.eye(n))
-        assert np.array_equal(linalg.inv_psd(A, 0.0), 0.5 * (inv + inv.T)), n
+        got = linalg.inv_from_factor(linalg.cholesky_psd(A, 0.0))
+        assert np.array_equal(got, 0.5 * (inv + inv.T)), n
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -235,7 +236,7 @@ def test_non_finite_input_is_a_value_error(bad):
     A_bad = A.copy()
     A_bad[2, 1] = A_bad[1, 2] = bad
     for call in (lambda: linalg.cholesky_psd(A_bad, 0.0),
-                 lambda: linalg.inv_psd(A_bad, 0.0)):
+                 lambda: linalg.inv_from_factor(linalg.cholesky_psd(A_bad, 0.0))):
         with pytest.raises(ValueError, match="infs or NaNs"):
             call()
     A_bad = A.copy()
@@ -287,6 +288,6 @@ def test_well_conditioned_factor_logs_nothing(caplog):
     rng = np.random.default_rng(11)
     with caplog.at_level(logging.DEBUG, logger="adaptive_sgp.linalg"):
         for n in (1, 5, 40):
-            linalg.inv_psd(spd_matrix(rng, n), 0.0)
+            linalg.inv_from_factor(linalg.cholesky_psd(spd_matrix(rng, n), 0.0))
             linalg.cholesky_psd(spd_matrix(rng, n), 1e-6)
     assert _linalg_records(caplog) == []

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from adaptive_sgp import vsgp
+from adaptive_sgp import linalg, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
+from adaptive_sgp.optim import Adam
 
-from helpers import (dense_gp_lml, fd_gradient, flat_bound_gradients,
-                     grad_close, random_instance, random_params, rel)
+from helpers import (count_calls, dense_gp_lml, fd_gradient,
+                     flat_bound_gradients, grad_close, random_instance,
+                     random_params, record_calls, rel)
 
 
 def _dense_optimal_q(X, y, U, params, log_noise, jitter=1e-6):
@@ -165,6 +167,27 @@ def test_fit_batch_zero_iters_is_initialization():
     assert m1.params == p0 and m1.log_noise == ln0
     assert np.array_equal(m1.inducing, m2.inducing)
     assert np.array_equal(m1.q_mean, m2.q_mean)
+
+
+def test_train_factors_kuu_and_b_once_each(monkeypatch):
+    # After the ascent steps, one set-up gives the optimal q and the cached
+    # Kuu inverse: Kuu~ and B = Kuu~ + Kux Kxu / sig2 are factored once each,
+    # and the inverse comes from Kuu~'s factor.
+    X, y, U, p, ln = random_instance(np.random.default_rng(12), n=20, m=4, d=2)
+    factored = record_calls(monkeypatch, linalg, "cholesky_psd")
+    inverses = count_calls(monkeypatch, linalg, "inv_from_factor")
+    model = vsgp.train(X, y, U, p, ln, Adam(), 0, 1e-6)
+    Kuu = kernel_matrix(U, U, p) + 1e-6 * np.eye(4)
+    Kxu = kernel_matrix(X, U, p)
+    assert len(factored) == 2
+    assert np.array_equal(factored[0][0], Kuu)
+    assert np.allclose(factored[1][0], Kuu + Kxu.T @ Kxu / np.exp(ln),
+                       rtol=1e-12, atol=0.0)
+    assert inverses[0] == 1
+    assert np.array_equal(model.kuu_inv,
+                          linalg.inv_from_factor(linalg.cholesky_psd(Kuu)))
+    mu, A = vsgp.optimal_q(X, y, U, p, ln)
+    assert np.array_equal(model.q_mean, mu) and np.array_equal(model.q_cov, A)
 
 
 def test_fit_batch_improves_bound_on_toy_prefix():
