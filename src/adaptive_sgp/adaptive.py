@@ -1,16 +1,15 @@
-"""Forgetting-factor quantities shared by both streaming algorithms:
-weighted bound, adaptive optimal q, adaptive predictive distribution, and
-the relevance scores that drive inducing-set maintenance.
+"""The streaming state all four model kinds share (the sliding-window
+baseline at lambda = 1): weighted bound, adaptive optimal q and predictive
+distribution, relevance scores, and the one guarded update.
 
 The cached cross-moments (s_y, s_k, w_ksum) are the single source of truth
 while streaming.  Every cache move is exact: a new sample is a rank-one
 update, and a change of the inducing set borders or restricts the cached
 kernel matrices and extends or shrinks the cached ``kuu_inv`` by bordered
 block identities.  ``rebuild_caches`` recomputes everything from the window
-(``bound._window_setup``, which the bound also starts from) and is needed
-only after a change to the kernel or noise, or when an extension is
-numerically rejected.  ``kxu`` is moved only while it is
-carried (not ``None``).  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
+(``bound._window_setup``, which the bound also starts from); only
+``from_batch`` and ``_update_or_restore`` call it.  ``kxu`` is moved only
+while it is carried (not ``None``).  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
 cache move marks ``b_lam`` stale, and ``refresh_b_lam`` factors it once per
 step, before the prediction's triangular solve.
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import bound, linalg
 # perfbench test_tracer_installs_everywhere_and_restores pins kernel_matrix
 from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
-from .errors import InvalidLambda
+from .errors import InvalidLambda, NotPsd
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
 
 log = logging.getLogger(__name__)
@@ -107,12 +106,11 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
     return state
 
 
-def skip_nonfinite(state, x_new, y_new) -> bool:
+def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
     """True, after counting it in ``state.skipped_samples`` and logging a
     warning, when ``x_new`` or ``y_new`` holds an inf or NaN.
 
-    ``state`` is the step's ``AdaptiveState``, or the ``VsgpModel`` of the
-    sliding-window baseline.  Every streaming step then returns its
+    Every streaming step then returns its
     prediction and leaves its state and optimizer as they were, so the rest
     of the stream runs as if the sample had never arrived.  Steps call it
     before they predict, so that an inf or NaN input never reaches the
@@ -139,8 +137,8 @@ def rebuild_caches(state: AdaptiveState) -> None:
     """Recompute s_y, s_k, w_ksum, kuu, kuu_inv from the window (O(T M^2)),
     drop kxu and mark b_lam stale.
 
-    Needed after a kernel or noise change; inducing-set changes extend or
-    shrink the caches instead (``fast_agp``).  kxu is not kept: full mode
+    Needed after a parameter update; fast mode's inducing-set changes extend
+    or shrink the caches instead.  kxu is not kept: full mode
     rebuilds after every step and never reads it, and fast mode builds it
     again on its next inducing addition.  ``Kuu~`` is factored once, and a
     jitter escalation of that factor is added to kuu as well, so kuu and
@@ -157,6 +155,24 @@ def rebuild_caches(state: AdaptiveState) -> None:
     state.kxu = None
     state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None
+
+
+def _update_or_restore(state: AdaptiveState, move) -> bool:
+    """Run ``move()``, which changes the inducing points, kernel or noise,
+    and rebuild the caches there; True.  On ``NotPsd`` from either, put
+    those three back, rebuild there, count in ``state.skipped_updates`` and
+    warn; False, and the caller restores whatever else ``move()`` changed."""
+    before = state.inducing.copy(), state.params, state.log_noise
+    try:
+        move()
+        rebuild_caches(state)
+        return True
+    except NotPsd:
+        state.skipped_updates += 1
+        log.warning("update skipped: factorization failed")
+    state.inducing, state.params, state.log_noise = before
+    rebuild_caches(state)
+    return False
 
 
 def refresh_b_lam(state: AdaptiveState) -> None:

@@ -1,21 +1,16 @@
 """Full adaptive streaming model: every step slides the window, prunes the
 inducing set to M-1, adopts the new sample as an inducing point, and runs a
 single Adam ascent step on the noise, kernel hyperparameters, and the newest
-inducing point's coordinates.
+inducing point's coordinates.  It needs a capacity of at least 2.
 """
-
-import logging
 
 import numpy as np
 
-from .adaptive import (AdaptiveState, adaptive_bound_gradients,
-                       adaptive_predict, kernel_row, rebuild_caches,
+from .adaptive import (AdaptiveState, _update_or_restore,
+                       adaptive_bound_gradients, adaptive_predict, kernel_row,
                        refresh_b_lam, skip_nonfinite, skipped_prediction)
-from .errors import NotPsd
 from .fast_agp import prune_inducing, windowed_add
 from .optim import Adam, ascent_step
-
-log = logging.getLogger(__name__)
 
 
 def adam_params(lr: float = 0.05) -> Adam:
@@ -35,11 +30,9 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     ingest share one kernel row k(U, x_new).  B_lambda is factored only for
     the prediction: the ingest, the prune and the rebuild mark it stale.
 
-    A factorization failure in the gradient or in the rebuild after the
-    Adam step skips the update: the newest inducing point, the kernel and
-    the noise go back to their values before the Adam step, where the
-    caches are rebuilt, and the step counts in ``state.skipped_updates``.
-    A sample with an inf or NaN is counted and skipped whole
+    The Adam step and the rebuild run under ``_update_or_restore``, which
+    undoes a step whose gradient or rebuild fails to factor.  A sample with
+    an inf or NaN is counted and skipped whole
     (``skip_nonfinite``), leaving state and optimizer untouched; at an inf
     or NaN input the prediction is NaN (``skipped_prediction``).  The
     stream never aborts.
@@ -59,19 +52,12 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     # The newest inducing point is a brand-new parameter every step, so its
     # Adam moments restart; the hyperparameters keep theirs.
     opt.reset("inducing")
-    before = state.inducing[-1:].copy(), state.params, state.log_noise
-    try:
+
+    def move():
         g = adaptive_bound_gradients(state)
         g["inducing"] = g["inducing"][-1:]
         state.inducing[-1:], state.params, state.log_noise = ascent_step(
             opt, g, state.inducing[-1:], state.params, state.log_noise)
-        rebuild_caches(state)
-        return state, opt, pred
-    except NotPsd:
-        state.skipped_updates += 1
-        log.warning("inference step skipped: factorization failed")
-    # After a failed rebuild this is where the gradient has just factored
-    # the same matrices; after a failed gradient nothing has moved.
-    state.inducing[-1:], state.params, state.log_noise = before
-    rebuild_caches(state)
+
+    _update_or_restore(state, move)
     return state, opt, pred

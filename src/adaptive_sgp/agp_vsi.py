@@ -6,7 +6,7 @@ The per-sample likelihood expectations are Gaussian and therefore evaluated
 in closed form; no sampling is involved.  Only the ELBO is this module's
 own: it sets up through ``bound._window_setup``, whose one factor of Kuu
 gives both Kuu^-1 and the KL's log-determinant, predicts with
-``vsgp.predict`` and slides the window with ``fast_agp.windowed_add``.
+``vsgp.predict`` and slides like fast mode (``fast_agp.windowed_add``).
 """
 
 import logging
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bound, linalg
-from .adaptive import (AdaptiveState, lambda_weights, rebuild_caches,
+from .adaptive import (AdaptiveState, _update_or_restore, lambda_weights,
                        skip_nonfinite, skipped_prediction)
 from .errors import NotPsd
 from .fast_agp import windowed_add
@@ -165,38 +165,33 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
     an inf or NaN is counted and skipped (``skip_nonfinite``); at an inf or
     NaN input the prediction is NaN (``skipped_prediction``).
 
-    A factorization failure in the cache rebuild after the inner loop
-    skips the step's update: the inducing points, the kernel, the noise and
-    q go back to their values before the loop, where the caches are
-    rebuilt, and the step counts in ``state.skipped_updates``."""
+    The loop and the rebuild after it run under ``_update_or_restore``; a
+    failed rebuild puts q back as well, a failed iteration ends the loop."""
     if skip_nonfinite(state, x_new, y_new):
         return state, q, opt, skipped_prediction(
             x_new, lambda: vsi_predict(state, q, x_new))
     pred = vsi_predict(state, q, x_new)
     windowed_add(state, x_new, y_new)
 
-    before = (state.inducing, state.params, state.log_noise, q.mean,
-              q.cov_chol)
-    for _ in range(inner_iters):
-        try:
-            grads = elbo_gradients(state.window_x, state.window_y,
-                                   state.inducing, state.params,
-                                   state.log_noise, q, state.lam, state.jitter)
-        except NotPsd:
-            log.warning("VSI iteration skipped: factorization failed")
-            break
-        q.mean = q.mean + opt.step("q_mean", grads["q_mean"])
-        q.cov_chol = _apply_chol_update(q.cov_chol, opt.step("q_chol", grads["q_chol"]))
-        state.inducing, state.params, state.log_noise = ascent_step(
-            opt, grads, state.inducing, state.params, state.log_noise)
+    before = q.mean, q.cov_chol
 
-    try:
-        rebuild_caches(state)
-    except NotPsd:
-        state.skipped_updates += 1
-        log.warning("VSI update skipped: cache rebuild failed")
+    def move():
+        for _ in range(inner_iters):
+            try:
+                grads = elbo_gradients(state.window_x, state.window_y,
+                                       state.inducing, state.params,
+                                       state.log_noise, q, state.lam,
+                                       state.jitter)
+            except NotPsd:
+                log.warning("VSI iteration skipped: factorization failed")
+                break
+            q.mean = q.mean + opt.step("q_mean", grads["q_mean"])
+            q.cov_chol = _apply_chol_update(
+                q.cov_chol, opt.step("q_chol", grads["q_chol"]))
+            state.inducing, state.params, state.log_noise = ascent_step(
+                opt, grads, state.inducing, state.params, state.log_noise)
+
+    if not _update_or_restore(state, move):
         # Every update above builds new arrays, so these are untouched.
-        (state.inducing, state.params, state.log_noise, q.mean,
-         q.cov_chol) = before
-        rebuild_caches(state)
+        q.mean, q.cov_chol = before
     return state, q, opt, pred

@@ -20,7 +20,7 @@ class DimensionMismatch(AdaptiveSgpError):
 class SchurNotPositive(AdaptiveSgpError):
     """Bordered-matrix extension rejected: Schur complement not positive.
 
-    Callers are expected to fall back to a from-scratch factorization.
+    Fast mode then rejects the candidate inducing point.
     """
 
 

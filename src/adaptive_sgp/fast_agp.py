@@ -3,8 +3,7 @@
 inducing-point addition, scored before it is committed, by block extension
 of the cached kernel matrices and ``kuu_inv``, and pruning by block shrink
 of the same caches.  Kernel and noise parameters are never touched here, so
-no step rebuilds the caches from the window except the Schur-complement
-fallback of ``maybe_add_inducing``.
+no step rebuilds the caches from the window.
 
 A step builds one kernel row per sample: ``fast_agp_step`` computes
 k(U, x_new) once and passes it as ``k_new`` to the prediction, the slide
@@ -18,19 +17,16 @@ update (``linalg.add_outer``) of a new array.  Every cache move marks
 (``refresh_b_lam``) unless a skipped sample's prediction left it current.
 """
 
-import logging
 import math
 
 import numpy as np
 
 from . import linalg
 from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
-                       rebuild_caches, refresh_b_lam, relevance_total,
-                       removal_scores, skip_nonfinite, skipped_prediction)
+                       refresh_b_lam, relevance_total, removal_scores,
+                       skip_nonfinite, skipped_prediction)
 from .errors import SchurNotPositive
 from .kernel import kernel_column, kernel_matrix
-
-log = logging.getLogger(__name__)
 
 
 def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
@@ -112,8 +108,8 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
 
     An admitted candidate borders kuu, s_k and kxu (built here on first
     need), grows kuu_inv by bordered block extension (O(M^2) besides kxu's
-    column) and marks b_lam stale; a non-positive Schur complement (e.g. a
-    duplicated inducing point) falls back to a from-scratch rebuild.
+    column) and marks b_lam stale; one that cannot be bordered (e.g. a
+    duplicated inducing point at zero jitter) is rejected and counted.
     ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.
     """
     if relevance_total(state) <= r_th_tot:
@@ -133,15 +129,13 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     s_k = _border(state.s_k, s_k_row, s_k_diag)
     try:
         kuu_inv = linalg.inv_extend(state.kuu_inv, b_kuu, kuu_diag)
-        if (r_th is not None
-                and _prune_target(kuu_inv, s_k, r_th, max_k) == state.k_inducing):
-            state.rejected_candidates += 1
-            return state, False
-    except SchurNotPositive:
-        log.info("block extension rejected; rebuilding inverses from scratch")
-        state.inducing = np.concatenate((state.inducing, x_new))
-        rebuild_caches(state)
-        return state, True
+    except SchurNotPositive:        # x_new is in the span of the inducing set
+        kuu_inv = None
+    if kuu_inv is None or (
+            r_th is not None
+            and _prune_target(kuu_inv, s_k, r_th, max_k) == state.k_inducing):
+        state.rejected_candidates += 1
+        return state, False
 
     state.kuu_inv, state.b_lam, state.s_k = kuu_inv, None, s_k
     state.kuu = _border(state.kuu, b_kuu, kuu_diag)

@@ -49,8 +49,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS + ("persistence",):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.window_t < 1 or self.capacity_m < 1:
-            raise ValueError("window_t and capacity_m must be at least 1")
+        min_m = 2 if self.model_kind == "agp" else 1   # agp appends to M-1
+        if self.window_t < 1 or self.capacity_m < min_m:
+            raise ValueError(f"window_t must be at least 1 and capacity_m at "
+                             f"least {min_m} for {self.model_kind}")
         if self.capacity_m > self.window_t:
             raise ValueError("capacity_m must not exceed window_t")
         for name in ("init_iters", "inner_iters", "r_th", "jitter"):
@@ -136,27 +138,21 @@ def lag_embed(series, lags: int, horizon: int):
 
 
 def _stepper(config: ExperimentConfig, model: vsgp.VsgpModel, X0, y0):
-    """Streaming state for ``config.model_kind``, built from the batch model
-    fitted on the first T samples ``(X0, y0)``, behind one interface:
-    ``step(x, y) -> (pred_before, log_noise, k_inducing)``."""
+    """Streaming state for ``config.model_kind``, built by ``from_batch`` (at
+    lambda = 1 for w-vsgp) on the first T samples ``(X0, y0)``, behind one
+    interface: ``step(x, y) -> (pred_before, log_noise, k_inducing)``."""
     kind = config.model_kind
     opt = agp.adam_params(lr=config.lr)
-    if kind == "w_vsgp":
-        wx, wy = X0.copy(), y0.copy()
-
-        def step(x, y):
-            nonlocal model, wx, wy
-            model, _, wx, wy, pred = wvsgp.wvsgp_step(model, opt, wx, wy, x, y,
-                                                      config.inner_iters)
-            return pred, model.log_noise, model.inducing.shape[0]
-        return step
-
-    state = adaptive.from_batch(model, X0, y0, config.resolved_lambda(),
-                                config.window_t, config.capacity_m)
+    lam = 1.0 if kind == "w_vsgp" else config.resolved_lambda()
+    state = adaptive.from_batch(model, X0, y0, lam, config.window_t,
+                                config.capacity_m)
     if kind == "fast_agp":
         advance = lambda x, y: fast_agp.fast_agp_step(state, x, y, config.r_th)[1]
     elif kind == "agp":
         advance = lambda x, y: agp.agp_step(state, opt, x, y, config.r_th)[2]
+    elif kind == "w_vsgp":
+        advance = lambda x, y: wvsgp.wvsgp_step(state, opt, x, y,
+                                                config.inner_iters)[2]
     else:  # agp_vsi
         q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, config.jitter)
         advance = lambda x, y: agp_vsi.agp_vsi_step(state, q, opt, x, y,

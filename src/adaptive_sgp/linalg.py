@@ -169,8 +169,8 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     Raises
     ------
     SchurNotPositive
-        When the Schur complement is <= ``SCHUR_RTOL * max(|b0|, 1)``; the
-        caller should rebuild the inverse from scratch.
+        When the Schur complement is <= ``SCHUR_RTOL * max(|b0|, 1)``; fast
+        mode then rejects the candidate point.
     """
     Ainv = np.asarray(Ainv, dtype=float)
     b = np.asarray(b, dtype=float).ravel()

@@ -1,9 +1,9 @@
 """Batch variational sparse GP: collapsed bound, optimal variational
 distribution, predictive posterior, and Adam-based batch training
-(``train``, shared by ``fit_batch`` and the sliding-window baseline).
+(``train``, the ascent loop shared by ``fit_batch`` and the sliding-window
+baseline's retraining).
 
-Used both to initialize the streaming models and as the sliding-window
-baseline's inner model.
+``fit_batch`` initializes every streaming model kind.
 """
 
 from dataclasses import dataclass
@@ -40,7 +40,6 @@ class VsgpModel:
     q_cov: np.ndarray             # M x M
     kuu_inv: np.ndarray           # inverse of jittered Kuu
     jitter: float = DEFAULT_JITTER
-    skipped_samples: int = 0      # non-finite samples the w-vsgp stream skipped
 
 
 def collapsed_bound(X, y, U, params: KernelParams, log_noise: float,
@@ -87,8 +86,9 @@ def init_hyperparams(X, y) -> tuple[KernelParams, float]:
 
 def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
               jitter: float = DEFAULT_JITTER) -> VsgpModel:
-    """Train a batch model: subset-of-data inducing initialization followed
-    by ``iters`` Adam ascent steps on the collapsed bound."""
+    """Train a batch model: subset-of-data inducing initialization, ``iters``
+    Adam ascent steps on the collapsed bound (``train``), then the optimal
+    q and the cached Kuu inverse from one ``bound._factor``."""
     X = _as_inputs(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
@@ -99,14 +99,19 @@ def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
     U = X[rng.choice(n, size=M, replace=False)].copy()
     params, log_noise = init_hyperparams(X, y)
 
-    return train(X, y, U, params, log_noise, Adam(lr=lr), iters, jitter)
+    U, params, log_noise = train(X, y, U, params, log_noise, Adam(lr=lr),
+                                 iters, jitter)
+    s, f_b = bound._factor(X, y, U, params, log_noise, np.ones(n), jitter)
+    mu, A = bound._q_from_factor(f_b, s.s_y, s.Kuu, s.sig2)
+    return VsgpModel(inducing=U, params=params, log_noise=log_noise,
+                     q_mean=mu, q_cov=A, kuu_inv=linalg.inv_from_factor(s.f_k),
+                     jitter=jitter)
 
 
 def train(X, y, U, params: KernelParams, log_noise: float, opt: Adam,
-          iters: int, jitter: float) -> VsgpModel:
+          iters: int, jitter: float):
     """``iters`` Adam ascent steps on the collapsed bound over all of
-    (U, kernel, noise), then the optimal q and the cached Kuu inverse from
-    one ``bound._factor``.
+    (U, kernel, noise); returns ``(U, params, log_noise)``.
 
     ``X`` is N x D and ``y`` has N entries; ``opt`` keeps its moments, so a
     warm-started caller passes the same optimizer every time."""
@@ -115,9 +120,4 @@ def train(X, y, U, params: KernelParams, log_noise: float, opt: Adam,
         g = bound.weighted_bound_gradients(X, y, U, params, log_noise, ones,
                                            jitter)
         U, params, log_noise = ascent_step(opt, g, U, params, log_noise)
-
-    s, f_b = bound._factor(X, y, U, params, log_noise, ones, jitter)
-    mu, A = bound._q_from_factor(f_b, s.s_y, s.Kuu, s.sig2)
-    return VsgpModel(inducing=U, params=params, log_noise=log_noise,
-                     q_mean=mu, q_cov=A, kuu_inv=linalg.inv_from_factor(s.f_k),
-                     jitter=jitter)
+    return U, params, log_noise

@@ -1,36 +1,34 @@
 """Sliding-window batch baseline: at every step the batch model is retrained
 on the current window for a fixed number of Adam iterations, warm-started
-from the previous step's parameters.  No forgetting inside the window.
+from the previous step's parameters.  No forgetting inside the window: it
+streams on an ``AdaptiveState`` at lambda = 1.
 """
 
-from dataclasses import replace
-
-import numpy as np
-
 from . import vsgp
-from .adaptive import skip_nonfinite, skipped_prediction
+from .adaptive import (AdaptiveState, _update_or_restore, adaptive_predict,
+                       kernel_row, skip_nonfinite, skipped_prediction)
+from .fast_agp import windowed_add
 from .optim import Adam
 
 
-def wvsgp_step(model: vsgp.VsgpModel, opt: Adam, window_x, window_y,
-               x_new, y_new: float, inner_iters: int = 50):
-    """One prequential step.
+def wvsgp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
+               inner_iters: int = 50):
+    """One prequential step: predict, slide (``windowed_add``), then
+    ``vsgp.train`` on the window under ``_update_or_restore``; returns
+    ``(state, opt, pred_before)``.  A sample with an inf or NaN is counted
+    and skipped (``skip_nonfinite``); at an inf or NaN input the prediction
+    is NaN (``skipped_prediction``)."""
+    if skip_nonfinite(state, x_new, y_new):
+        return state, opt, skipped_prediction(
+            x_new, lambda: adaptive_predict(state, x_new))
+    k_new = kernel_row(state, x_new)
+    pred = adaptive_predict(state, x_new, k_new=k_new)
+    windowed_add(state, x_new, y_new, k_new=k_new)
 
-    Returns ``(model, opt, window_x, window_y, pred_before)``; the window is
-    slid after prediction and the model retrained in place.  A sample with
-    an inf or NaN is counted in ``model.skipped_samples`` and skipped
-    (``skip_nonfinite``); at an inf or NaN input the prediction is NaN
-    (``skipped_prediction``)."""
-    if skip_nonfinite(model, x_new, y_new):
-        return model, opt, window_x, window_y, skipped_prediction(
-            x_new, lambda: vsgp.predict(model, x_new))
-    pred = vsgp.predict(model, x_new)
+    def move():
+        state.inducing, state.params, state.log_noise = vsgp.train(
+            state.window_x, state.window_y, state.inducing, state.params,
+            state.log_noise, opt, inner_iters, state.jitter)
 
-    window_x = np.vstack([np.asarray(window_x, dtype=float),
-                          np.atleast_2d(np.asarray(x_new, dtype=float))])[1:]
-    window_y = np.append(np.asarray(window_y, dtype=float), float(y_new))[1:]
-
-    model = replace(vsgp.train(window_x, window_y, model.inducing, model.params,
-                               model.log_noise, opt, inner_iters, model.jitter),
-                    skipped_samples=model.skipped_samples)
-    return model, opt, window_x, window_y, pred
+    _update_or_restore(state, move)
+    return state, opt, pred

@@ -259,7 +259,7 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
                              lam=0.97724, window_t=100, capacity_m=10)
-    rebuild = agp.rebuild_caches
+    rebuild = adaptive.rebuild_caches
     calls = [0]
 
     def fails_once(state):
@@ -268,7 +268,7 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
             raise NotPsd("injected")
         rebuild(state)
 
-    monkeypatch.setattr(agp, "rebuild_caches", fails_once)
+    monkeypatch.setattr(adaptive, "rebuild_caches", fails_once)
     opt = agp.adam_params()
     for i in range(100, 130):
         params, log_noise = st.params, st.log_noise
@@ -328,14 +328,13 @@ def test_failed_inference_step_is_counted(monkeypatch):
 
 def _toy_predictions(kind, X, y):
     """Predictions of one model kind's step function over synth_toy past
-    the first 100 samples (T=100, M=10), and the object that counts skipped
-    samples (the state, or the w-vsgp model)."""
+    the first 100 samples (T=100, M=10), and its state."""
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
+    lam = 1.0 if kind == "w_vsgp" else 0.97724
     st = adaptive.from_batch(model, X[:100], y[:100],
-                             lam=0.97724, window_t=100, capacity_m=10)
+                             lam=lam, window_t=100, capacity_m=10)
     opt = agp.adam_params()
     q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, model.jitter)
-    wx, wy = X[:100], y[:100]
     preds = []
     for i in range(100, y.shape[0]):
         if kind == "agp":
@@ -345,9 +344,7 @@ def _toy_predictions(kind, X, y):
         elif kind == "agp_vsi":
             pred = agp_vsi.agp_vsi_step(st, q, opt, X[i], y[i], 10)[3]
         else:
-            model, opt, wx, wy, pred = wvsgp.wvsgp_step(model, opt, wx, wy,
-                                                        X[i], y[i], 10)
-            st = model
+            pred = wvsgp.wvsgp_step(st, opt, X[i], y[i], 10)[2]
         preds.append((pred.mean, pred.var))
     return np.array(preds), st
 

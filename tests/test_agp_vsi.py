@@ -180,7 +180,7 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
     st = adaptive.from_batch(model, X[:30], y[:30],
                              lam=0.95, window_t=30, capacity_m=4)
     q = _optimal_q(st)
-    rebuild = agp_vsi.rebuild_caches
+    rebuild = adaptive.rebuild_caches
     calls = [0]
 
     def fails_once(state):
@@ -189,7 +189,7 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
             raise NotPsd("injected")
         rebuild(state)
 
-    monkeypatch.setattr(agp_vsi, "rebuild_caches", fails_once)
+    monkeypatch.setattr(adaptive, "rebuild_caches", fails_once)
     opt = Adam(lr=0.05)
     for i in range(30, 45):
         before = (st.inducing.copy(), st.params, st.log_noise, q.mean.copy(),

@@ -183,6 +183,15 @@ def test_only_lambda_takes_auto(toy_csv, tmp_path, capsys, key):
     assert len(err.splitlines()) == 1
 
 
+def test_agp_with_capacity_one_is_one_error_line(toy_csv, capsys):
+    capsys.readouterr()
+    assert cli_main(["run", "--model", "agp", "--data", str(toy_csv),
+                     "--window-t", "20", "--capacity-m", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "capacity_m" in err and len(err.splitlines()) == 1
+
+
 def test_lambda_auto_runs(toy_csv, tmp_path):
     summary = tmp_path / "summary.json"
     assert cli_main(["run", "--model", "fast-agp", "--data", str(toy_csv),

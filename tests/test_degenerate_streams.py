@@ -134,6 +134,7 @@ def test_full_step_survives_degenerate_streams(case):
     for x, y in _samples(case, rng, state):
         _, _, pred = agp.agp_step(state, opt, x, y)
         _check_prediction(pred, x)
+        assert 1 <= state.k_inducing <= state.capacity_m
         assert np.isfinite(state.inducing).all()
         assert math.isfinite(state.log_noise)
     assert state.kxu is None

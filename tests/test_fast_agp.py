@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adaptive_sgp import adaptive, fast_agp, harness, linalg, optim, vsgp
+from adaptive_sgp import adaptive, fast_agp, harness, linalg, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (b_lam_inv, builds_between, count_calls, lagged_series,
@@ -189,6 +189,38 @@ def test_maybe_add_duplicate_point_falls_back():
     _caches_match(st, tol=1e-6)
 
 
+def test_unborderable_candidate_is_rejected_with_caches_kept(monkeypatch):
+    # At zero jitter a copy of an inducing point makes the bordered Kuu
+    # singular, so its Schur complement is roundoff and the extension is
+    # refused.  Fast mode rejects the candidate and counts it; it never
+    # rebuilds, and every cache stays as it was, bit for bit.
+    rng = np.random.default_rng(9)
+    st = make_state(rng, t_cur=8, k=3, d=2)
+    st.jitter = 0.0
+    adaptive.rebuild_caches(st)
+    st.kxu = kernel_matrix(st.window_x, st.inducing, st.params)
+    before = copy.deepcopy(st)
+    refused = []
+    extend = linalg.inv_extend
+
+    def spy(*args):
+        try:
+            return extend(*args)
+        except linalg.SchurNotPositive:
+            refused.append(args)
+            raise
+
+    monkeypatch.setattr(linalg, "inv_extend", spy)
+    rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
+    _, added = fast_agp.maybe_add_inducing(st, st.inducing[0].copy(), -1.0)
+    assert not added and len(refused) == 1 and rebuilds[0] == 0
+    assert st.rejected_candidates == 1
+    for name in ("inducing", "window_x", "window_y", "s_y", "s_k", "kuu",
+                 "kuu_inv", "kxu"):
+        assert np.array_equal(getattr(st, name), getattr(before, name)), name
+    assert st.w_ksum == before.w_ksum and st.b_lam is None
+
+
 def test_prune_keeps_equally_relevant_set():
     rng = np.random.default_rng(10)
     st = make_state(rng, t_cur=6, k=1, d=1)
@@ -280,9 +312,15 @@ def test_step_recovers_batch_solution():
         pred = adaptive.adaptive_predict(st, x_all[i])
         fast_agp.windowed_add(st, x_all[i], y_all[i])  # no add/prune path
         del pred
-    # the shared trainer run for zero iterations: q and Kuu^-1 on all data
-    batch = vsgp.train(x_all[:, None], y_all, model.inducing, model.params,
-                       model.log_noise, optim.Adam(), 0, model.jitter)
+    # the batch model's q on all data, with a directly inverted Kuu~
+    mu, A = vsgp.optimal_q(x_all[:, None], y_all, model.inducing,
+                           model.params, model.log_noise, model.jitter)
+    kuu = kernel_matrix(model.inducing, model.inducing, model.params)
+    batch = vsgp.VsgpModel(
+        inducing=model.inducing, params=model.params,
+        log_noise=model.log_noise, q_mean=mu, q_cov=A,
+        kuu_inv=np.linalg.inv(kuu + model.jitter * np.eye(kuu.shape[0])),
+        jitter=model.jitter)
     for xq in np.linspace(-2, 2, 9):
         pa = adaptive.adaptive_predict(st, np.array([xq]))
         pb = vsgp.predict(batch, np.array([xq]))

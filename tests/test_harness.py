@@ -173,19 +173,15 @@ def _hand_stream(kind, cfg, X, y):
                            seed=harness.derive_seed(cfg.seed, "inducing"),
                            lr=cfg.lr, jitter=cfg.jitter)
     opt = agp.adam_params(lr=cfg.lr)
-    wx, wy = X[:T].copy(), y[:T].copy()
-    state = adaptive.from_batch(model, X[:T], y[:T], cfg.resolved_lambda(),
-                                T, cfg.capacity_m)
+    lam = 1.0 if kind == "w_vsgp" else cfg.resolved_lambda()
+    state = adaptive.from_batch(model, X[:T], y[:T], lam, T, cfg.capacity_m)
     q = agp_vsi.q_from_moments(model.q_mean, model.q_cov, cfg.jitter)
     out = []
     for x_new, y_new in zip(X[T:], y[T:]):
         if kind == "w_vsgp":
-            model, opt, wx, wy, pred = wvsgp.wvsgp_step(
-                model, opt, wx, wy, x_new, y_new, cfg.inner_iters)
-            out.append((pred.mean, pred.var, float(np.exp(model.log_noise)),
-                        model.inducing.shape[0]))
-            continue
-        if kind == "fast_agp":
+            _, _, pred = wvsgp.wvsgp_step(state, opt, x_new, y_new,
+                                          cfg.inner_iters)
+        elif kind == "fast_agp":
             _, pred = fast_agp.fast_agp_step(state, x_new, y_new, cfg.r_th)
         elif kind == "agp":
             _, _, pred = agp.agp_step(state, opt, x_new, y_new, cfg.r_th)
@@ -207,6 +203,40 @@ def test_run_experiment_matches_hand_loop(kind):
     ours = [(r.pred_mean, r.pred_var, r.noise_var, r.k_inducing)
             for r in records]
     assert ours == _hand_stream(kind, cfg, X[:n], y[:n])
+
+
+@pytest.mark.parametrize("kind, per_step", [
+    ("fast_agp", 0), ("agp", 1), ("agp_vsi", 1), ("w_vsgp", 1)])
+def test_rebuild_budget_per_step(monkeypatch, kind, per_step):
+    # Fast mode moves its caches exactly and never rebuilds them; every
+    # other kind rebuilds once per step, after its parameter update.
+    t, y = synth_toy(seed=0)
+    X = t[:, None]
+    cfg = ExperimentConfig(model_kind=kind, window_t=100, capacity_m=10,
+                           inner_iters=3, seed=0)
+    model = vsgp.fit_batch(X[:100], y[:100], 10, 20, seed=0)
+    step = harness._stepper(cfg, model, X[:100], y[:100])
+    rebuilds = [0]
+    rebuild = adaptive.rebuild_caches
+
+    def counted(state):
+        rebuilds[0] += 1
+        rebuild(state)
+
+    monkeypatch.setattr(adaptive, "rebuild_caches", counted)
+    for i in range(100, 130):
+        step(X[i], y[i])
+    assert rebuilds[0] == 30 * per_step
+
+
+def test_agp_capacity_must_be_at_least_two():
+    # The prune stops at one point before the newest is appended, so agp at
+    # capacity 1 would hold 2 points; the config rejects it by name.
+    with pytest.raises(ValueError, match="capacity_m"):
+        ExperimentConfig(model_kind="agp", window_t=20, capacity_m=1)
+    for kind in ("fast_agp", "agp_vsi", "w_vsgp"):
+        ExperimentConfig(model_kind=kind, window_t=20, capacity_m=1)
+    ExperimentConfig(model_kind="agp", window_t=20, capacity_m=2)
 
 
 def test_run_experiment_rejects_short_input():

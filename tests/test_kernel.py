@@ -216,14 +216,18 @@ def test_gradients_build_each_distance_matrix_once(monkeypatch):
 
 
 def test_fit_batch_builds_each_distance_matrix_once(monkeypatch):
-    # 200 gradients at 2 each, and optimal_q's 2, whose jittered Kuu the
-    # cached inverse reuses; a sliding-window step adds its prediction's 1.
+    # 200 gradients at 2 each, and the final set-up's 2, whose jittered Kuu
+    # the cached inverse reuses.  A sliding-window step adds 5 gradients at
+    # 2 each and its rebuild's 2; its prediction and slide use one-point
+    # kernels (kernel_column), which build no distance matrix.
     calls = count_calls(monkeypatch, kernel, "sq_dists")
     X, y, U, p, ln = random_instance(np.random.default_rng(7), n=30, m=5, d=2)
     model = vsgp.fit_batch(X, y, 5, 200, seed=0)
     assert calls[0] == 402
-    wvsgp.wvsgp_step(model, Adam(), X, y, X[0], y[0], inner_iters=5)
-    assert calls[0] == 402 + 1 + 12
+    state = adaptive.from_batch(model, X, y, 1.0, 30, 5)
+    assert calls[0] == 402 + 2          # from_batch's rebuild
+    wvsgp.wvsgp_step(state, Adam(), X[0], y[0], inner_iters=5)
+    assert calls[0] == 402 + 2 + 12
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

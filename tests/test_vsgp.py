@@ -169,14 +169,15 @@ def test_fit_batch_zero_iters_is_initialization():
     assert np.array_equal(m1.q_mean, m2.q_mean)
 
 
-def test_train_factors_kuu_and_b_once_each(monkeypatch):
+def test_fit_batch_factors_kuu_and_b_once_each(monkeypatch):
     # After the ascent steps, one set-up gives the optimal q and the cached
     # Kuu inverse: Kuu~ and B = Kuu~ + Kux Kxu / sig2 are factored once each,
     # and the inverse comes from Kuu~'s factor.
-    X, y, U, p, ln = random_instance(np.random.default_rng(12), n=20, m=4, d=2)
+    X, y, _, _, _ = random_instance(np.random.default_rng(12), n=20, m=4, d=2)
     factored = record_calls(monkeypatch, linalg, "cholesky_psd")
     inverses = count_calls(monkeypatch, linalg, "inv_from_factor")
-    model = vsgp.train(X, y, U, p, ln, Adam(), 0, 1e-6)
+    model = vsgp.fit_batch(X, y, M=4, iters=0, seed=0)
+    U, p, ln = model.inducing, model.params, model.log_noise
     Kuu = kernel_matrix(U, U, p) + 1e-6 * np.eye(4)
     Kxu = kernel_matrix(X, U, p)
     assert len(factored) == 2
