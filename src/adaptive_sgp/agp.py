@@ -7,9 +7,8 @@ inducing point's coordinates.  It needs a capacity of at least 2.
 import numpy as np
 
 from .adaptive import (AdaptiveState, _update_or_restore,
-                       adaptive_bound_gradients, adaptive_predict, kernel_row,
-                       refresh_b_lam, skip_nonfinite, skipped_prediction)
-from .fast_agp import prune_inducing, windowed_add
+                       adaptive_bound_gradients)
+from .fast_agp import _predict_and_slide, prune_inducing
 from .optim import Adam, ascent_step
 
 
@@ -22,30 +21,21 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
              r_th: float = 1e-4):
     """One prequential step with a single inference iteration.
 
-    Order: factor B_lambda and predict, ingest x_new through
-    ``windowed_add``, prune to M-1 (the caches shrink with the inducing
-    set), adopt x_new as the newest inducing point, one Adam step on
-    {noise, kernel, newest point}, then rebuild the caches from scratch
-    once, since the kernel and noise have moved.  The prediction and the
-    ingest share one kernel row k(U, x_new).  B_lambda is factored only for
-    the prediction: the ingest, the prune and the rebuild mark it stale.
+    Order: predict and ingest x_new (``_predict_and_slide``), prune to M-1
+    (the caches shrink with the inducing set), adopt x_new as the newest
+    inducing point, one Adam step on {noise, kernel, newest point}, then
+    rebuild the caches from scratch once, since the kernel and noise have
+    moved.  B_lambda is factored only for the prediction: the ingest, the
+    prune and the rebuild mark it stale.
 
     The Adam step and the rebuild run under ``_update_or_restore``, which
-    undoes a step whose gradient or rebuild fails to factor.  A sample with
-    an inf or NaN is counted and skipped whole
-    (``skip_nonfinite``), leaving state and optimizer untouched; at an inf
-    or NaN input the prediction is NaN (``skipped_prediction``).  The
-    stream never aborts.
+    undoes a step whose gradient or rebuild fails to factor.  A sample the
+    opening skips (an inf or NaN) leaves state and optimizer untouched.
+    The stream never aborts.
     """
-    if skip_nonfinite(state, x_new, y_new):
-        return state, opt, skipped_prediction(
-            x_new, lambda: adaptive_predict(state, x_new))
-    if state.b_lam is None:
-        refresh_b_lam(state)
-    k_new = kernel_row(state, x_new)
-    pred = adaptive_predict(state, x_new, k_new=k_new)
-
-    windowed_add(state, x_new, y_new, k_new=k_new)
+    pred, k_new = _predict_and_slide(state, x_new, y_new)
+    if k_new is None:
+        return state, opt, pred
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)
     state.inducing = np.concatenate((state.inducing, state.window_x[-1:]))
 

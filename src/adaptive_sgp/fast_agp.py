@@ -5,16 +5,17 @@ of the cached kernel matrices and ``kuu_inv``, and pruning by block shrink
 of the same caches.  Kernel and noise parameters are never touched here, so
 no step rebuilds the caches from the window.
 
-A step builds one kernel row per sample: ``fast_agp_step`` computes
-k(U, x_new) once and passes it as ``k_new`` to the prediction, the slide
-and the admission, each of which builds the same row itself when it is
-omitted.  While ``kxu`` is carried the slide reads the departing row from
-it, and the admission builds only the candidate's column k(X, x_new).  All
-of these one-point kernels are ``kernel_column`` vectors, and each change
-of s_k or ``kuu_inv`` by one sample or one point is one BLAS rank-one
-update (``linalg.add_outer``) of a new array.  Every cache move marks
-``b_lam`` stale; the step factors B_lambda just before its prediction
-(``refresh_b_lam``) unless a skipped sample's prediction left it current.
+A step builds one kernel row per sample, k(U, x_new), in the opening all
+cache-predicting steps share (``_predict_and_slide``), and passes it as
+``k_new`` to the prediction, the slide and fast mode's admission, each of
+which builds it itself when it is omitted.  While ``kxu`` is carried the
+slide reads the departing row from it, and the admission builds only the
+candidate's column k(X, x_new).  All of these one-point kernels are
+``kernel_column`` vectors, and each change of s_k or ``kuu_inv`` by one
+sample or one point is one BLAS rank-one update (``linalg.add_outer``) of a
+new array.  Every cache move marks ``b_lam`` stale; the opening factors
+B_lambda just before its prediction (``refresh_b_lam``) unless a skipped
+sample's prediction left it current.
 """
 
 import math
@@ -66,6 +67,22 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
         state.kxu = np.concatenate((state.kxu, k_new[None]))[first:]
     state.b_lam = None
     return state
+
+
+def _predict_and_slide(state: AdaptiveState, x_new, y_new: float):
+    """The opening of every step that predicts from the caches: skip an inf
+    or NaN sample (``skip_nonfinite``; ``k_new`` is then None and nothing
+    moves), factor a stale B_lambda, build k(U, x_new) once, predict, then
+    slide (``windowed_add``).  Returns ``(pred, k_new)``."""
+    if skip_nonfinite(state, x_new, y_new):
+        return skipped_prediction(
+            x_new, lambda: adaptive_predict(state, x_new)), None
+    if state.b_lam is None:
+        refresh_b_lam(state)
+    k_new = kernel_row(state, x_new)
+    pred = adaptive_predict(state, x_new, k_new=k_new)
+    windowed_add(state, x_new, y_new, k_new=k_new)
+    return pred, k_new
 
 
 def _border(A: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
@@ -175,23 +192,15 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
 
 def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
                   r_th: float = 1e-4):
-    """One prequential step: predict, ingest, offer the sample as an
-    inducing point (scored against the same prune rule), then prune.
-
-    Returns ``(state, pred_before)`` where the prediction is made before the
-    new target is used for any update.  A sample with an inf or NaN is
-    counted and skipped (``skip_nonfinite``); at an inf or NaN input the
-    prediction is NaN (``skipped_prediction``).  The inducing set is the same
-    from the prediction to the admission, so all three share one kernel
-    row k(U, x_new)."""
-    if skip_nonfinite(state, x_new, y_new):
-        return state, skipped_prediction(
-            x_new, lambda: adaptive_predict(state, x_new))
-    if state.b_lam is None:
-        refresh_b_lam(state)
-    k_new = kernel_row(state, x_new)
-    pred = adaptive_predict(state, x_new, k_new=k_new)
-    windowed_add(state, x_new, y_new, k_new=k_new)
+    """One prequential step: predict and slide (``_predict_and_slide``),
+    offer the sample as an inducing point (scored against the same prune
+    rule), then prune.  Returns ``(state, pred_before)``, the prediction
+    made before the new target is used; a skipped sample moves nothing.
+    The inducing set is the same from the prediction to the admission, so
+    all three share one kernel row k(U, x_new)."""
+    pred, k_new = _predict_and_slide(state, x_new, y_new)
+    if k_new is None:
+        return state, pred
     r_th_tot = state.w_ksum / state.window_t
     maybe_add_inducing(state, x_new, r_th_tot, r_th=r_th,
                        max_k=state.capacity_m, k_new=k_new)
