@@ -27,7 +27,7 @@ import numpy as np
 from . import bound, linalg
 # perfbench test_tracer_installs_everywhere_and_restores pins kernel_matrix
 from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
-from .errors import InvalidLambda, NotPsd
+from .errors import DimensionMismatch, InvalidLambda, NotPsd
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
 
 log = logging.getLogger(__name__)
@@ -90,10 +90,22 @@ class AdaptiveState:
 
 def from_batch(model: VsgpModel, window_x, window_y, lam: float,
                window_t: int, capacity_m: int) -> AdaptiveState:
-    """Wrap a trained batch model as the initial streaming state."""
+    """Wrap a trained batch model as the initial streaming state.
+
+    The window may be shorter than ``window_t`` (it then grows), never
+    longer: ``windowed_add`` evicts only from a full window, so a longer one
+    would never slide (``ValueError``)."""
+    window_x = _as_inputs(window_x)
+    window_y = np.asarray(window_y, dtype=float).ravel()
+    if window_x.shape[0] != window_y.shape[0]:
+        raise DimensionMismatch(f"window_x has {window_x.shape[0]} rows but "
+                                f"window_y has {window_y.shape[0]} targets")
+    if window_y.shape[0] > window_t:
+        raise ValueError(f"window of {window_y.shape[0]} samples is longer "
+                         f"than window_t={window_t}")
     state = AdaptiveState(
-        window_x=_as_inputs(window_x).copy(),
-        window_y=np.asarray(window_y, dtype=float).ravel().copy(),
+        window_x=window_x.copy(),
+        window_y=window_y.copy(),
         inducing=model.inducing.copy(),
         params=model.params,
         log_noise=model.log_noise,
@@ -140,9 +152,9 @@ def rebuild_caches(state: AdaptiveState) -> None:
     Needed after a parameter update; fast mode's inducing-set changes extend
     or shrink the caches instead.  kxu is not kept: full mode
     rebuilds after every step and never reads it, and fast mode builds it
-    again on its next inducing addition.  ``Kuu~`` is factored once, and a
-    jitter escalation of that factor is added to kuu as well, so kuu and
-    kuu_inv always describe one matrix."""
+    again on its next inducing addition.  ``Kuu~`` is factored once, and kuu
+    is the matrix that factor describes (``bound._window_setup``), jitter
+    escalation included, so kuu and kuu_inv always describe one matrix."""
     s = bound._window_setup(state.window_x, state.window_y, state.inducing,
                             state.params, state.log_noise, state.weights(),
                             state.jitter)
@@ -150,8 +162,6 @@ def rebuild_caches(state: AdaptiveState) -> None:
     state.s_k = 0.5 * (s.S_k + s.S_k.T)
     state.w_ksum = state.params.variance * float(s.w.sum())
     state.kuu = s.Kuu
-    if s.f_k.jitter_used:
-        state.kuu = s.Kuu + s.f_k.jitter_used * np.eye(state.k_inducing)
     state.kxu = None
     state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None

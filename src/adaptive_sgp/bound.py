@@ -36,7 +36,8 @@ def _window_setup(X, y, U, params: KernelParams, log_noise: float, weights,
     distances U-U and X-U and the kernel matrices built from them (``Kuu``
     with ``jitter`` on its diagonal, ``Kuu_raw`` without it), W Kxu, W y,
     the weighted cross-moments S_k = Kux W Kxu and s_y = Kux W y, and the
-    factor of Kuu."""
+    factor ``f_k`` of Kuu.  When that factor escalates its jitter, ``Kuu``
+    carries the escalation too, so it is the matrix ``f_k`` factors."""
     X, U = _as_inputs(X), _as_inputs(U)
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
@@ -46,9 +47,12 @@ def _window_setup(X, y, U, params: KernelParams, log_noise: float, weights,
     Kxu = _from_sq_dists(d2_xu, params)
     WKxu = w[:, None] * Kxu
     Wy = w * y
+    S_k, s_y = Kxu.T @ WKxu, Kxu.T @ Wy
+    f_k = linalg.cholesky_psd(Kuu, 0.0)
+    if f_k.jitter_used:
+        Kuu = Kuu + f_k.jitter_used * np.eye(U.shape[0])
     return _WindowSetup(X, y, U, w, float(np.exp(log_noise)), d2_uu, d2_xu,
-                        Kuu_raw, Kuu, Kxu, WKxu, Wy, Kxu.T @ WKxu, Kxu.T @ Wy,
-                        linalg.cholesky_psd(Kuu, 0.0))
+                        Kuu_raw, Kuu, Kxu, WKxu, Wy, S_k, s_y, f_k)
 
 
 def _factor(X, y, U, params: KernelParams, log_noise: float, weights,

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import adaptive, agp, agp_vsi, fast_agp, vsgp, wvsgp
-from .errors import EmptyRecords, InvalidLambda, MapeUndefined, TooShort
+from .errors import (DimensionMismatch, EmptyRecords, InvalidLambda,
+                     MapeUndefined, TooShort)
 from .kernel import _as_inputs
 
 MODEL_KINDS = ("fast_agp", "agp", "agp_vsi", "w_vsgp")
@@ -170,6 +171,9 @@ def run_experiment(config: ExperimentConfig, X_all, y_all):
         raise ValueError(f"unsupported model kind {config.model_kind!r}")
     X_all = _as_inputs(X_all)
     y_all = np.asarray(y_all, dtype=float).ravel()
+    if X_all.shape[0] != y_all.shape[0]:
+        raise DimensionMismatch(f"X_all has {X_all.shape[0]} rows but y_all "
+                                f"has {y_all.shape[0]} targets")
     T = config.window_t
     if y_all.shape[0] < T + 1:
         raise TooShort(f"need at least T+1={T + 1} samples, got {y_all.shape[0]}")

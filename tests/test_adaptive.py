@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, vsgp
-from adaptive_sgp.errors import InvalidLambda
+from adaptive_sgp import adaptive, bound, fast_agp, vsgp
+from adaptive_sgp.errors import DimensionMismatch, InvalidLambda
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
-                     grad_close, make_state, rel)
+                     grad_close, make_state, random_instance, rel)
 
 
 def _kuu_jittered(st):
@@ -255,3 +255,42 @@ def test_rebuild_keeps_kuu_and_kuu_inv_one_matrix():
         raw = kernel_matrix(st.inducing, st.inducing, st.params)
         assert np.max(np.abs(st.kuu - raw)) > 0.0      # the escalation
         assert np.max(np.abs(st.kuu @ st.kuu_inv - np.eye(4))) < 1e-6
+
+
+def test_window_setup_kuu_is_the_matrix_its_factor_describes():
+    # The duplicated inducing point above, at zero jitter: chol(Kuu)
+    # escalates its jitter.  Binv = Kuu~ + S_k/sig2 must be formed from the
+    # same escalated Kuu~, so that the bound, q and the caches read one
+    # matrix; factoring an unescalated Binv would escalate separately.
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        st = make_state(rng, t_cur=12, k=3, d=2)
+        st.jitter = 0.0
+        st.params = KernelParams(0.0, st.params.log_lengthscale)
+        st.inducing = np.vstack([st.inducing[:1], st.inducing])
+        s, f_b = bound._factor(st.window_x, st.window_y, st.inducing,
+                               st.params, st.log_noise, st.weights(), 0.0)
+        assert s.f_k.jitter_used > 0.0
+        kuu = s.f_k.lower @ s.f_k.lower.T
+        binv = f_b.lower @ f_b.lower.T
+        assert rel(binv - s.S_k / s.sig2, kuu) < 1e-12
+        assert rel(s.Kuu, kuu) < 1e-12
+        adaptive.rebuild_caches(st)
+        assert np.array_equal(st.kuu, s.Kuu)
+
+
+def test_from_batch_rejects_a_window_it_could_never_slide():
+    # windowed_add evicts only from a full window, so a window longer than
+    # window_t would never slide and each step would cost more; a shorter
+    # one grows to window_t and then slides.
+    X, y, _, _, _ = random_instance(np.random.default_rng(25), n=80, m=5, d=1)
+    model = vsgp.fit_batch(X, y, 5, 5, seed=0)
+    with pytest.raises(ValueError, match="window_t"):
+        adaptive.from_batch(model, X, y, 0.9, 50, 5)
+    with pytest.raises(DimensionMismatch, match="80.*79"):
+        adaptive.from_batch(model, X, y[:79], 0.9, 80, 5)
+    st = adaptive.from_batch(model, X[:30], y[:30], 0.9, 50, 5)
+    for i in range(30, 80):
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        assert st.window_y.shape[0] == min(i + 1, 50)
+    assert np.array_equal(st.window_y, y[30:])

@@ -3,16 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, vsgp,
-                          wvsgp)
+from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, kernel,
+                          vsgp, wvsgp)
 from adaptive_sgp.adaptive import lambda_weights, rebuild_caches
-from adaptive_sgp.errors import EmptyRecords, InvalidLambda, MapeUndefined, TooShort
+from adaptive_sgp.errors import (DimensionMismatch, EmptyRecords, InvalidLambda,
+                                 MapeUndefined, TooShort)
 from adaptive_sgp.harness import (ExperimentConfig, StreamRecord, ci95_coverage,
                                   lag_embed, mape, mse, persistence_baseline,
                                   run_experiment, summarize, synth_toy,
                                   toy_signal, transition_mse)
 
-from helpers import make_state
+from helpers import builds_between, count_calls, make_state, record_calls
 
 
 def _rec(y_true, pred_mean, pred_var=0.1, noise_var=0.1, x=0.0):
@@ -205,28 +206,41 @@ def test_run_experiment_matches_hand_loop(kind):
     assert ours == _hand_stream(kind, cfg, X[:n], y[:n])
 
 
-@pytest.mark.parametrize("kind, per_step", [
-    ("fast_agp", 0), ("agp", 1), ("agp_vsi", 1), ("w_vsgp", 1)])
-def test_rebuild_budget_per_step(monkeypatch, kind, per_step):
+@pytest.mark.parametrize("kind, per_step, refreshes, rows", [
+    pytest.param("fast_agp", 0, 1, 1, id="fast_agp-0"),
+    pytest.param("agp", 1, 1, 1, id="agp-1"),
+    pytest.param("agp_vsi", 1, 0, None, id="agp_vsi-1"),
+    pytest.param("w_vsgp", 1, 1, 1, id="w_vsgp-1")])
+def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes, rows):
     # Fast mode moves its caches exactly and never rebuilds them; every
-    # other kind rebuilds once per step, after its parameter update.
+    # other kind rebuilds once per step, after its parameter update.  The
+    # three kinds that predict from the caches share one opening
+    # (fast_agp._predict_and_slide): one B_lambda factorization and one
+    # kernel row k(U, x_new) per step.  agp_vsi predicts from its explicit
+    # q and never factors B_lambda.
     t, y = synth_toy(seed=0)
     X = t[:, None]
     cfg = ExperimentConfig(model_kind=kind, window_t=100, capacity_m=10,
                            inner_iters=3, seed=0)
     model = vsgp.fit_batch(X[:100], y[:100], 10, 20, seed=0)
+    states = []
+    from_batch = adaptive.from_batch
+    monkeypatch.setattr(adaptive, "from_batch",
+                        lambda *args: states.append(from_batch(*args))
+                        or states[-1])
     step = harness._stepper(cfg, model, X[:100], y[:100])
-    rebuilds = [0]
-    rebuild = adaptive.rebuild_caches
-
-    def counted(state):
-        rebuilds[0] += 1
-        rebuild(state)
-
-    monkeypatch.setattr(adaptive, "rebuild_caches", counted)
+    rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
+    refresh = count_calls(monkeypatch, adaptive, "refresh_b_lam")
+    kernel_calls = record_calls(monkeypatch, kernel, "kernel_matrix",
+                                "kernel_column")
     for i in range(100, 130):
+        before = states[0].inducing.copy()
+        del kernel_calls[:]
         step(X[i], y[i])
+        if rows is not None:
+            assert builds_between(kernel_calls, before, X[i]) == rows, i
     assert rebuilds[0] == 30 * per_step
+    assert refresh[0] == 30 * refreshes
 
 
 def test_agp_capacity_must_be_at_least_two():
@@ -243,6 +257,21 @@ def test_run_experiment_rejects_short_input():
     cfg = ExperimentConfig(window_t=50, capacity_m=5)
     with pytest.raises(TooShort):
         run_experiment(cfg, np.arange(50.0), np.arange(50.0))
+
+
+def test_run_experiment_rejects_mismatched_lengths_before_fitting(monkeypatch):
+    # zip() would stream only as many samples as the shorter array holds
+    # and drop the rest without a word.
+    def fit_batch(*args, **kwargs):
+        raise AssertionError("fit_batch called on mismatched inputs")
+
+    monkeypatch.setattr(vsgp, "fit_batch", fit_batch)
+    t, y = synth_toy(0)
+    cfg = ExperimentConfig(model_kind="fast_agp", window_t=50, capacity_m=5)
+    with pytest.raises(DimensionMismatch, match="120.*200"):
+        run_experiment(cfg, t[:120], y[:200])
+    with pytest.raises(DimensionMismatch, match="200.*120"):
+        run_experiment(cfg, t[:200], y[:120])
 
 
 def test_run_experiment_rejects_persistence_before_fitting(monkeypatch):

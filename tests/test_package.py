@@ -1,5 +1,6 @@
-"""Package hygiene: module-level imports only, no stale exports, and the
-test run's BLAS pinned to the thread count conftest.py sets."""
+"""Package hygiene: module-level imports only, each one used, no stale
+exports, and the test run's BLAS pinned to the thread count conftest.py
+sets."""
 
 import ast
 import ctypes
@@ -25,6 +26,36 @@ def test_no_imports_inside_functions():
                           for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside function bodies: {found}"
+
+
+# Imports a module keeps without using them, each pinned by a test
+# elsewhere, with the reason.
+UNUSED_IMPORTS_ALLOWED = {
+    ("adaptive.py", "kernel_matrix"):
+        "perfbench test_tracer_installs_everywhere_and_restores asserts that "
+        "adaptive binds it",
+}
+
+
+def _unused_imports(path: Path) -> set:
+    """Names bound by a module-level import of ``path`` that its code never
+    reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+def test_no_unused_imports():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py" for name in _unused_imports(path)}
+    assert found == set(UNUSED_IMPORTS_ALLOWED), (
+        f"unused imports: {sorted(found - set(UNUSED_IMPORTS_ALLOWED))}; "
+        f"stale allow-list entries: "
+        f"{sorted(set(UNUSED_IMPORTS_ALLOWED) - found)}")
 
 
 def test_every_export_resolves():
