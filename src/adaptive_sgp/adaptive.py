@@ -90,11 +90,9 @@ class AdaptiveState:
 
 def from_batch(model: VsgpModel, window_x, window_y, lam: float,
                window_t: int, capacity_m: int) -> AdaptiveState:
-    """Wrap a trained batch model as the initial streaming state.
-
-    The window may be shorter than ``window_t`` (it then grows), never
-    longer: ``windowed_add`` evicts only from a full window, so a longer one
-    would never slide (``ValueError``)."""
+    """Wrap a trained batch model as the initial streaming state.  The
+    window may be shorter than ``window_t``, never longer: ``windowed_add``
+    evicts only from a full window, so a longer one would never slide."""
     window_x = _as_inputs(window_x)
     window_y = np.asarray(window_y, dtype=float).ravel()
     if window_x.shape[0] != window_y.shape[0]:

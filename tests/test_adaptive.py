@@ -239,18 +239,23 @@ def test_reduction_law_property_suite():
         assert pred.var >= 0.0
 
 
+def _with_duplicated_point(rng):
+    """A state with no base jitter and unit signal variance whose first
+    inducing point is duplicated, so Kuu's second Cholesky pivot is exactly
+    1 - 1 = 0 and the factor escalates the jitter."""
+    st = make_state(rng, t_cur=12, k=3, d=2)
+    st.jitter = 0.0
+    st.params = KernelParams(0.0, st.params.log_lengthscale)
+    st.inducing = np.vstack([st.inducing[:1], st.inducing])
+    return st
+
+
 def test_rebuild_keeps_kuu_and_kuu_inv_one_matrix():
-    # With no base jitter and unit signal variance, an inducing point
-    # followed by its duplicate makes Kuu's second Cholesky pivot exactly
-    # 1 - 1 = 0, so the factor escalates the jitter.  kuu must carry that
-    # escalation, or kuu @ kuu_inv is off the identity by O(1) in the
-    # duplicated direction.
+    # kuu must carry the jitter escalation, or kuu @ kuu_inv is off the
+    # identity by O(1) in the duplicated direction.
     rng = np.random.default_rng(24)
     for _ in range(10):
-        st = make_state(rng, t_cur=12, k=3, d=2)
-        st.jitter = 0.0
-        st.params = KernelParams(0.0, st.params.log_lengthscale)
-        st.inducing = np.vstack([st.inducing[:1], st.inducing])
+        st = _with_duplicated_point(rng)
         adaptive.rebuild_caches(st)
         raw = kernel_matrix(st.inducing, st.inducing, st.params)
         assert np.max(np.abs(st.kuu - raw)) > 0.0      # the escalation
@@ -258,16 +263,12 @@ def test_rebuild_keeps_kuu_and_kuu_inv_one_matrix():
 
 
 def test_window_setup_kuu_is_the_matrix_its_factor_describes():
-    # The duplicated inducing point above, at zero jitter: chol(Kuu)
-    # escalates its jitter.  Binv = Kuu~ + S_k/sig2 must be formed from the
-    # same escalated Kuu~, so that the bound, q and the caches read one
-    # matrix; factoring an unescalated Binv would escalate separately.
+    # Binv = Kuu~ + S_k/sig2 must be formed from the escalated Kuu~, so
+    # that the bound, q and the caches read one matrix; an unescalated Binv
+    # would escalate its own factor separately.
     rng = np.random.default_rng(24)
     for _ in range(10):
-        st = make_state(rng, t_cur=12, k=3, d=2)
-        st.jitter = 0.0
-        st.params = KernelParams(0.0, st.params.log_lengthscale)
-        st.inducing = np.vstack([st.inducing[:1], st.inducing])
+        st = _with_duplicated_point(rng)
         s, f_b = bound._factor(st.window_x, st.window_y, st.inducing,
                                st.params, st.log_noise, st.weights(), 0.0)
         assert s.f_k.jitter_used > 0.0

@@ -225,9 +225,12 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes, rows):
     model = vsgp.fit_batch(X[:100], y[:100], 10, 20, seed=0)
     states = []
     from_batch = adaptive.from_batch
-    monkeypatch.setattr(adaptive, "from_batch",
-                        lambda *args: states.append(from_batch(*args))
-                        or states[-1])
+
+    def kept(*args):
+        states.append(from_batch(*args))
+        return states[-1]
+
+    monkeypatch.setattr(adaptive, "from_batch", kept)
     step = harness._stepper(cfg, model, X[:100], y[:100])
     rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
     refresh = count_calls(monkeypatch, adaptive, "refresh_b_lam")
