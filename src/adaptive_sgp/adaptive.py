@@ -120,27 +120,17 @@ def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
     """True, after counting it in ``state.skipped_samples`` and logging a
     warning, when ``x_new`` or ``y_new`` holds an inf or NaN.
 
-    Every streaming step then returns its
-    prediction and leaves its state and optimizer as they were, so the rest
-    of the stream runs as if the sample had never arrived.  Steps call it
-    before they predict, so that an inf or NaN input never reaches the
-    kernel (``skipped_prediction``)."""
+    Every streaming step then returns its prediction and leaves its state
+    and optimizer as they were, so the rest of the stream runs as if the
+    sample had never arrived.  The steps' one opening
+    (``fast_agp._predict_and_slide``) calls it before it predicts, so that
+    an inf or NaN input never reaches the kernel."""
     if math.isfinite(y_new) and np.isfinite(x_new).all():
         return False
     state.skipped_samples += 1
     log.warning("non-finite sample skipped (x=%s, y=%s); %d skipped so far",
                 x_new, y_new, state.skipped_samples)
     return True
-
-
-def skipped_prediction(x_new, predict) -> PredictiveDist:
-    """The prediction a step returns for a sample ``skip_nonfinite``
-    skipped: ``predict()`` when ``x_new`` is finite (only the target is
-    bad), else a NaN mean and variance without evaluating the kernel at the
-    inf or NaN input."""
-    if np.isfinite(x_new).all():
-        return predict()
-    return PredictiveDist(mean=math.nan, var=math.nan)
 
 
 def rebuild_caches(state: AdaptiveState) -> None:

@@ -5,8 +5,9 @@ incoming sample over q, all inducing points, kernel, and noise.
 The per-sample likelihood expectations are Gaussian and therefore evaluated
 in closed form; no sampling is involved.  Only the ELBO is this module's
 own: it sets up through ``bound._window_setup``, whose one factor of Kuu
-gives both Kuu^-1 and the KL's log-determinant, predicts with
-``vsgp.predict`` and slides like fast mode (``fast_agp.windowed_add``).
+gives both Kuu^-1 and the KL's log-determinant.  A step opens like every
+other (``fast_agp._predict_and_slide``), predicting from the one row
+k(U, x_new) with the q-form ``vsgp.predict`` uses.
 """
 
 import logging
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bound, linalg
-from .adaptive import (AdaptiveState, _update_or_restore, lambda_weights,
-                       skip_nonfinite, skipped_prediction)
+from .adaptive import AdaptiveState, _update_or_restore, lambda_weights
 from .errors import NotPsd
-from .fast_agp import windowed_add
+from .fast_agp import _predict_and_slide
 from .kernel import KernelParams
 from .optim import Adam, ascent_step
-from .vsgp import PredictiveDist, VsgpModel, predict
+from .vsgp import _q_predict
 
 log = logging.getLogger(__name__)
 
@@ -141,15 +141,6 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
     }
 
 
-def vsi_predict(state: AdaptiveState, q: VariationalQ, xstar) -> PredictiveDist:
-    """Predictive distribution using the explicit q: ``vsgp.predict`` on
-    the batch-model view of the inducing set, the kernel and q."""
-    return predict(VsgpModel(inducing=state.inducing, params=state.params,
-                             log_noise=state.log_noise, q_mean=q.mean,
-                             q_cov=q.cov, kuu_inv=state.kuu_inv,
-                             jitter=state.jitter), xstar)
-
-
 def _apply_chol_update(L: np.ndarray, upd: np.ndarray) -> np.ndarray:
     out = L + np.tril(upd, -1)
     out[np.diag_indices_from(out)] = np.diag(L) * np.exp(np.diag(upd))
@@ -161,17 +152,17 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
     """One prequential step: predict with the current q, slide the window,
     then run ``inner_iters`` Adam ascent iterations on the weighted ELBO
     jointly over q, all inducing points, kernel, and noise.  The prediction
-    reads q, never B_lambda, so the step never factors it.  A sample with
-    an inf or NaN is counted and skipped (``skip_nonfinite``); at an inf or
-    NaN input the prediction is NaN (``skipped_prediction``).
+    reads q, never B_lambda, so the step never factors it; it opens like
+    every step (``fast_agp._predict_and_slide``), which skips a sample with
+    an inf or NaN.
 
     The loop and the rebuild after it run under ``_update_or_restore``; a
     failed rebuild puts q back as well, a failed iteration ends the loop."""
-    if skip_nonfinite(state, x_new, y_new):
-        return state, q, opt, skipped_prediction(
-            x_new, lambda: vsi_predict(state, q, x_new))
-    pred = vsi_predict(state, q, x_new)
-    windowed_add(state, x_new, y_new)
+    pred, k_new = _predict_and_slide(
+        state, x_new, y_new, lambda k: _q_predict(
+            k, state.params.variance, state.kuu_inv, q.mean, q.cov))
+    if k_new is None:
+        return state, q, opt, pred
 
     before = q.mean, q.cov_chol
 

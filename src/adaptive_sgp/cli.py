@@ -199,10 +199,10 @@ def cmd_run(args) -> int:
     if args.records:
         write_records_csv(args.records, per_seed)
     if args.summary:
+        text = json.dumps(_summary_json(summaries, config.model_kind == "persistence"),
+                          indent=2, sort_keys=True, allow_nan=False)
         with open(args.summary, "w") as fh:
-            json.dump(_summary_json(summaries, config.model_kind == "persistence"),
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     return 0
 
 

@@ -5,17 +5,17 @@ of the cached kernel matrices and ``kuu_inv``, and pruning by block shrink
 of the same caches.  Kernel and noise parameters are never touched here, so
 no step rebuilds the caches from the window.
 
-A step builds one kernel row per sample, k(U, x_new), in the opening all
-cache-predicting steps share (``_predict_and_slide``), and passes it as
-``k_new`` to the prediction, the slide and fast mode's admission, each of
-which builds it itself when it is omitted.  While ``kxu`` is carried the
-slide reads the departing row from it, and the admission builds only the
-candidate's column k(X, x_new).  All of these one-point kernels are
-``kernel_column`` vectors, and each change of s_k or ``kuu_inv`` by one
-sample or one point is one BLAS rank-one update (``linalg.add_outer``) of a
-new array.  Every cache move marks ``b_lam`` stale; the opening factors
-B_lambda just before its prediction (``refresh_b_lam``) unless a skipped
-sample's prediction left it current.
+A step of every model kind builds one kernel row per sample, k(U, x_new),
+in the opening all four kinds share (``_predict_and_slide``), and passes it
+to the prediction (the caches', or agp_vsi's explicit q), the slide and
+fast mode's admission, each of which builds it itself when it is omitted.
+While ``kxu`` is carried the slide reads the departing row from it, and the
+admission builds only the candidate's column k(X, x_new).  All of these
+one-point kernels are ``kernel_column`` vectors, and each change of s_k or
+``kuu_inv`` by one sample or one point is one BLAS rank-one update
+(``linalg.add_outer``) of a new array.  Every cache move marks ``b_lam``
+stale; the cache prediction factors B_lambda first (``refresh_b_lam``)
+unless a skipped sample's prediction left it current.
 """
 
 import math
@@ -25,9 +25,10 @@ import numpy as np
 from . import linalg
 from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
                        refresh_b_lam, relevance_total, removal_scores,
-                       skip_nonfinite, skipped_prediction)
+                       skip_nonfinite)
 from .errors import SchurNotPositive
 from .kernel import kernel_column, kernel_matrix
+from .vsgp import PredictiveDist
 
 
 def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
@@ -69,18 +70,26 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     return state
 
 
-def _predict_and_slide(state: AdaptiveState, x_new, y_new: float):
-    """The opening of every step that predicts from the caches: skip an inf
-    or NaN sample (``skip_nonfinite``; ``k_new`` is then None and nothing
-    moves), factor a stale B_lambda, build k(U, x_new) once, predict, then
-    slide (``windowed_add``).  Returns ``(pred, k_new)``."""
-    if skip_nonfinite(state, x_new, y_new):
-        return skipped_prediction(
-            x_new, lambda: adaptive_predict(state, x_new)), None
-    if state.b_lam is None:
-        refresh_b_lam(state)
+def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
+                       predict=None):
+    """The opening of every step: skip an inf or NaN sample
+    (``skip_nonfinite``; ``k_new`` is then None and nothing moves), build
+    k(U, x_new) once, predict from it with ``predict(k_new)`` (by default
+    the caches': factor a stale B_lambda, then ``adaptive_predict``), then
+    slide (``windowed_add``).  Returns ``(pred, k_new)``; the prediction at
+    an inf or NaN input is NaN, without evaluating the kernel there."""
+    skipped = skip_nonfinite(state, x_new, y_new)
+    if skipped and not np.isfinite(x_new).all():
+        return PredictiveDist(mean=math.nan, var=math.nan), None
     k_new = kernel_row(state, x_new)
-    pred = adaptive_predict(state, x_new, k_new=k_new)
+    if predict is None:
+        if state.b_lam is None:
+            refresh_b_lam(state)
+        pred = adaptive_predict(state, x_new, k_new=k_new)
+    else:
+        pred = predict(k_new)
+    if skipped:
+        return pred, None
     windowed_add(state, x_new, y_new, k_new=k_new)
     return pred, k_new
 

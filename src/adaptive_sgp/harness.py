@@ -195,16 +195,23 @@ def run_experiment(config: ExperimentConfig, X_all, y_all):
     return records, summarize(records)
 
 
+def _scored(records) -> list:
+    """The records a metric scores: those with a finite input and target,
+    the samples the stream took in (``adaptive.skip_nonfinite``)."""
+    scored = [r for r in records
+              if math.isfinite(r.y_true) and np.isfinite(r.x).all()]
+    if not scored:
+        raise EmptyRecords("no records with a finite input and target")
+    return scored
+
+
 def mse(records) -> float:
-    if not records:
-        raise EmptyRecords("no records")
-    errs = np.array([r.y_true - r.pred_mean for r in records])
+    errs = np.array([r.y_true - r.pred_mean for r in _scored(records)])
     return float(np.mean(errs**2))
 
 
 def mape(records) -> float:
-    if not records:
-        raise EmptyRecords("no records")
+    records = _scored(records)
     y = np.array([r.y_true for r in records])
     if np.any(np.abs(y) <= 1e-9):
         raise MapeUndefined("some |y_true| below 1e-9")
@@ -215,8 +222,7 @@ def mape(records) -> float:
 def ci95_coverage(records) -> float:
     """Percentage of samples whose error falls inside the 95% band
     2*sqrt(pred_var + noise_var)."""
-    if not records:
-        raise EmptyRecords("no records")
+    records = _scored(records)
     err = np.abs(np.array([r.y_true - r.pred_mean for r in records]))
     tot = np.array([r.pred_var + r.noise_var for r in records])
     return float(np.mean(err < 2.0 * np.sqrt(tot)) * 100.0)
@@ -227,12 +233,9 @@ def summarize(records, with_coverage: bool = True) -> MetricSummary:
         mape_val = mape(records)
     except MapeUndefined:
         mape_val = None
-    cov = None
-    if with_coverage:
-        cov = ci95_coverage(records)
     return MetricSummary(
         mse=mse(records),
-        ci95_coverage=cov,
+        ci95_coverage=ci95_coverage(records) if with_coverage else None,
         mape=mape_val,
         total_time_us=int(sum(r.elapsed_us for r in records)),
         n_steps=len(records),

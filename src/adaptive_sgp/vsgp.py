@@ -65,10 +65,16 @@ def predict(model: VsgpModel, xstar) -> PredictiveDist:
     """Predictive mean/variance at a single query input (O(M^2))."""
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
     ks = kernel_matrix(xstar, model.inducing, model.params).ravel()
-    kss = model.params.variance
-    a = model.kuu_inv @ ks
-    mean = float(a @ model.q_mean)
-    var = kss - float(ks @ a) + float(a @ model.q_cov @ a)
+    return _q_predict(ks, model.params.variance, model.kuu_inv,
+                      model.q_mean, model.q_cov)
+
+
+def _q_predict(ks, kss: float, kuu_inv, q_mean, q_cov) -> PredictiveDist:
+    """Predictive mean/variance from an explicit q, given the query's row
+    ``ks`` = k(U, x) and prior variance ``kss`` (O(M^2))."""
+    a = kuu_inv @ ks
+    mean = float(a @ q_mean)
+    var = kss - float(ks @ a) + float(a @ q_cov @ a)
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 

@@ -59,6 +59,23 @@ def test_run_summary_json(toy_csv, tmp_path):
     assert np.isfinite(data["mse"])
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_summary_with_a_skipped_sample_is_strict_json(toy_csv, tmp_path):
+    # The stream skips a NaN target and the summary does not score it, so
+    # the summary holds finite numbers only and parses as strict JSON.
+    X, y = read_data_csv(str(toy_csv))
+    y[200] = np.nan
+    data_csv, summary = tmp_path / "nan.csv", tmp_path / "summary.json"
+    cli.write_data_csv(str(data_csv), X, y)
+    assert cli_main(["run", "--model", "fast-agp", "--data", str(data_csv),
+                     "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text(), parse_constant=_not_json)
+    assert data["n_steps"] == 400 and np.isfinite(data["mse"])
+
+
 def test_persistence_summary_omits_coverage(toy_csv, tmp_path):
     summary = tmp_path / "summary.json"
     rc = cli_main(["run", "--model", "persistence", "--data", str(toy_csv),

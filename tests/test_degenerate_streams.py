@@ -1,7 +1,8 @@
-"""Property tests: degenerate streams never abort either streaming step.
+"""Property tests: degenerate streams never abort any streaming step.
 
-Each example streams samples through ``fast_agp_step`` or ``agp_step``
-from a small random state.  The streams mix duplicated inputs (a repeated
+Each example streams samples through one of the four step functions
+(``fast_agp_step``, ``agp_step``, ``agp_vsi_step``, ``wvsgp_step``) from a
+small random state.  The streams mix duplicated inputs (a repeated
 sample, a window input or an inducing point again), constant targets,
 forgetting factors up to 1, noise variances down to 1e-8 and bursts of
 non-finite samples.  Every step must return, every prediction at a finite
@@ -15,10 +16,11 @@ import copy
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adaptive_sgp import adaptive, agp, fast_agp
+from adaptive_sgp import adaptive, agp, agp_vsi, fast_agp, wvsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from test_fast_agp import DRIFT_MEAN_TOL, DRIFT_VAR_RTOL, KERNEL_CACHE_RTOL
@@ -51,7 +53,7 @@ def degenerate_streams(draw):
     }
 
 
-def _state(case, rng):
+def _state(case, rng, lam):
     d, t, k = case["d"], case["t"], case["k"]
     X = rng.normal(size=(t, d))
     y = np.full(t, 0.7) if case["constant_y"] else rng.normal(size=t)
@@ -59,7 +61,7 @@ def _state(case, rng):
         window_x=X, window_y=y, inducing=rng.normal(size=(k, d)),
         params=KernelParams(float(rng.uniform(-0.5, 0.5)),
                             float(rng.uniform(-0.5, 0.5))),
-        log_noise=case["log_noise"], lam=case["lam"], capacity_m=k + 1,
+        log_noise=case["log_noise"], lam=lam, capacity_m=k + 1,
         window_t=t, jitter=1e-6)
     adaptive.rebuild_caches(state)
     return state
@@ -113,31 +115,35 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-@PROPERTY
-@given(degenerate_streams())
-def test_fast_step_survives_degenerate_streams(case):
-    rng = np.random.default_rng(case["seed"])
-    state = _state(case, rng)
-    for x, y in _samples(case, rng, state):
-        _, pred = fast_agp.fast_agp_step(state, x, y)
-        _check_prediction(pred, x)
-        assert 1 <= state.k_inducing <= state.capacity_m
-    _check_against_rebuild(state, rng)
-
-
-@PROPERTY
-@given(degenerate_streams())
-def test_full_step_survives_degenerate_streams(case):
-    rng = np.random.default_rng(case["seed"])
-    state = _state(case, rng)
+def _stepper(kind, state):
+    """``step(x, y) -> pred`` on ``state``; agp_vsi and w_vsgp run two inner
+    iterations per step."""
     opt = agp.adam_params()
+    if kind == "fast_agp":
+        return lambda x, y: fast_agp.fast_agp_step(state, x, y)[1]
+    if kind == "agp":
+        return lambda x, y: agp.agp_step(state, opt, x, y)[2]
+    if kind == "w_vsgp":
+        return lambda x, y: wvsgp.wvsgp_step(state, opt, x, y, 2)[2]
+    q = agp_vsi.q_from_moments(*adaptive.adaptive_q(state))
+    return lambda x, y: agp_vsi.agp_vsi_step(state, q, opt, x, y, 2)[3]
+
+
+@pytest.mark.parametrize("kind", ["fast_agp", "agp", "agp_vsi", "w_vsgp"])
+@PROPERTY
+@given(case=degenerate_streams())
+def test_step_survives_degenerate_streams(kind, case):
+    rng = np.random.default_rng(case["seed"])
+    # The sliding-window baseline streams at lambda = 1, as the harness runs it.
+    state = _state(case, rng, 1.0 if kind == "w_vsgp" else case["lam"])
+    step = _stepper(kind, state)
     for x, y in _samples(case, rng, state):
-        _, _, pred = agp.agp_step(state, opt, x, y)
-        _check_prediction(pred, x)
+        _check_prediction(step(x, y), x)
         assert 1 <= state.k_inducing <= state.capacity_m
         assert np.isfinite(state.inducing).all()
         assert math.isfinite(state.log_noise)
-    assert state.kxu is None
+    # Only fast mode carries kxu; every other kind rebuilds its caches.
+    assert kind == "fast_agp" or state.kxu is None
     # A step's moves leave B_lambda stale; a skipped sample's prediction
     # factors it, and that factor describes the current caches.
     if state.b_lam is not None:

@@ -58,6 +58,27 @@ def test_no_unused_imports():
         f"{sorted(set(UNUSED_IMPORTS_ALLOWED) - found)}")
 
 
+def _callers(names) -> set:
+    """``(module file, top-level function)`` for every call of one of
+    ``names``, by plain or attribute name, in ``src/adaptive_sgp``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) in names:
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_opening_skips_and_slides():
+    # Every step opens through fast_agp._predict_and_slide, so the skip of
+    # a bad sample and the slide of the window are written once.
+    assert _callers({"skip_nonfinite", "windowed_add"}) == {
+        ("fast_agp.py", "_predict_and_slide")}
+
+
 def test_every_export_resolves():
     missing = [name for name in adaptive_sgp.__all__
                if not hasattr(adaptive_sgp, name)]
