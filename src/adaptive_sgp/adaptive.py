@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import bound, linalg
-# perfbench test_tracer_installs_everywhere_and_restores pins kernel_matrix
 from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
 from .errors import DimensionMismatch, InvalidLambda, NotPsd
 from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
@@ -205,7 +204,10 @@ def adaptive_q(state: AdaptiveState):
 
 
 def kernel_row(state: AdaptiveState, x) -> np.ndarray:
-    """k(U, x): kernel products between the inducing set and one input."""
+    """k(U, x) for one input (``kernel_column``); for the rows of a 2-D
+    ``x``, one ``kernel_matrix`` of rows k(U, x_i), equal to those at D=1."""
+    if np.ndim(x) == 2 and len(x) > 1:
+        return kernel_matrix(x, state.inducing, state.params)
     return kernel_column(state.inducing, x, state.params)
 
 

@@ -10,13 +10,13 @@ adaptive model (geometric forgetting weights).  The bound is
 evaluated through the Woodbury identity on the M x M matrix
 Binv = Kuu + sigma^-2 Kux W Kxu, so the cost is O(N M^2) and the N x N
 covariance is never materialized.  ``_window_setup`` turns a window into
-kernel matrices, weighted cross-moments and the factor of Kuu for the
-bound (``_factor`` adds the factor of Binv), the explicit-q ELBO,
-``vsgp.optimal_q`` and ``adaptive.rebuild_caches``; ``_q_from_factor`` is
-the one optimal q.  Gradients are hand-derived via the chain rule through
-the same form and validated against finite differences in the test suite.
-Beside the set-up the gradient makes two N x M x M products and two N x M
-arrays, W Kxu and dF/dKxu.
+kernel matrices (from one distance matrix), weighted cross-moments and the
+factor of Kuu for the bound (``_factor`` adds the factor of Binv), the
+explicit-q ELBO, ``vsgp.optimal_q`` and ``adaptive.rebuild_caches``;
+``_q_from_factor`` is the one optimal q.  Gradients are hand-derived via
+the chain rule through the same form and validated against finite
+differences in the test suite.  Beside the set-up the gradient makes two
+N x M x M products and two N x M arrays, W Kxu and dF/dKxu.
 """
 
 from collections import namedtuple
@@ -33,24 +33,27 @@ _WindowSetup = namedtuple("_WindowSetup", "X y U w sig2 d2_uu d2_xu Kuu_raw "
 def _window_setup(X, y, U, params: KernelParams, log_noise: float, weights,
                   jitter: float) -> _WindowSetup:
     """Inputs read by ``_as_inputs``, the noise variance, the squared
-    distances U-U and X-U and the kernel matrices built from them (``Kuu``
+    distances X-U and U-U and the kernel matrices built from them (``Kuu``
     with ``jitter`` on its diagonal, ``Kuu_raw`` without it), W Kxu, W y,
     the weighted cross-moments S_k = Kux W Kxu and s_y = Kux W y, and the
     factor ``f_k`` of Kuu.  When that factor escalates its jitter, ``Kuu``
-    carries the escalation too, so it is the matrix ``f_k`` factors."""
+    carries the escalation too, so it is the matrix ``f_k`` factors.  All
+    distances and kernels are row blocks of one [X; U] to U matrix each."""
     X, U = _as_inputs(X), _as_inputs(U)
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
-    d2_uu, d2_xu = sq_dists(U, U), sq_dists(X, U)
-    Kuu_raw = _from_sq_dists(d2_uu, params)
-    Kuu = Kuu_raw + jitter * np.eye(U.shape[0])
-    Kxu = _from_sq_dists(d2_xu, params)
+    n, diag = X.shape[0], slice(None, None, U.shape[0] + 1)
+    d2 = sq_dists(np.concatenate((X, U)), U)
+    K = _from_sq_dists(d2, params)
+    d2_xu, d2_uu, Kxu, Kuu_raw = d2[:n], d2[n:], K[:n], K[n:]
+    Kuu = Kuu_raw.copy()
+    Kuu.flat[diag] += jitter
     WKxu = w[:, None] * Kxu
     Wy = w * y
     S_k, s_y = Kxu.T @ WKxu, Kxu.T @ Wy
     f_k = linalg.cholesky_psd(Kuu, 0.0)
     if f_k.jitter_used:
-        Kuu = Kuu + f_k.jitter_used * np.eye(U.shape[0])
+        Kuu.flat[diag] += f_k.jitter_used
     return _WindowSetup(X, y, U, w, float(np.exp(log_noise)), d2_uu, d2_xu,
                         Kuu_raw, Kuu, Kxu, WKxu, Wy, S_k, s_y, f_k)
 

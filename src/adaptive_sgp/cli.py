@@ -159,6 +159,9 @@ def _summary_json(summaries, persistence: bool) -> dict:
     mapes = [s.mape for s in summaries]
     if all(m is not None for m in mapes):
         out["mape"] = float(np.mean(mapes))
+    bad = sorted(name for name, v in out.items() if not np.isfinite(v))
+    if bad:
+        raise AdaptiveSgpError(f"summary metric not finite: {', '.join(bad)}")
     return out
 
 

@@ -9,13 +9,13 @@ A step of every model kind builds one kernel row per sample, k(U, x_new),
 in the opening all four kinds share (``_predict_and_slide``), and passes it
 to the prediction (the caches', or agp_vsi's explicit q), the slide and
 fast mode's admission, each of which builds it itself when it is omitted.
-While ``kxu`` is carried the slide reads the departing row from it, and the
-admission builds only the candidate's column k(X, x_new).  All of these
-one-point kernels are ``kernel_column`` vectors, and each change of s_k or
-``kuu_inv`` by one sample or one point is one BLAS rank-one update
-(``linalg.add_outer``) of a new array.  Every cache move marks ``b_lam``
-stale; the cache prediction factors B_lambda first (``refresh_b_lam``)
-unless a skipped sample's prediction left it current.
+While ``kxu`` is carried the slide reads the departing row from it, else
+it comes from k(U, x_new)'s kernel build; the admission builds only the
+candidate's column k(X, x_new).  Other one-point kernels are
+``kernel_column`` vectors, and each change of s_k or ``kuu_inv`` by one
+sample or one point is one BLAS rank-one update (``linalg.add_outer``) of a
+new array.  Every cache move marks ``b_lam`` stale; the cache prediction
+factors B_lambda first (``refresh_b_lam``) unless a skip left it current.
 """
 
 import math
@@ -32,7 +32,8 @@ from .vsgp import PredictiveDist
 
 
 def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
-                 k_new: np.ndarray | None = None) -> AdaptiveState:
+                 k_new: np.ndarray | None = None,
+                 k_old: np.ndarray | None = None) -> AdaptiveState:
     """Append one sample, evicting the oldest once the window holds T, and
     update s_y, s_k and w_ksum by rank-one terms (O(M^2)) and kxu, when
     carried, by one row; b_lam is marked stale.
@@ -41,9 +42,9 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     sample carries weight lam^T after the new sample's geometric discount,
     so its contribution is removed with that coefficient from every cache.
 
-    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.  The
-    departing sample's row is ``kxu[0]`` while kxu is carried, else one
-    kernel call."""
+    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it, and
+    ``k_old`` the departing sample's row; without it that row is
+    ``kxu[0]`` while kxu is carried, else one kernel call."""
     x_row = np.atleast_2d(np.asarray(x_new, dtype=float))
     y_new = float(y_new)
     lam, var = state.lam, state.params.variance
@@ -54,8 +55,9 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     s_k = linalg.add_outer(lam * state.s_k, k_new, k_new)
     w_ksum = lam * state.w_ksum + var
     if evict:
-        k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
-                 else state.kxu[0])
+        if k_old is None:
+            k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
+                     else state.kxu[0])
         wT = lam ** state.window_t
         s_y = s_y - wT * k_old * float(state.window_y[0])
         s_k = linalg.add_outer(s_k, -wT * k_old, k_old)
@@ -74,14 +76,17 @@ def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
                        predict=None):
     """The opening of every step: skip an inf or NaN sample
     (``skip_nonfinite``; ``k_new`` is then None and nothing moves), build
-    k(U, x_new) once, predict from it with ``predict(k_new)`` (by default
-    the caches': factor a stale B_lambda, then ``adaptive_predict``), then
-    slide (``windowed_add``).  Returns ``(pred, k_new)``; the prediction at
-    an inf or NaN input is NaN, without evaluating the kernel there."""
+    k(U, x_new) once (with the departing row when the slide evicts and kxu
+    is not carried), predict from it with ``predict(k_new)`` (by default the
+    caches': factor a stale B_lambda, then ``adaptive_predict``), then slide
+    (``windowed_add``).  Returns ``(pred, k_new)``; the prediction at an inf
+    or NaN input is NaN, without evaluating the kernel there."""
     skipped = skip_nonfinite(state, x_new, y_new)
     if skipped and not np.isfinite(x_new).all():
         return PredictiveDist(mean=math.nan, var=math.nan), None
-    k_new = kernel_row(state, x_new)
+    pair = state.kxu is None and state.window_y.shape[0] == state.window_t
+    k_new, k_old = (kernel_row(state, np.vstack((x_new, state.window_x[:1])))
+                    if pair else (kernel_row(state, x_new), None))
     if predict is None:
         if state.b_lam is None:
             refresh_b_lam(state)
@@ -90,7 +95,7 @@ def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
         pred = predict(k_new)
     if skipped:
         return pred, None
-    windowed_add(state, x_new, y_new, k_new=k_new)
+    windowed_add(state, x_new, y_new, k_new=k_new, k_old=k_old)
     return pred, k_new
 
 

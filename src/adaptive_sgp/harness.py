@@ -243,15 +243,17 @@ def summarize(records, with_coverage: bool = True) -> MetricSummary:
 
 
 def persistence_baseline(series, horizon: int = 1):
-    """Predict each value by the value ``horizon`` steps earlier."""
+    """Predict each value by the last finite value ``horizon``+ steps back."""
     series = np.asarray(series, dtype=float).ravel()
     if series.shape[0] <= horizon:
         raise TooShort("series shorter than horizon")
-    records = []
+    records, held = [], math.nan
     for i in range(horizon, series.shape[0]):
+        if math.isfinite(series[i - horizon]):
+            held = float(series[i - horizon])
         records.append(StreamRecord(
             step=i - horizon, x=np.array([float(i)]),
-            y_true=float(series[i]), pred_mean=float(series[i - horizon]),
+            y_true=float(series[i]), pred_mean=held,
             pred_var=float("nan"), noise_var=float("nan"),
             k_inducing=0, elapsed_us=0))
     return records

@@ -2,11 +2,11 @@
 
 Single isotropic lengthscale; both hyperparameters live in log-space so
 positivity never needs a constrained optimizer.  Data and inducing inputs
-are read by ``_as_inputs``.  A window's ``Kuu``/``Kxu`` are built from
-``sq_dists`` by ``_from_sq_dists`` in ``bound._window_setup``, whose
-squared distances the chain rule (``bound._chain_to_params``) reuses, so a
-gradient computes each distance matrix once.  A streaming step's one-point
-kernels, k(U, x) and k(X, x), are ``kernel_column``s.
+are read by ``_as_inputs``.  A window's ``Kxu`` and ``Kuu`` are row blocks
+of one ``_from_sq_dists`` of one ``sq_dists`` ([X; U] to U), which the
+chain rule reuses (``bound._window_setup``).  A step's one-point kernels
+are ``kernel_column``s; its k(U, x_new) and k(U, x_oldest), when it
+evicts with no carried kxu, are one ``kernel_matrix``.
 """
 
 from dataclasses import dataclass

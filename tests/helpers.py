@@ -294,12 +294,16 @@ def record_calls(monkeypatch, owner, *names):
     return calls
 
 
-def builds_between(calls, A, B) -> int:
-    """How many recorded kernel builds were between ``A`` and ``B``, in
-    either order."""
-    A, B = np.atleast_2d(A), np.atleast_2d(B)
+def builds_between(calls, A, *points) -> int:
+    """How many recorded kernel builds were between ``A`` and a set of rows
+    that holds every one of ``points`` (each one point), in either order: a
+    build of several rows counts for each point among them."""
+    A = np.atleast_2d(A)
+    points = [np.atleast_2d(p) for p in points]
 
-    def same(X, Z):
-        return np.array_equal(X, A) and np.array_equal(Z, B)
+    def holds(X, Z):
+        return np.array_equal(X, A) and all(
+            Z.shape[1] == p.shape[1] and (Z == p).all(axis=1).any()
+            for p in points)
 
-    return sum(len(c) == 2 and (same(*c) or same(*c[::-1])) for c in calls)
+    return sum(len(c) == 2 and (holds(*c) or holds(*c[::-1])) for c in calls)

@@ -212,9 +212,9 @@ def test_step_rebuilds_caches_once(monkeypatch):
     # factored once, for the prediction, and never inverted: four
     # factorizations per step (the prediction's, two in the gradient, one in
     # the rebuild) and three inverses (two in the gradient, kuu_inv in the
-    # rebuild).  The prediction and the slide share one k(U, x_new); the
-    # departing row is one more.  Both are one-point kernels
-    # (kernel_column), recorded with the matrix builds.  Inverses come from
+    # rebuild).  The prediction and the slide share one k(U, x_new), built
+    # with the departing row k(U, x_oldest) as one two-row kernel_matrix;
+    # one-point kernels (kernel_column) are recorded too.  Inverses come from
     # their factors (inv_from_factor), never from an identity solve, and the
     # hot path calls neither np.ix_ nor np.linalg.norm.
     X, y = piecewise_sinusoid(160, 1)
@@ -239,6 +239,7 @@ def test_step_rebuilds_caches_once(monkeypatch):
         agp.agp_step(st, opt, X[i], y[i])
         assert builds_between(kernel_calls, before, X[i]) == 1, i
         assert builds_between(kernel_calls, before, oldest) == 1, i
+        assert builds_between(kernel_calls, before, X[i], oldest) == 1, i
     assert rebuilds[0] == 60
     assert chol[0] == 240
     assert inverses[0] == 180

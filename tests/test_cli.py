@@ -76,6 +76,38 @@ def test_summary_with_a_skipped_sample_is_strict_json(toy_csv, tmp_path):
     assert data["n_steps"] == 400 and np.isfinite(data["mse"])
 
 
+def _nan_stream_csv(tmp_path, where):
+    # synth_toy(0) with a NaN target at each index in ``where``
+    t, y = harness.synth_toy(0)
+    y[list(where)] = np.nan
+    path = tmp_path / "nan.csv"
+    cli.write_data_csv(str(path), t[:, None], y)
+    return path
+
+
+def test_persistence_summary_after_a_nan_is_finite(tmp_path):
+    # The baseline carries the last finite value past the NaN, so the
+    # sample after it, whose target is finite, is scored on a finite guess.
+    summary = tmp_path / "summary.json"
+    assert cli_main(["run", "--model", "persistence", "--data",
+                     str(_nan_stream_csv(tmp_path, [200])),
+                     "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text(), parse_constant=_not_json)
+    assert np.isfinite(data["mse"])
+
+
+def test_summary_error_names_the_metric_that_is_not_finite(tmp_path, capsys):
+    # A leading NaN leaves the persistence baseline nothing to carry, so
+    # the next sample's guess, the mse and the mape are NaN.
+    summary = tmp_path / "summary.json"
+    assert cli_main(["run", "--model", "persistence", "--data",
+                     str(_nan_stream_csv(tmp_path, [0])),
+                     "--summary", str(summary)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: summary metric not finite: mape, mse\n"
+    assert not summary.exists()
+
+
 def test_persistence_summary_omits_coverage(toy_csv, tmp_path):
     summary = tmp_path / "summary.json"
     rc = cli_main(["run", "--model", "persistence", "--data", str(toy_csv),

@@ -405,8 +405,10 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # Extension and shrink keep the caches exact, so the only factorization
     # of a fast step is B_lambda's, for the prediction, and no step forms an
     # inverse.  The step builds the kernel row k(U, x_new) once for the
-    # prediction, the slide and the admission, and never the departing row
-    # while kxu is carried; one-point kernels (kernel_column) are recorded
+    # prediction, the slide and the admission.  Until kxu is carried, that
+    # build holds the departing row too (one two-row kernel_matrix); then
+    # the departing row is never built.  The first admission's kxu build
+    # holds x_new as well.  One-point kernels (kernel_column) are recorded
     # with the matrix builds.  The hot path calls neither np.ix_ nor
     # np.linalg.norm.
     X, y = piecewise_sinusoid(500, 1)
@@ -420,18 +422,22 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
                 count_calls(monkeypatch, np.linalg, "norm")]
     kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix",
                                 "kernel_column")
-    changes = carried = 0
+    changes = carried = paired = 0
     for i in range(100, 500):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
         kxu_carried = st.kxu is not None
         del kernel_calls[:]
         fast_agp.fast_agp_step(st, X[i], y[i])
         changes += not np.array_equal(st.inducing, before)
-        assert builds_between(kernel_calls, before, X[i]) == 1, i
+        built_kxu = not kxu_carried and st.kxu is not None
+        assert builds_between(kernel_calls, before, X[i]) == 1 + built_kxu, i
         if kxu_carried:
             carried += 1
             assert builds_between(kernel_calls, before, oldest) == 0, i
-    assert changes > 0 and carried > 300
+        else:
+            paired += 1
+            assert builds_between(kernel_calls, before, X[i], oldest) == 1, i
+    assert changes > 0 and carried > 300 and paired > 0
     assert rebuilds[0] == 0
     assert chol[0] == 400
     assert inverses[0] == 0

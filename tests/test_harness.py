@@ -216,8 +216,10 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes):
     # other kind rebuilds once per step, after its parameter update.  All
     # four kinds share one opening (fast_agp._predict_and_slide), which
     # builds one kernel row k(U, x_new) per step for the prediction and the
-    # slide.  The three kinds that predict from the caches factor B_lambda
-    # once per step; agp_vsi predicts from its explicit q and never does.
+    # slide, in one build with the departing row while kxu is not carried
+    # (fast mode's first kxu build holds x_new as well).  The three kinds
+    # that predict from the caches factor B_lambda once per step; agp_vsi
+    # predicts from its explicit q and never does.
     t, y = synth_toy(seed=0)
     X = t[:, None]
     cfg = ExperimentConfig(model_kind=kind, window_t=100, capacity_m=10,
@@ -237,10 +239,15 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes):
     kernel_calls = record_calls(monkeypatch, kernel, "kernel_matrix",
                                 "kernel_column")
     for i in range(100, 130):
-        before = states[0].inducing.copy()
+        st = states[0]
+        before, oldest = st.inducing.copy(), st.window_x[:1].copy()
+        carried = st.kxu is not None
         del kernel_calls[:]
         step(X[i], y[i])
-        assert builds_between(kernel_calls, before, X[i]) == 1, i
+        built_kxu = not carried and st.kxu is not None
+        assert builds_between(kernel_calls, before, X[i]) == 1 + built_kxu, i
+        assert builds_between(kernel_calls, before, X[i], oldest) == (
+            not carried), i
     assert rebuilds[0] == 30 * per_step
     assert refresh[0] == 30 * refreshes
 
@@ -394,6 +401,14 @@ def test_persistence_hand_example():
     recs = persistence_baseline([1.0, 2.0, 3.0])
     assert [r.pred_mean for r in recs] == [1.0, 2.0]
     assert [r.y_true for r in recs] == [2.0, 3.0]
+
+
+def test_persistence_carries_the_last_finite_value():
+    recs = persistence_baseline([1.0, np.nan, np.inf, 4.0, 5.0])
+    assert [r.pred_mean for r in recs] == [1.0, 1.0, 1.0, 4.0]
+    recs = persistence_baseline([np.nan, 2.0, np.nan, 4.0], horizon=2)
+    assert np.isnan(recs[0].pred_mean)
+    assert [r.pred_mean for r in recs[1:]] == [2.0]
 
 
 def test_persistence_rejects_short_series():

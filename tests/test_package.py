@@ -30,11 +30,7 @@ def test_no_imports_inside_functions():
 
 # Imports a module keeps without using them, each pinned by a test
 # elsewhere, with the reason.
-UNUSED_IMPORTS_ALLOWED = {
-    ("adaptive.py", "kernel_matrix"):
-        "perfbench test_tracer_installs_everywhere_and_restores asserts that "
-        "adaptive binds it",
-}
+UNUSED_IMPORTS_ALLOWED = {}
 
 
 def _unused_imports(path: Path) -> set:
@@ -77,6 +73,14 @@ def test_one_opening_skips_and_slides():
     # a bad sample and the slide of the window are written once.
     assert _callers({"skip_nonfinite", "windowed_add"}) == {
         ("fast_agp.py", "_predict_and_slide")}
+
+
+def test_distances_only_in_the_set_up_and_kernel_matrix():
+    # A window's distances are one matrix, made by bound._window_setup;
+    # every other kernel is a kernel_matrix or a kernel_column, which
+    # builds no distance matrix.
+    assert _callers({"sq_dists"}) == {("bound.py", "_window_setup"),
+                                      ("kernel.py", "kernel_matrix")}
 
 
 def test_every_export_resolves():
