@@ -2,8 +2,9 @@
 forgetting-factor sweep, and lag embedding.
 
 Data CSV schema: header ``t,x0..x{D-1},y``; records CSV mirrors the stream
-record fields.  Config files are flat ``key=value`` text with the experiment
-config field names; CLI flags override file values.
+record fields.  Config files are flat ``key=value`` text whose keys are
+exactly the fields of ``ExperimentConfig``, each read as its field's type;
+CLI flags override file values.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -22,30 +23,28 @@ from .errors import AdaptiveSgpError
 from .harness import ExperimentConfig
 from .kernel import _as_inputs
 
-MODEL_FLAGS = {
-    "fast-agp": "fast_agp",
-    "agp": "agp",
-    "agp-vsi": "agp_vsi",
-    "w-vsgp": "w_vsgp",
-    "persistence": "persistence",
-}
+MODEL_FLAGS = {kind.replace("_", "-"): kind for kind in harness.MODEL_KINDS}
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_FLOAT_FIELDS = {"lam", "r_th", "lr", "jitter"}
-_INT_FIELDS = {"window_t", "capacity_m", "init_iters", "inner_iters", "seed"}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_data_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
-    X = _as_inputs(X)
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t"] + [f"x{d}" for d in range(X.shape[1])] + ["y"])
-        for i in range(X.shape[0]):
-            w.writerow([i] + [_fmt(v) for v in X[i]] + [_fmt(y[i])])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_data_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
+    X = _as_inputs(X)
+    _write_csv(path, ["t"] + [f"x{d}" for d in range(X.shape[1])] + ["y"],
+               ([i] + [_fmt(v) for v in X[i]] + [_fmt(y[i])]
+                for i in range(X.shape[0])))
 
 
 def _read_csv_rows(path: str) -> list:
@@ -85,35 +84,35 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+def _parse_field(key: str, value):
+    """A config value as its ``ExperimentConfig`` field's type: an int, a
+    float (``"auto"`` only for ``lam``), or a model kind, which may be
+    spelled as its ``--model`` flag."""
+    if key not in _FIELD_TYPES:
+        raise AdaptiveSgpError(f"unknown config key {key!r}")
+    ftype = _FIELD_TYPES[key]
+    if ftype is int:
+        return int(value)
+    if ftype is str:
+        return MODEL_FLAGS.get(value, value)
+    return value if (key, value) == ("lam", "auto") else float(value)
+
+
 def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = {}
-    for key, value in merged.items():
-        if key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = value if (key, value) == ("lam", "auto") else float(value)
-        elif key == "model_kind":
-            kwargs[key] = MODEL_FLAGS.get(str(value), str(value))
-        else:
-            raise AdaptiveSgpError(f"unknown config key {key!r}")
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{k: _parse_field(k, v) for k, v in merged.items()})
 
 
 def write_records_csv(path: str, per_seed_records: list) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        first = per_seed_records[0][1][0]
-        dim = first.x.shape[0]
-        w.writerow(["seed", "step"] + [f"x{d}" for d in range(dim)]
-                   + ["y_true", "pred_mean", "pred_var", "noise_var",
-                      "k_inducing", "elapsed_us"])
-        for seed, records in per_seed_records:
-            for r in records:
-                w.writerow([seed, r.step] + [_fmt(v) for v in r.x]
-                           + [_fmt(r.y_true), _fmt(r.pred_mean), _fmt(r.pred_var),
-                              _fmt(r.noise_var), r.k_inducing, r.elapsed_us])
+    dim = per_seed_records[0][1][0].x.shape[0]
+    _write_csv(path, ["seed", "step"] + [f"x{d}" for d in range(dim)]
+               + ["y_true", "pred_mean", "pred_var", "noise_var",
+                  "k_inducing", "elapsed_us"],
+               ([seed, r.step] + [_fmt(v) for v in r.x]
+                + [_fmt(r.y_true), _fmt(r.pred_mean), _fmt(r.pred_var),
+                   _fmt(r.noise_var), r.k_inducing, r.elapsed_us]
+                for seed, records in per_seed_records for r in records))
 
 
 def _n_workers() -> int:
@@ -147,18 +146,17 @@ def run_seeds(config: ExperimentConfig, X, y, seeds: list[int]):
     return results
 
 
-def _summary_json(summaries, persistence: bool) -> dict:
+def _summary_json(summaries) -> dict:
+    """The seeds' totals, and the mean of each metric every seed has."""
     out = {
-        "mse": float(np.mean([s.mse for s in summaries])),
         "total_time_us": int(sum(s.total_time_us for s in summaries)),
         "n_steps": int(sum(s.n_steps for s in summaries)),
         "n_seeds": len(summaries),
     }
-    if not persistence:
-        out["ci95_coverage"] = float(np.mean([s.ci95_coverage for s in summaries]))
-    mapes = [s.mape for s in summaries]
-    if all(m is not None for m in mapes):
-        out["mape"] = float(np.mean(mapes))
+    for name in ("mse", "ci95_coverage", "mape"):
+        values = [getattr(s, name) for s in summaries]
+        if all(v is not None for v in values):
+            out[name] = float(np.mean(values))
     bad = sorted(name for name, v in out.items() if not np.isfinite(v))
     if bad:
         raise AdaptiveSgpError(f"summary metric not finite: {', '.join(bad)}")
@@ -171,38 +169,31 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_seeds(n: int) -> None:
-    if n < 1:
-        raise AdaptiveSgpError(f"--seeds must be at least 1, got {n}")
+def _load(args, **overrides):
+    """Check ``--seeds``, build the config from the file and then the flags
+    given, and read the data: ``(config, X, y, seeds)``."""
+    if args.seeds < 1:
+        raise AdaptiveSgpError(f"--seeds must be at least 1, got {args.seeds}")
+    file_values = read_config_file(args.config) if args.config else {}
+    config = build_config(file_values, overrides)
+    X, y = read_data_csv(args.data)
+    return config, X, y, [config.seed + i for i in range(args.seeds)]
 
 
 def cmd_run(args) -> int:
-    _check_seeds(args.seeds)
-    file_values = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "model_kind": MODEL_FLAGS[args.model],
-        "seed": args.seed,
-        "window_t": args.window_t,
-        "capacity_m": args.capacity_m,
-        "lam": args.lam,
-    }
-    config = build_config(file_values, overrides)
-    X, y = read_data_csv(args.data)
-
+    config, X, y, seeds = _load(args, model_kind=args.model, seed=args.seed,
+                                window_t=args.window_t,
+                                capacity_m=args.capacity_m, lam=args.lam)
     if config.model_kind == "persistence":
         records = harness.persistence_baseline(y)
-        summaries = [harness.summarize(records, with_coverage=False)]
-        per_seed = [(config.seed, records)]
+        results = [(config.seed, records, harness.summarize(records))]
     else:
-        seeds = [config.seed + i for i in range(args.seeds)]
         results = run_seeds(config, X, y, seeds)
-        per_seed = [(s, recs) for s, recs, _ in results]
-        summaries = [summ for _, _, summ in results]
 
     if args.records:
-        write_records_csv(args.records, per_seed)
+        write_records_csv(args.records, [(s, recs) for s, recs, _ in results])
     if args.summary:
-        text = json.dumps(_summary_json(summaries, config.model_kind == "persistence"),
+        text = json.dumps(_summary_json([summ for _, _, summ in results]),
                           indent=2, sort_keys=True, allow_nan=False)
         with open(args.summary, "w") as fh:
             fh.write(text + "\n")
@@ -210,28 +201,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    _check_seeds(args.seeds)
-    file_values = read_config_file(args.config) if args.config else {}
-    config = build_config(file_values, {"model_kind": "agp", "seed": args.seed})
-    X, y = read_data_csv(args.data)
-    values = sorted(float(v) for v in args.values.split(","))
-    seeds = [config.seed + i for i in range(args.seeds)]
-
+    config, X, y, seeds = _load(args, model_kind="agp", seed=args.seed)
     rows = []
-    for lam in values:
-        cfg = build_config(file_values, {"model_kind": "agp", "lam": lam,
-                                         "seed": args.seed})
-        results = run_seeds(cfg, X, y, seeds)
+    for lam in sorted(float(v) for v in args.values.split(",")):
+        results = run_seeds(replace(config, lam=lam), X, y, seeds)
         tr = [harness.transition_mse(recs, args.lo, args.hi)
               for _, recs, _ in results]
-        full = [summ.mse for _, _, summ in results]
-        rows.append((lam, float(np.mean(tr)), float(np.mean(full))))
-
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["lambda", "transition_mse", "mse"])
-        for lam, tmse, fmse in rows:
-            w.writerow([_fmt(lam), _fmt(tmse), _fmt(fmse)])
+        rows.append([_fmt(lam), _fmt(np.mean(tr)),
+                     _fmt(np.mean([summ.mse for _, _, summ in results]))])
+    _write_csv(args.out, ["lambda", "transition_mse", "mse"], rows)
     return 0
 
 
@@ -275,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
     lp.add_argument("--config", default=None)
     lp.add_argument("--out", required=True)
     lp.add_argument("--seeds", type=int, default=20)
-    lp.add_argument("--seed", type=int, default=0)
+    lp.add_argument("--seed", type=int, default=None)
     lp.add_argument("--lo", type=float, default=3.2)
     lp.add_argument("--hi", type=float, default=3.4)
     lp.set_defaults(func=cmd_sweep_lambda)

@@ -19,7 +19,8 @@ from .errors import (DimensionMismatch, EmptyRecords, InvalidLambda,
                      MapeUndefined, TooShort)
 from .kernel import _as_inputs
 
-MODEL_KINDS = ("fast_agp", "agp", "agp_vsi", "w_vsgp")
+# The four streaming kinds, then the baseline, which has no streaming state.
+MODEL_KINDS = ("fast_agp", "agp", "agp_vsi", "w_vsgp", "persistence")
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
@@ -48,7 +49,7 @@ class ExperimentConfig:
     jitter: float = 1e-6
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS + ("persistence",):
+        if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         min_m = 2 if self.model_kind == "agp" else 1   # agp appends to M-1
         if self.window_t < 1 or self.capacity_m < min_m:
@@ -167,8 +168,8 @@ def run_experiment(config: ExperimentConfig, X_all, y_all):
     Returns ``(records, summary)``.  Persistence has no streaming state;
     use ``persistence_baseline`` for it.
     """
-    if config.model_kind not in MODEL_KINDS:
-        raise ValueError(f"unsupported model kind {config.model_kind!r}")
+    if config.model_kind == "persistence":
+        raise ValueError("persistence has no streaming state")
     X_all = _as_inputs(X_all)
     y_all = np.asarray(y_all, dtype=float).ravel()
     if X_all.shape[0] != y_all.shape[0]:
@@ -228,14 +229,17 @@ def ci95_coverage(records) -> float:
     return float(np.mean(err < 2.0 * np.sqrt(tot)) * 100.0)
 
 
-def summarize(records, with_coverage: bool = True) -> MetricSummary:
+def summarize(records) -> MetricSummary:
+    """The stream's metrics; ``ci95_coverage`` only when some scored record
+    carries a predictive variance (the persistence baseline's are NaN)."""
     try:
         mape_val = mape(records)
     except MapeUndefined:
         mape_val = None
+    has_var = any(math.isfinite(r.pred_var) for r in _scored(records))
     return MetricSummary(
         mse=mse(records),
-        ci95_coverage=ci95_coverage(records) if with_coverage else None,
+        ci95_coverage=ci95_coverage(records) if has_var else None,
         mape=mape_val,
         total_time_us=int(sum(r.elapsed_us for r in records)),
         n_steps=len(records),
@@ -260,7 +264,9 @@ def persistence_baseline(series, horizon: int = 1):
 
 
 def transition_mse(records, lo: float = 3.2, hi: float = 3.4) -> float:
-    """MSE restricted to records whose (1-D) input lies in [lo, hi]."""
+    """MSE restricted to records whose 1-D input lies in [lo, hi]."""
+    if any(r.x.shape != (1,) for r in records):
+        raise DimensionMismatch("the transition window needs 1-D inputs")
     sel = [r for r in records if lo <= float(r.x[0]) <= hi]
     if not sel:
         raise EmptyRecords(f"no records with input in [{lo}, {hi}]")

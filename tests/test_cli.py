@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -220,6 +221,41 @@ def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+# A config that differs from the default in every field.
+NON_DEFAULT = ExperimentConfig(model_kind="fast_agp", window_t=40, capacity_m=4,
+                               lam=0.9, r_th=1e-3, init_iters=7, inner_iters=3,
+                               lr=0.01, seed=5, jitter=1e-5)
+
+
+def test_every_config_field_is_a_file_key(tmp_path):
+    # The config keys are ExperimentConfig's fields, each read as its
+    # field's type, so a new field needs no edit of the CLI.
+    default = ExperimentConfig()
+    fields = dataclasses.fields(ExperimentConfig)
+    same = [f.name for f in fields
+            if getattr(NON_DEFAULT, f.name) == getattr(default, f.name)]
+    assert not same, f"give NON_DEFAULT a non-default {same}"
+    cfgfile = tmp_path / "all.cfg"
+    cfgfile.write_text("".join(f"{f.name} = {getattr(NON_DEFAULT, f.name)}\n"
+                               for f in fields))
+    config = cli.build_config(cli.read_config_file(str(cfgfile)), {})
+    assert config == NON_DEFAULT
+    for f in fields:
+        assert isinstance(getattr(config, f.name), f.type), f.name
+
+
+def test_model_flags_are_the_model_kinds():
+    # Each kind is a --model choice, spelled with "-" for "_", and the
+    # choice maps back to the kind.
+    parser = cli.make_parser()
+    assert sorted(cli.MODEL_FLAGS.values()) == sorted(harness.MODEL_KINDS)
+    for kind in harness.MODEL_KINDS:
+        flag = kind.replace("_", "-")
+        args = parser.parse_args(["run", "--model", flag, "--data", "d.csv"])
+        assert cli.MODEL_FLAGS[args.model] == kind
+        assert cli.build_config({}, {"model_kind": args.model}).model_kind == kind
+
+
 @pytest.mark.parametrize("key", ["r_th", "jitter", "lr"])
 def test_only_lambda_takes_auto(toy_csv, tmp_path, capsys, key):
     cfg = tmp_path / "auto.cfg"
@@ -263,6 +299,39 @@ def test_sweep_lambda_schema(toy_csv, tmp_path):
     assert lams == sorted(lams) == [0.9, 1.0]
     for r in rows[1:]:
         assert np.isfinite(float(r[1])) and np.isfinite(float(r[2]))
+
+
+def test_sweep_lambda_takes_the_seed_from_the_config_file(toy_csv, tmp_path):
+    # A flag overrides the file only when it is given: the file's seed and
+    # the same seed as a flag give the same sweep.
+    base = "window_t = 40\ncapacity_m = 4\ninit_iters = 20\n"
+    outs = []
+    for name, cfg_text, flags in (("file", base + "seed = 3\n", []),
+                                  ("flag", base, ["--seed", "3"])):
+        cfgfile, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfgfile.write_text(cfg_text)
+        assert cli_main(["sweep-lambda", "--values", "0.95", "--data",
+                         str(toy_csv), "--config", str(cfgfile), "--out",
+                         str(out), "--seeds", "1"] + flags) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_sweep_lambda_rejects_a_lag_embedding(toy_csv, tmp_path, capsys):
+    # The transition window is a range of the time input; an embedding's
+    # first column is the oldest lag value, so the sweep refuses it.
+    embedded, cfgfile = tmp_path / "embedded.csv", tmp_path / "small.cfg"
+    assert cli_main(["embed", "--lags", "3", "--horizon", "1", "--in",
+                     str(toy_csv), "--out", str(embedded)]) == 0
+    cfgfile.write_text("window_t = 40\ncapacity_m = 4\ninit_iters = 20\n")
+    capsys.readouterr()
+    assert cli_main(["sweep-lambda", "--values", "0.95", "--data",
+                     str(embedded), "--config", str(cfgfile), "--out",
+                     str(tmp_path / "sweep.csv"), "--seeds", "1",
+                     "--lo", "-0.5", "--hi", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def _worker_with_env(args):

@@ -365,8 +365,10 @@ def test_summarize_fields():
     s = summarize(recs)
     assert s.mse == 0.0 and s.n_steps == 2 and s.mape == 0.0
     assert s.ci95_coverage == 100.0
-    s2 = summarize(recs, with_coverage=False)
-    assert s2.ci95_coverage is None
+    # Records with no predictive variance (the persistence baseline's) get
+    # no coverage.
+    s2 = summarize([_rec(1.0, 1.0, pred_var=np.nan, noise_var=np.nan)] * 2)
+    assert s2.ci95_coverage is None and s2.mse == 0.0
     s3 = summarize([_rec(0.0, 0.0)])
     assert s3.mape is None
 
@@ -421,3 +423,10 @@ def test_transition_mse_filters_by_input():
     assert transition_mse(recs) == pytest.approx(0.5, rel=1e-15)
     with pytest.raises(EmptyRecords):
         transition_mse([_rec(0.0, 0.0, x=1.0)])
+
+
+def test_transition_mse_rejects_multi_dimensional_inputs():
+    # The window is a range of the time input; a lag embedding's first
+    # coordinate is the oldest lag value, not the time.
+    with pytest.raises(DimensionMismatch):
+        transition_mse([_rec(1.0, 0.0, x=[0.0, 3.3])])
