@@ -19,8 +19,8 @@ from .agp import adam_params, agp_step
 from .agp_vsi import VariationalQ, agp_vsi_step, elbo_lambda
 from .wvsgp import wvsgp_step
 from .harness import (ExperimentConfig, MetricSummary, StreamRecord,
-                      ci95_coverage, lag_embed, mape, mse,
-                      persistence_baseline, run_experiment, synth_toy)
+                      ci95_coverage, lag_embed, mape, mse, run_experiment,
+                      synth_toy)
 
 __all__ = [
     "KernelParams", "kernel_matrix",
@@ -33,7 +33,6 @@ __all__ = [
     "VariationalQ", "elbo_lambda", "agp_vsi_step", "wvsgp_step",
     "ExperimentConfig", "StreamRecord", "MetricSummary", "run_experiment",
     "synth_toy", "lag_embed", "mse", "mape", "ci95_coverage",
-    "persistence_baseline",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import harness
-from .errors import AdaptiveSgpError
+from .errors import AdaptiveSgpError, DimensionMismatch
 from .harness import ExperimentConfig
 from .kernel import _as_inputs
 
@@ -184,11 +184,7 @@ def cmd_run(args) -> int:
     config, X, y, seeds = _load(args, model_kind=args.model, seed=args.seed,
                                 window_t=args.window_t,
                                 capacity_m=args.capacity_m, lam=args.lam)
-    if config.model_kind == "persistence":
-        records = harness.persistence_baseline(y)
-        results = [(config.seed, records, harness.summarize(records))]
-    else:
-        results = run_seeds(config, X, y, seeds)
+    results = run_seeds(config, X, y, seeds)
 
     if args.records:
         write_records_csv(args.records, [(s, recs) for s, recs, _ in results])
@@ -202,6 +198,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     config, X, y, seeds = _load(args, model_kind="agp", seed=args.seed)
+    if X.shape[1] != 1:
+        raise DimensionMismatch("the transition window needs 1-D inputs")
     rows = []
     for lam in sorted(float(v) for v in args.values.split(",")):
         results = run_seeds(replace(config, lam=lam), X, y, seeds)

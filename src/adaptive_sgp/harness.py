@@ -2,8 +2,8 @@
 streaming evaluation of every model kind, and metrics.
 
 Each incoming sample is predicted before it is used for any update; the
-first T samples only initialize the batch model and are excluded from the
-metrics.
+first T samples only initialize the model (for the persistence baseline,
+the value it holds) and are excluded from the metrics.
 """
 
 import math
@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, EmptyRecords, InvalidLambda,
                      MapeUndefined, TooShort)
 from .kernel import _as_inputs
 
-# The four streaming kinds, then the baseline, which has no streaming state.
+# The four streaming kinds, then the baseline, which has no model.
 MODEL_KINDS = ("fast_agp", "agp", "agp_vsi", "w_vsgp", "persistence")
 
 
@@ -139,11 +139,28 @@ def lag_embed(series, lags: int, horizon: int):
     return X, y
 
 
-def _stepper(config: ExperimentConfig, model: vsgp.VsgpModel, X0, y0):
-    """Streaming state for ``config.model_kind``, built by ``from_batch`` (at
-    lambda = 1 for w-vsgp) on the first T samples ``(X0, y0)``, behind one
-    interface: ``step(x, y) -> (pred_before, log_noise, k_inducing)``."""
+def _stepper(config: ExperimentConfig, X0, y0):
+    """The step for ``config.model_kind`` after the first T samples
+    ``(X0, y0)``: ``step(x, y) -> (pred_before, log_noise, k_inducing)``.
+
+    Persistence predicts the last finite target seen, with no variance and
+    no noise; every other kind streams on the state ``from_batch`` builds
+    (at lambda = 1 for w-vsgp) from a batch model fitted to ``(X0, y0)``."""
     kind = config.model_kind
+    if kind == "persistence":
+        held = next((float(v) for v in y0[::-1] if math.isfinite(v)), math.nan)
+
+        def persist(x, y):
+            nonlocal held
+            pred = vsgp.PredictiveDist(held, math.nan)
+            if math.isfinite(y):
+                held = float(y)
+            return pred, math.nan, 0
+        return persist
+
+    model = vsgp.fit_batch(X0, y0, config.capacity_m, config.init_iters,
+                           seed=derive_seed(config.seed, "inducing"),
+                           lr=config.lr, jitter=config.jitter)
     opt = agp.adam_params(lr=config.lr)
     lam = 1.0 if kind == "w_vsgp" else config.resolved_lambda()
     state = adaptive.from_batch(model, X0, y0, lam, config.window_t,
@@ -163,13 +180,9 @@ def _stepper(config: ExperimentConfig, model: vsgp.VsgpModel, X0, y0):
 
 
 def run_experiment(config: ExperimentConfig, X_all, y_all):
-    """Batch-initialize on the first T samples, stream the rest, score.
+    """Initialize on the first T samples, stream the rest, score.
 
-    Returns ``(records, summary)``.  Persistence has no streaming state;
-    use ``persistence_baseline`` for it.
-    """
-    if config.model_kind == "persistence":
-        raise ValueError("persistence has no streaming state")
+    Returns ``(records, summary)``."""
     X_all = _as_inputs(X_all)
     y_all = np.asarray(y_all, dtype=float).ravel()
     if X_all.shape[0] != y_all.shape[0]:
@@ -179,11 +192,7 @@ def run_experiment(config: ExperimentConfig, X_all, y_all):
     if y_all.shape[0] < T + 1:
         raise TooShort(f"need at least T+1={T + 1} samples, got {y_all.shape[0]}")
 
-    model = vsgp.fit_batch(X_all[:T], y_all[:T], config.capacity_m,
-                           config.init_iters,
-                           seed=derive_seed(config.seed, "inducing"),
-                           lr=config.lr, jitter=config.jitter)
-    step = _stepper(config, model, X_all[:T], y_all[:T])
+    step = _stepper(config, X_all[:T], y_all[:T])
     records: list[StreamRecord] = []
     for i, (x, y) in enumerate(zip(X_all[T:], y_all[T:])):
         t0 = time.perf_counter_ns()
@@ -244,23 +253,6 @@ def summarize(records) -> MetricSummary:
         total_time_us=int(sum(r.elapsed_us for r in records)),
         n_steps=len(records),
     )
-
-
-def persistence_baseline(series, horizon: int = 1):
-    """Predict each value by the last finite value ``horizon``+ steps back."""
-    series = np.asarray(series, dtype=float).ravel()
-    if series.shape[0] <= horizon:
-        raise TooShort("series shorter than horizon")
-    records, held = [], math.nan
-    for i in range(horizon, series.shape[0]):
-        if math.isfinite(series[i - horizon]):
-            held = float(series[i - horizon])
-        records.append(StreamRecord(
-            step=i - horizon, x=np.array([float(i)]),
-            y_true=float(series[i]), pred_mean=held,
-            pred_var=float("nan"), noise_var=float("nan"),
-            k_inducing=0, elapsed_us=0))
-    return records
 
 
 def transition_mse(records, lo: float = 3.2, hi: float = 3.4) -> float:

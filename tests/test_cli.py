@@ -98,11 +98,12 @@ def test_persistence_summary_after_a_nan_is_finite(tmp_path):
 
 
 def test_summary_error_names_the_metric_that_is_not_finite(tmp_path, capsys):
-    # A leading NaN leaves the persistence baseline nothing to carry, so
-    # the next sample's guess, the mse and the mape are NaN.
+    # NaN over the whole first window leaves the persistence baseline
+    # nothing to carry, so the first scored guess, the mse and the mape
+    # are NaN.
     summary = tmp_path / "summary.json"
     assert cli_main(["run", "--model", "persistence", "--data",
-                     str(_nan_stream_csv(tmp_path, [0])),
+                     str(_nan_stream_csv(tmp_path, range(100))),
                      "--summary", str(summary)]) == 1
     err = capsys.readouterr().err
     assert err == "error: summary metric not finite: mape, mse\n"
@@ -116,7 +117,18 @@ def test_persistence_summary_omits_coverage(toy_csv, tmp_path):
     assert rc == 0
     data = json.loads(summary.read_text())
     assert "ci95_coverage" not in data
-    assert data["n_steps"] == 499
+    assert data["n_steps"] == 400
+
+
+def test_persistence_honours_window_and_seeds(toy_csv, tmp_path):
+    # The baseline streams through run_experiment like every kind, so it
+    # scores the samples after the first T, once per seed.
+    summary = tmp_path / "summary.json"
+    assert cli_main(["run", "--model", "persistence", "--data", str(toy_csv),
+                     "--window-t", "50", "--seeds", "2",
+                     "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text())
+    assert data["n_steps"] == 900 and data["n_seeds"] == 2
 
 
 def test_records_csv_bit_exact_roundtrip(toy_csv, tmp_path):
@@ -317,9 +329,15 @@ def test_sweep_lambda_takes_the_seed_from_the_config_file(toy_csv, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_sweep_lambda_rejects_a_lag_embedding(toy_csv, tmp_path, capsys):
+def test_sweep_lambda_rejects_a_lag_embedding(toy_csv, tmp_path, capsys,
+                                             monkeypatch):
     # The transition window is a range of the time input; an embedding's
-    # first column is the oldest lag value, so the sweep refuses it.
+    # first column is the oldest lag value, so the sweep refuses it before
+    # any run.
+    def run_seeds(*args, **kwargs):
+        raise AssertionError("run_seeds called on multi-column data")
+
+    monkeypatch.setattr(cli, "run_seeds", run_seeds)
     embedded, cfgfile = tmp_path / "embedded.csv", tmp_path / "small.cfg"
     assert cli_main(["embed", "--lags", "3", "--horizon", "1", "--in",
                      str(toy_csv), "--out", str(embedded)]) == 0
@@ -330,7 +348,7 @@ def test_sweep_lambda_rejects_a_lag_embedding(toy_csv, tmp_path, capsys):
                      str(tmp_path / "sweep.csv"), "--seeds", "1",
                      "--lo", "-0.5", "--hi", "0.5"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err == "error: the transition window needs 1-D inputs\n"
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -9,9 +9,9 @@ from adaptive_sgp.adaptive import lambda_weights, rebuild_caches
 from adaptive_sgp.errors import (DimensionMismatch, EmptyRecords, InvalidLambda,
                                  MapeUndefined, TooShort)
 from adaptive_sgp.harness import (ExperimentConfig, StreamRecord, ci95_coverage,
-                                  lag_embed, mape, mse, persistence_baseline,
-                                  run_experiment, summarize, synth_toy,
-                                  toy_signal, transition_mse)
+                                  lag_embed, mape, mse, run_experiment,
+                                  summarize, synth_toy, toy_signal,
+                                  transition_mse)
 
 from helpers import builds_between, count_calls, make_state, record_calls
 
@@ -223,8 +223,7 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes):
     t, y = synth_toy(seed=0)
     X = t[:, None]
     cfg = ExperimentConfig(model_kind=kind, window_t=100, capacity_m=10,
-                           inner_iters=3, seed=0)
-    model = vsgp.fit_batch(X[:100], y[:100], 10, 20, seed=0)
+                           init_iters=20, inner_iters=3, seed=0)
     states = []
     from_batch = adaptive.from_batch
 
@@ -233,7 +232,7 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes):
         return states[-1]
 
     monkeypatch.setattr(adaptive, "from_batch", kept)
-    step = harness._stepper(cfg, model, X[:100], y[:100])
+    step = harness._stepper(cfg, X[:100], y[:100])
     rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
     refresh = count_calls(monkeypatch, adaptive, "refresh_b_lam")
     kernel_calls = record_calls(monkeypatch, kernel, "kernel_matrix",
@@ -283,14 +282,31 @@ def test_run_experiment_rejects_mismatched_lengths_before_fitting(monkeypatch):
         run_experiment(cfg, t[:200], y[:120])
 
 
-def test_run_experiment_rejects_persistence_before_fitting(monkeypatch):
-    def fit_batch(*args, **kwargs):
-        raise AssertionError("fit_batch called for an unsupported kind")
-
-    monkeypatch.setattr(vsgp, "fit_batch", fit_batch)
+@pytest.mark.parametrize("kind", harness.MODEL_KINDS)
+def test_every_kind_streams_the_same_samples(monkeypatch, kind):
+    # One prequential loop for every kind: each scores the samples after
+    # the first T, with the data's inputs.  Persistence fits no model and
+    # guesses the previous finite target, carried past a NaN.
     t, y = synth_toy(0)
-    with pytest.raises(ValueError, match="persistence"):
-        run_experiment(ExperimentConfig(model_kind="persistence"), t, y)
+    X, y = t[:60, None], y[:60]
+    y[30] = np.nan
+    if kind == "persistence":
+        def fit_batch(*args, **kwargs):
+            raise AssertionError("fit_batch called for persistence")
+
+        monkeypatch.setattr(vsgp, "fit_batch", fit_batch)
+    cfg = ExperimentConfig(model_kind=kind, window_t=20, capacity_m=5,
+                           init_iters=5, inner_iters=1)
+    records, _ = run_experiment(cfg, X, y)
+    assert [r.step for r in records] == list(range(40))
+    assert all(np.array_equal(r.x, X[20 + r.step]) for r in records)
+    assert np.array_equal([r.y_true for r in records], y[20:], equal_nan=True)
+    if kind == "persistence":
+        # Each guess is the previous target, but sample 31 follows the NaN
+        # at 30 and gets sample 29's.
+        guesses = y[19:59].copy()
+        guesses[31 - 20] = y[29]
+        assert [r.pred_mean for r in records] == guesses.tolist()
 
 
 def test_config_validation():
@@ -393,29 +409,33 @@ def test_skipped_samples_are_not_scored(kind):
 # ---------------------------------------------------------------------------
 # persistence baseline and transition window
 
+# A one-sample window: persistence streams from the second sample on.
+PERSIST_1 = ExperimentConfig(model_kind="persistence", window_t=1, capacity_m=1)
+
+
+def _persist(series):
+    return run_experiment(PERSIST_1, np.arange(len(series), dtype=float),
+                          series)[0]
+
 
 def test_persistence_constant_series_zero_mse():
-    recs = persistence_baseline(np.full(20, 3.3))
-    assert mse(recs) == 0.0
+    assert mse(_persist(np.full(20, 3.3))) == 0.0
 
 
 def test_persistence_hand_example():
-    recs = persistence_baseline([1.0, 2.0, 3.0])
+    recs = _persist([1.0, 2.0, 3.0])
     assert [r.pred_mean for r in recs] == [1.0, 2.0]
     assert [r.y_true for r in recs] == [2.0, 3.0]
 
 
 def test_persistence_carries_the_last_finite_value():
-    recs = persistence_baseline([1.0, np.nan, np.inf, 4.0, 5.0])
+    recs = _persist([1.0, np.nan, np.inf, 4.0, 5.0])
     assert [r.pred_mean for r in recs] == [1.0, 1.0, 1.0, 4.0]
-    recs = persistence_baseline([np.nan, 2.0, np.nan, 4.0], horizon=2)
-    assert np.isnan(recs[0].pred_mean)
-    assert [r.pred_mean for r in recs[1:]] == [2.0]
 
 
 def test_persistence_rejects_short_series():
     with pytest.raises(TooShort):
-        persistence_baseline([1.0], horizon=1)
+        _persist([1.0])
 
 
 def test_transition_mse_filters_by_input():

@@ -75,6 +75,12 @@ def test_one_opening_skips_and_slides():
         ("fast_agp.py", "_predict_and_slide")}
 
 
+def test_one_loop_builds_the_records():
+    # Every model kind, the persistence baseline included, streams through
+    # harness.run_experiment, so a record is made in one place.
+    assert _callers({"StreamRecord"}) == {("harness.py", "run_experiment")}
+
+
 def test_distances_only_in_the_set_up_and_kernel_matrix():
     # A window's distances are one matrix, made by bound._window_setup;
     # every other kernel is a kernel_matrix or a kernel_column, which
