@@ -8,7 +8,7 @@ incoming sample.
 """
 
 from .kernel import KernelParams, kernel_matrix
-from .linalg import CholFactor, cholesky_psd, inv_extend, logdet, solve_psd
+from .linalg import CholFactor, cholesky_psd, inv_extend, logdet
 from .vsgp import (PredictiveDist, VsgpModel, collapsed_bound, fit_batch,
                    optimal_q, predict, train)
 from .adaptive import (AdaptiveState, adaptive_bound, adaptive_predict,
@@ -24,7 +24,7 @@ from .harness import (ExperimentConfig, MetricSummary, StreamRecord,
 
 __all__ = [
     "KernelParams", "kernel_matrix",
-    "CholFactor", "cholesky_psd", "solve_psd", "logdet", "inv_extend",
+    "CholFactor", "cholesky_psd", "logdet", "inv_extend",
     "VsgpModel", "PredictiveDist", "collapsed_bound", "optimal_q", "predict",
     "fit_batch", "train",
     "AdaptiveState", "lambda_weights", "adaptive_bound", "adaptive_q",

@@ -7,23 +7,22 @@ in closed form; no sampling is involved.  Only the ELBO is this module's
 own: it sets up through ``bound._window_setup``, whose one factor of Kuu
 gives both Kuu^-1 and the KL's log-determinant.  A step opens like every
 other (``fast_agp._predict_and_slide``), predicting from the one row
-k(U, x_new) with the q-form ``vsgp.predict`` uses.
+k(U, x_new) with the q-form ``vsgp.predict`` uses.  Its updates have no
+failure handling of their own: a failed factorization in any iteration or
+in the rebuild restores the whole step (``adaptive._update_or_restore``),
+and the step puts q back.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bound, linalg
 from .adaptive import AdaptiveState, _update_or_restore, lambda_weights
-from .errors import NotPsd
 from .fast_agp import _predict_and_slide
 from .kernel import KernelParams
 from .optim import Adam, ascent_step
 from .vsgp import _q_predict
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -156,8 +155,10 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
     every step (``fast_agp._predict_and_slide``), which skips a sample with
     an inf or NaN.
 
-    The loop and the rebuild after it run under ``_update_or_restore``; a
-    failed rebuild puts q back as well, a failed iteration ends the loop."""
+    The loop and the rebuild after it run under ``_update_or_restore``, the
+    stream's one failure policy: a factorization that fails in any
+    iteration or in the rebuild restores the step's inducing points,
+    kernel and noise, and the step puts q back as well."""
     pred, k_new = _predict_and_slide(
         state, x_new, y_new, lambda k: _q_predict(
             k, state.params.variance, state.kuu_inv, q.mean, q.cov))
@@ -168,14 +169,9 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
 
     def move():
         for _ in range(inner_iters):
-            try:
-                grads = elbo_gradients(state.window_x, state.window_y,
-                                       state.inducing, state.params,
-                                       state.log_noise, q, state.lam,
-                                       state.jitter)
-            except NotPsd:
-                log.warning("VSI iteration skipped: factorization failed")
-                break
+            grads = elbo_gradients(state.window_x, state.window_y,
+                                   state.inducing, state.params,
+                                   state.log_noise, q, state.lam, state.jitter)
             q.mean = q.mean + opt.step("q_mean", grads["q_mean"])
             q.cov_chol = _apply_chol_update(
                 q.cov_chol, opt.step("q_chol", grads["q_chol"]))

@@ -13,7 +13,8 @@ covariance is never materialized.  ``_window_setup`` turns a window into
 kernel matrices (from one distance matrix), weighted cross-moments and the
 factor of Kuu for the bound (``_factor`` adds the factor of Binv), the
 explicit-q ELBO, ``vsgp.optimal_q`` and ``adaptive.rebuild_caches``;
-``_q_from_factor`` is the one optimal q.  Gradients are hand-derived via
+``_q_from_factor`` is the one optimal q.  The value reads both factors
+through triangular solves only.  Gradients are hand-derived via
 the chain rule through the same form and validated against finite
 differences in the test suite.  Beside the set-up the gradient makes two
 N x M x M products and two N x M arrays, W Kxu and dF/dKxu.
@@ -75,7 +76,8 @@ def _q_from_factor(f_b: linalg.CholFactor, s_y, Kuu, sig2: float):
 def _value(s: _WindowSetup, f_b, params: KernelParams) -> float:
     y, w, sig2, s_y = s.y, s.w, s.sig2, s.s_y
     n = y.shape[0]
-    quad = np.dot(s.Wy, y) / sig2 - (s_y @ linalg.solve_psd(f_b, s_y)) / sig2**2
+    v = linalg.solve_lower(f_b, s_y)
+    quad = np.dot(s.Wy, y) / sig2 - (v @ v) / sig2**2
     logdet_cov = (
         n * np.log(sig2) - float(np.sum(np.log(w)))
         + linalg.logdet(f_b) - linalg.logdet(s.f_k)
@@ -83,7 +85,9 @@ def _value(s: _WindowSetup, f_b, params: KernelParams) -> float:
     gauss = -0.5 * (n * np.log(2.0 * np.pi) + logdet_cov + quad)
 
     w_ksum = params.variance * float(np.sum(w))
-    trc = w_ksum - float(np.trace(linalg.solve_psd(s.f_k, s.S_k)))
+    # tr(Kuu^-1 S_k) = tr(L^-1 S_k L^-T), S_k symmetric
+    LiS = linalg.solve_lower(s.f_k, s.S_k)
+    trc = w_ksum - float(np.trace(linalg.solve_lower(s.f_k, LiS.T)))
     extra = -0.5 * (float(np.sum(w)) - n) * np.log(2.0 * np.pi * sig2)
     return float(gauss + extra - trc / (2.0 * sig2))
 

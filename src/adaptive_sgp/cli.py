@@ -276,9 +276,6 @@ def cli_main(argv=None) -> int:
     except (OSError, ValueError, AdaptiveSgpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -37,4 +37,5 @@ class MapeUndefined(AdaptiveSgpError):
 
 
 class TooShort(AdaptiveSgpError):
-    """Series too short for the requested embedding or baseline."""
+    """Series too short for the requested lag embedding (``lag_embed``) or
+    run (``run_experiment``)."""

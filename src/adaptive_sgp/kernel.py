@@ -2,11 +2,12 @@
 
 Single isotropic lengthscale; both hyperparameters live in log-space so
 positivity never needs a constrained optimizer.  Data and inducing inputs
-are read by ``_as_inputs``.  A window's ``Kxu`` and ``Kuu`` are row blocks
-of one ``_from_sq_dists`` of one ``sq_dists`` ([X; U] to U), which the
-chain rule reuses (``bound._window_setup``).  A step's one-point kernels
-are ``kernel_column``s; its k(U, x_new) and k(U, x_oldest), when it
-evicts with no carried kxu, are one ``kernel_matrix``.
+are read by ``_as_inputs``, one way everywhere: a 1-D array is N inputs of
+dimension 1.  A window's ``Kxu`` and ``Kuu`` are row blocks of one
+``_from_sq_dists`` of one ``sq_dists`` ([X; U] to U), which the chain rule
+reuses (``bound._window_setup``).  A step's one-point kernels are
+``kernel_column``s; its k(U, x_new) and k(U, x_oldest), when it evicts
+with no carried kxu, are one ``kernel_matrix``.
 """
 
 from dataclasses import dataclass
@@ -37,18 +38,10 @@ class KernelParams:
         return float(np.exp(self.log_lengthscale))
 
 
-def _as_2d(X) -> np.ndarray:
-    """``X`` as a float 2-D array, a 1-D one read as one point (a row), as
-    ``kernel_matrix`` takes it; data sets are read by ``_as_inputs``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    return X
-
-
 def _as_inputs(X) -> np.ndarray:
     """``X`` as a float N x D array, a 1-D one read as N inputs of dimension
-    1 (a column); a single query point is read by ``_as_2d``."""
+    1 (a column).  Every function of the library that takes a set of inputs
+    reads it here; a single point ``x`` of ``kernel_column`` is a vector."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -57,7 +50,7 @@ def _as_inputs(X) -> np.ndarray:
 
 def sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at zero."""
-    X, Z = _as_2d(X), _as_2d(Z)
+    X, Z = _as_inputs(X), _as_inputs(Z)
     if X.shape[1] != Z.shape[1]:
         raise DimensionMismatch(f"X has {X.shape[1]} columns, Z has {Z.shape[1]}")
     d2 = (
@@ -80,7 +73,7 @@ def kernel_column(X, x, p: KernelParams) -> np.ndarray:
     place: distances as (|X|^2 + |x|^2) - 2 X x, clipped at 0, then the
     kernel in ``_from_sq_dists``' order.  Bit-identical to it at D=1; at
     larger D the sums may round differently."""
-    X = _as_2d(X)
+    X = _as_inputs(X)
     x = np.asarray(x, dtype=float).ravel()
     if X.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"X has {X.shape[1]} columns, x has {x.shape[0]}")

@@ -1,8 +1,8 @@
-"""Dense SPD linear algebra: jittered Cholesky, solves, log-determinants,
-and the bordered block-inverse extension (``inv_extend``) and shrink
-(``inv_shrink``) of ``Kuu~^-1``, the one inverse the streaming state keeps,
-each one BLAS rank-one update (``add_outer``) of a new array, O(M^2);
-B_lambda is read through triangular solves.
+"""Dense SPD linear algebra: jittered Cholesky, triangular solves,
+log-determinants, and the bordered block-inverse extension (``inv_extend``)
+and shrink (``inv_shrink``) of ``Kuu~^-1``, the one inverse the streaming
+state keeps, each one BLAS rank-one update (``add_outer``) of a new array,
+O(M^2); B_lambda and the bound value are read through triangular solves.
 
 Factorizations and solves call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs``
 directly.  With M around 10 a streaming step is bound by per-call
@@ -10,10 +10,10 @@ overhead, not flops, and ``scipy.linalg.cholesky``/``cho_solve`` spend
 several times the cost of these routines on input validation and batch
 dispatch around them.  They call them with the same arguments as here
 (lower triangle, upper part zeroed), so factors and solutions are
-bit-identical to theirs.  The checks they made are kept: square and
-symmetric input (``DimensionMismatch``, ``NotSymmetric``), ``ValueError``
-for an inf or NaN in a matrix or right-hand side, and ``ValueError`` when
-LAPACK reports an illegal argument.  Nothing else is built around the
+bit-identical to theirs.  The checks they made on a factored matrix are
+kept: square and symmetric input (``DimensionMismatch``,
+``NotSymmetric``), ``ValueError`` for an inf or NaN, and ``ValueError``
+when LAPACK reports an illegal argument.  Nothing else is built around the
 routines: at zero jitter ``A`` itself is factored, and an inverse
 (``inv_from_factor``) or a triangular solve (``solve_lower``) takes the
 library's own finite, factor-sized operands, unchecked.  A failed
@@ -115,20 +115,6 @@ def cholesky_psd(A: np.ndarray, base_jitter: float = 0.0) -> CholFactor:
     raise NotPsd(f"Cholesky failed at maximum jitter {jitter / 10.0:g}")
 
 
-def solve_psd(f: CholFactor, B: np.ndarray) -> np.ndarray:
-    """Solve ``(A + jitter*I) X = B`` from the factor of A."""
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] != f.lower.shape[0]:
-        raise DimensionMismatch(
-            f"factor is {f.lower.shape[0]}x{f.lower.shape[0]}, rhs has {B.shape[0]} rows"
-        )
-    _require_finite(B)
-    X, info = dpotrs(f.lower, B, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs: illegal value in argument {-info}")
-    return X
-
-
 def solve_lower(f: CholFactor, B: np.ndarray) -> np.ndarray:
     """``L^-1 B`` for the factor's lower triangle L: one forward solve."""
     X, info = dtrtrs(f.lower, B, lower=1)
@@ -146,8 +132,8 @@ def inv_from_factor(f: CholFactor) -> np.ndarray:
     """Dense, symmetrised inverse of the factored (jittered) matrix.
 
     The identity right-hand side is finite and sized to the factor by
-    construction, so it goes to ``dpotrs`` without ``solve_psd``'s checks;
-    LAPACK's argument check stays."""
+    construction, so it goes to ``dpotrs`` unchecked; LAPACK's argument
+    check stays."""
     inv, info = dpotrs(f.lower, np.eye(f.lower.shape[0]), lower=1)
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")

@@ -215,8 +215,8 @@ def test_step_rebuilds_caches_once(monkeypatch):
     # rebuild).  The prediction and the slide share one k(U, x_new), built
     # with the departing row k(U, x_oldest) as one two-row kernel_matrix;
     # one-point kernels (kernel_column) are recorded too.  Inverses come from
-    # their factors (inv_from_factor), never from an identity solve, and the
-    # hot path calls neither np.ix_ nor np.linalg.norm.
+    # their factors (inv_from_factor), and the hot path calls neither np.ix_
+    # nor np.linalg.norm.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
@@ -224,7 +224,6 @@ def test_step_rebuilds_caches_once(monkeypatch):
     rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
     chol = count_calls(monkeypatch, linalg, "cholesky_psd")
     inverses = count_calls(monkeypatch, linalg, "inv_from_factor")
-    solves = count_calls(monkeypatch, linalg, "solve_psd")
     refreshes = count_calls(monkeypatch, adaptive, "refresh_b_lam")
     scipy_calls = [count_calls(monkeypatch, scipy.linalg, name)
                    for name in ("cholesky", "cho_solve")]
@@ -243,7 +242,6 @@ def test_step_rebuilds_caches_once(monkeypatch):
     assert rebuilds[0] == 60
     assert chol[0] == 240
     assert inverses[0] == 180
-    assert solves[0] == 0
     assert refreshes[0] == 60
     assert st.skipped_updates == 0
     # every factorization and solve calls LAPACK directly (linalg)

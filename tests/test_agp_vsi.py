@@ -1,4 +1,5 @@
 import copy
+import logging
 
 import numpy as np
 import pytest
@@ -212,3 +213,52 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
     assert calls[0] == 16
     assert st.skipped_updates == 1
     assert st.skipped_samples == 0
+
+
+def test_failed_iteration_restores_the_step_with_one_warning(monkeypatch,
+                                                            caplog):
+    # Kuu~ at the parameters of the second inner iteration of one step is
+    # not PSD: its every factorization fails, the iteration's and the
+    # rebuild's after it.  The one guard puts the step back, q with it, and
+    # warns once; the window has slid and the next step runs.
+    X, y = piecewise_sinusoid(50, 2)
+    model = vsgp.fit_batch(X[:30], y[:30], M=4, iters=50, seed=0)
+    st = adaptive.from_batch(model, X[:30], y[:30],
+                             lam=0.95, window_t=30, capacity_m=4)
+    q = _optimal_q(st)
+    gradients, cholesky = agp_vsi.elbo_gradients, linalg.cholesky_psd
+    iteration, bad = [0], []
+
+    def counted(*args):
+        iteration[0] += 1
+        return gradients(*args)
+
+    def fails_on_bad(A, base_jitter=0.0):
+        if iteration[0] == 2 and not bad:
+            bad.append(np.array(A))
+        if bad and np.array_equal(A, bad[0]):
+            raise NotPsd("injected")
+        return cholesky(A, base_jitter)
+
+    monkeypatch.setattr(agp_vsi, "elbo_gradients", counted)
+    monkeypatch.setattr(linalg, "cholesky_psd", fails_on_bad)
+    opt = Adam(lr=0.05)
+    before = (st.inducing.copy(), st.params, st.log_noise, q.mean.copy(),
+              q.cov_chol.copy())
+    st, q, opt, _ = agp_vsi.agp_vsi_step(st, q, opt, X[30], y[30],
+                                         inner_iters=3)
+    assert iteration[0] == 2 and len(bad) == 1
+    for a, b in zip((st.inducing, st.params, st.log_noise, q.mean,
+                     q.cov_chol), before):
+        assert np.array_equal(a, b)
+    assert np.array_equal(st.window_x[-1], X[30])
+    assert st.skipped_updates == 1
+    assert [(r.name, r.levelname) for r in caplog.records
+            if r.levelno >= logging.WARNING] == [
+                ("adaptive_sgp.adaptive", "WARNING")]
+
+    params = st.params
+    st, q, opt, pred = agp_vsi.agp_vsi_step(st, q, opt, X[31], y[31],
+                                            inner_iters=3)
+    assert np.isfinite(pred.mean) and st.params != params
+    assert st.skipped_updates == 1

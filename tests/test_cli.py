@@ -208,6 +208,8 @@ def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
     empty.write_text("")
     short = tmp_path / "short.csv"
     short.write_text("t,x0,y\n0,0.5,1.0\n1,0.7\n")
+    no_x = tmp_path / "no_x.csv"
+    no_x.write_text("t,y\n0,1.0\n1,2.0\n")
     sweep = ["sweep-lambda", "--values", "0.9", "--data", str(toy_csv),
              "--out", str(tmp_path / "sweep.csv")]
     negative = tmp_path / "negative.cfg"
@@ -220,6 +222,7 @@ def test_bad_invocations_fail(toy_csv, tmp_path, capsys):
         sweep + ["--seeds", "0"],
         ["run", "--model", "agp", "--data", str(empty)],
         ["run", "--model", "agp", "--data", str(short)],
+        ["run", "--model", "agp", "--data", str(no_x)],
         ["embed", "--lags", "2", "--horizon", "1", "--in", str(empty),
          "--out", str(tmp_path / "embedded.csv")],
         ["run", "--model", "agp", "--data", str(toy_csv),
@@ -254,6 +257,12 @@ def test_every_config_field_is_a_file_key(tmp_path):
     assert config == NON_DEFAULT
     for f in fields:
         assert isinstance(getattr(config, f.name), f.type), f.name
+    # Comment lines and blank lines are skipped.
+    commented = tmp_path / "commented.cfg"
+    commented.write_text("# every field\n\n" + "\n  # next\n\n".join(
+        cfgfile.read_text().splitlines()) + "\n\n")
+    assert cli.read_config_file(str(commented)) == cli.read_config_file(
+        str(cfgfile))
 
 
 def test_model_flags_are_the_model_kinds():

@@ -389,6 +389,7 @@ def _one_d_call(name):
     model = vsgp.fit_batch(X, y, 4, 5, seed=0)
     config = harness.ExperimentConfig(window_t=20, capacity_m=4, init_iters=5)
     calls = {
+        "kernel_matrix": lambda X, U: kernel_matrix(X, U, p),
         "weighted_bound": lambda X, U: bound.weighted_bound(
             X, y, U, p, ln, w, 1e-6),
         "weighted_bound_gradients": lambda X, U: bound.weighted_bound_gradients(
@@ -405,8 +406,8 @@ def _one_d_call(name):
     return calls[name], X, U
 
 
-TAKES_U = ("weighted_bound", "weighted_bound_gradients", "optimal_q",
-           "elbo_lambda", "elbo_gradients")
+TAKES_U = ("kernel_matrix", "weighted_bound", "weighted_bound_gradients",
+           "optimal_q", "elbo_lambda", "elbo_gradients")
 
 
 @pytest.mark.parametrize(

@@ -54,18 +54,34 @@ def test_no_unused_imports():
         f"{sorted(set(UNUSED_IMPORTS_ALLOWED) - found)}")
 
 
-def _callers(names) -> set:
-    """``(module file, top-level function)`` for every call of one of
-    ``names``, by plain or attribute name, in ``src/adaptive_sgp``."""
+def _sites(match) -> set:
+    """``(module file, top-level function)`` for every node of
+    ``src/adaptive_sgp`` for which ``match(node)`` holds."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and getattr(
-                        node.func, "id", getattr(node.func, "attr", None)) in names:
-                    found.add((path.name, getattr(top, "name", "<module>")))
+            if any(match(node) for node in ast.walk(top)):
+                found.add((path.name, getattr(top, "name", "<module>")))
     return found
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _callers(names) -> set:
+    """Sites of every call of one of ``names``, by plain or attribute name."""
+    return _sites(lambda node: isinstance(node, ast.Call)
+                  and _name(node.func) in names)
+
+
+def _handlers(name) -> set:
+    """Sites of every ``except`` clause that names ``name``, alone or in a
+    tuple."""
+    return _sites(lambda node: isinstance(node, ast.ExceptHandler)
+                  and node.type is not None
+                  and any(_name(n) == name for n in ast.walk(node.type)))
 
 
 def test_one_opening_skips_and_slides():
@@ -87,6 +103,13 @@ def test_distances_only_in_the_set_up_and_kernel_matrix():
     # builds no distance matrix.
     assert _callers({"sq_dists"}) == {("bound.py", "_window_setup"),
                                       ("kernel.py", "kernel_matrix")}
+
+
+def test_one_guard_handles_a_failed_factorization():
+    # "The stream never aborts" has one policy: a NotPsd anywhere in a
+    # step's update restores the step in adaptive._update_or_restore, and no
+    # other code catches it.
+    assert _handlers("NotPsd") == {("adaptive.py", "_update_or_restore")}
 
 
 def test_every_export_resolves():

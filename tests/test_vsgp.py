@@ -169,6 +169,14 @@ def test_fit_batch_zero_iters_is_initialization():
     assert np.array_equal(m1.q_mean, m2.q_mean)
 
 
+@pytest.mark.parametrize("M", [0, 31])
+def test_fit_batch_rejects_a_capacity_outside_one_to_n(M):
+    rng = np.random.default_rng(10)
+    with pytest.raises(ValueError, match="1 <= M <= N"):
+        vsgp.fit_batch(rng.normal(size=(30, 1)), rng.normal(size=30), M=M,
+                       iters=0, seed=7)
+
+
 def test_fit_batch_factors_kuu_and_b_once_each(monkeypatch):
     # After the ascent steps, one set-up gives the optimal q and the cached
     # Kuu inverse: Kuu~ and B = Kuu~ + Kux Kxu / sig2 are factored once each,
