@@ -216,11 +216,21 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
     """Adaptive predictive mean/variance at one query (O(M^2) from caches;
     a stale B_lambda is factored first): with v = L^-1 k, mean =
     v^T L^-1 s_y / sig2 and var = kss - k^T kuu_inv k + v^T v.  ``k_new``
-    is ``kernel_row(state, xstar)`` when the caller has it."""
+    is ``kernel_row(state, xstar)`` when the caller has it.
+
+    ``xstar`` is one point, shaped (D,) or (1, D); without ``k_new``, a
+    query of any other number of rows raises ``DimensionMismatch`` before
+    any kernel or factorization."""
+    ks = k_new
+    if ks is None:
+        shape = np.shape(xstar)
+        if len(shape) > 2 or len(shape) == 2 and shape[0] != 1:
+            raise DimensionMismatch("adaptive_predict takes one query point, "
+                                    f"got an array of shape {shape}")
+        ks = kernel_row(state, xstar)
     if state.b_lam is None:
         refresh_b_lam(state)
     f, l_s_y = state.b_lam
-    ks = kernel_row(state, xstar) if k_new is None else k_new
     v = linalg.solve_lower(f, ks)
     mean = float(v @ l_s_y) / state.noise_var
     var = state.params.variance - float(ks @ state.kuu_inv @ ks) + float(v @ v)

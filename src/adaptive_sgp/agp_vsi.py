@@ -136,7 +136,7 @@ def elbo_gradients(window_x, window_y, inducing, params: KernelParams,
         "inducing": gU,
         "log_variance": float(g_lv),
         "log_lengthscale": float(g_ll),
-        "log_noise": g_ln,
+        "log_noise": float(g_ln),
     }
 
 

@@ -183,17 +183,18 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     points remain; never below one.
 
     Scores come from the cached s_k and kuu_inv, which must match the
-    current window, inducing set and kernel.  Each removal shrinks kuu_inv
-    by ``inv_shrink`` (O(M^2), no refactorisation), restricts kuu, s_k,
-    s_y, kxu (when carried) and the inducing set by one index array, and
-    marks b_lam stale, so every round scores the remaining set exactly and
-    the caches stay exact afterwards."""
+    current window, inducing set and kernel.  Each removal builds one index
+    array of the points kept, shrinks kuu_inv by ``inv_shrink`` (O(M^2), no
+    refactorisation) and restricts kuu, s_k, s_y, kxu (when carried) and
+    the inducing set by that array, and marks b_lam stale, so every round
+    scores the remaining set exactly and the caches stay exact afterwards."""
     while state.k_inducing > 1:
         m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
         if m is None:
             break
-        keep = (np.arange(state.k_inducing) != m).nonzero()[0]
-        state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m)
+        keep = np.arange(state.k_inducing - 1)     # every index but m
+        keep[m:] += 1
+        state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m, keep)
         state.b_lam = None
         state.kuu = state.kuu.take(keep, 0).take(keep, 1)
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)

@@ -15,16 +15,17 @@ kept: square and symmetric input (``DimensionMismatch``,
 ``NotSymmetric``), ``ValueError`` for an inf or NaN, and ``ValueError``
 when LAPACK reports an illegal argument.  Nothing else is built around the
 routines: at zero jitter ``A`` itself is factored, and an inverse
-(``inv_from_factor``) or a triangular solve (``solve_lower``) takes the
-library's own finite, factor-sized operands, unchecked.  A failed
-factorization escalates the jitter geometrically and logs once it
-succeeds (a warning unless the jitter is at roundoff level); ``NotPsd``
-once it never does.
+(``inv_from_factor``, from one read-only identity kept per size) or a
+triangular solve (``solve_lower``) takes the library's own finite,
+factor-sized operands, unchecked.  A failed factorization escalates the
+jitter geometrically and logs once it succeeds (a warning unless the
+jitter is at roundoff level); ``NotPsd`` once it never does.
 """
 
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -128,16 +129,28 @@ def logdet(f: CholFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(f.lower))))
 
 
-def inv_from_factor(f: CholFactor) -> np.ndarray:
-    """Dense, symmetrised inverse of the factored (jittered) matrix.
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, made once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
-    The identity right-hand side is finite and sized to the factor by
-    construction, so it goes to ``dpotrs`` unchecked; LAPACK's argument
-    check stays."""
-    inv, info = dpotrs(f.lower, np.eye(f.lower.shape[0]), lower=1)
+
+def inv_from_factor(f: CholFactor) -> np.ndarray:
+    """Dense, symmetrised inverse of the factored (jittered) matrix: a new
+    array, (X + X^T) / 2 for the ``dpotrs`` solution X of the identity.
+
+    The identity right-hand side is one read-only array per size, kept
+    between calls (``dpotrs`` solves into a copy of it); it is finite and
+    sized to the factor by construction, so it goes to ``dpotrs``
+    unchecked.  LAPACK's argument check stays."""
+    inv, info = dpotrs(f.lower, _identity(f.lower.shape[0]), lower=1)
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
-    return 0.5 * (inv + inv.T)
+    out = inv + inv.T
+    out *= 0.5
+    return out
 
 
 def add_outer(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,14 +187,15 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     return add_outer(out, u / schur, u)
 
 
-def inv_shrink(Ainv: np.ndarray, m: int) -> np.ndarray:
+def inv_shrink(Ainv: np.ndarray, m: int, keep: np.ndarray) -> np.ndarray:
     """Inverse of A with row and column ``m`` removed, in O(k^2).
 
-    ``Ainv`` must be the inverse of A.  This undoes ``inv_extend``:
+    ``Ainv`` must be the inverse of A, and ``keep`` the index array of
+    every row but ``m``, in order (the caller restricts its other caches by
+    the same array).  This undoes ``inv_extend``:
     Ainv - Ainv[:, m] Ainv[m, :] / Ainv[m, m], then row and column m
     dropped (the basis-vector deletion of Csato & Opper 2002).
     """
-    keep = (np.arange(Ainv.shape[0]) != m).nonzero()[0]
     rows = Ainv.take(keep, 0)
     # a new array: Ainv is never written
     return add_outer(rows.take(keep, 1), rows[:, m],

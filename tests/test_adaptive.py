@@ -151,6 +151,24 @@ def test_predict_prior_recovery():
     assert pred.var == pytest.approx(st.params.variance, rel=1e-5)
 
 
+def test_predict_rejects_a_query_of_several_points_before_lapack(capfd):
+    # A query of 2 rows used to reach dtrtrs with a matrix right-hand side
+    # (LAPACK printed to stderr), and one of M rows failed converting the
+    # mean to a float; both are refused up front, naming the shape.
+    rng = np.random.default_rng(12)
+    st = make_state(rng, k=4, d=1)
+    st.b_lam = None
+    for xstar in (np.zeros((2, 1)), np.zeros((st.k_inducing, 1)),
+                  np.zeros((0, 1)), np.zeros((1, 1, 1))):
+        with pytest.raises(DimensionMismatch, match=str(xstar.shape)):
+            adaptive.adaptive_predict(st, xstar)
+    assert st.b_lam is None          # nothing was factored
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
+    one = adaptive.adaptive_predict(st, np.array([0.3]))
+    assert adaptive.adaptive_predict(st, np.array([[0.3]])) == one
+
+
 def test_predict_reduces_to_batch():
     rng = np.random.default_rng(9)
     st = make_state(rng, lam=1.0, d=2)

@@ -121,7 +121,7 @@ def test_inv_shrink_matches_direct_inverse_up_to_64():
         for m in range(n):
             keep = np.arange(n) != m
             direct = np.linalg.inv(A[np.ix_(keep, keep)])
-            out = linalg.inv_shrink(Ainv, m)
+            out = linalg.inv_shrink(Ainv, m, np.flatnonzero(keep))
             assert out.shape == (n - 1, n - 1)
             assert np.max(np.abs(out - direct)) / np.max(np.abs(direct)) < 1e-9
 
@@ -133,7 +133,7 @@ def test_inv_shrink_undoes_inv_extend():
         A = spd_matrix(rng, k + 1)
         Ainv = np.linalg.inv(A[:k, :k])
         ext = linalg.inv_extend(Ainv, A[:k, k], float(A[k, k]))
-        out = linalg.inv_shrink(ext, k)
+        out = linalg.inv_shrink(ext, k, np.arange(k))
         assert np.max(np.abs(out - Ainv)) / np.max(np.abs(Ainv)) < 1e-10
 
 
@@ -159,7 +159,8 @@ def test_inv_shrink_equals_its_elementwise_form_and_keeps_its_input():
         Ainv = np.linalg.inv(spd_matrix(rng, n))
         for m in {0, int(rng.integers(n)), n - 1}:
             Ainv_in = Ainv.copy()
-            out = linalg.inv_shrink(Ainv_in, m)
+            keep = np.flatnonzero(np.arange(n) != m)
+            out = linalg.inv_shrink(Ainv_in, m, keep)
             assert _rel_to(out, reference_inv_shrink(Ainv, m)) < 1e-13, (n, m)
             assert np.array_equal(Ainv_in, Ainv), (n, m)
 
@@ -207,6 +208,24 @@ def test_inv_from_factor_equals_cholesky_solve_formula():
                                      np.eye(n))
         got = linalg.inv_from_factor(linalg.cholesky_psd(A, 0.0))
         assert np.array_equal(got, 0.5 * (inv + inv.T)), n
+
+
+def test_inv_from_factor_keeps_one_read_only_identity_per_size():
+    # The right-hand side is cached per size; writing into a returned
+    # inverse must not reach it, and nothing may write into it.
+    rng = np.random.default_rng(14)
+    mats = {n: spd_matrix(rng, n) for n in (1, 10, 40)}
+    refs = {n: np.linalg.inv(A) for n, A in mats.items()}
+    for _ in range(3):
+        for n, A in mats.items():
+            inv = linalg.inv_from_factor(linalg.cholesky_psd(A, 0.0))
+            assert _rel_to(inv, refs[n]) < 1e-12, n
+            inv[...] = 7.0
+            eye = linalg._identity(n)
+            assert not eye.flags.writeable
+            assert np.array_equal(eye, np.eye(n))
+            with pytest.raises(ValueError):
+                eye[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
