@@ -8,8 +8,14 @@ update, and a change of the inducing set borders or restricts the cached
 kernel matrices and extends or shrinks the cached ``kuu_inv`` by bordered
 block identities.  ``rebuild_caches`` recomputes everything from the window
 (``bound._window_setup``, which the bound also starts from); only
-``from_batch`` and ``_update_or_restore`` call it.  ``kxu`` is moved only
-while it is carried (not ``None``).  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
+``from_batch`` and ``_update_or_restore`` call it.
+
+``kxu`` follows one rule: every rebuild keeps the ``Kxu`` block its set-up
+built, and every parameter update (``_update_or_restore``) drops it, since
+the next update rebuilds everything anyway.  Fast mode never updates its
+parameters, so it carries ``kxu`` from ``from_batch`` on; the other kinds
+carry it only until their first update.  Every cache move moves ``kxu``
+while it is carried.  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
 cache move marks ``b_lam`` stale, and ``refresh_b_lam`` factors it once per
 step, before the prediction's triangular solve.
 
@@ -25,9 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import bound, linalg
+# kernel_matrix is not called here; perfbench's tracer test pins its binding.
 from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
 from .errors import DimensionMismatch, InvalidLambda, NotPsd
-from .vsgp import DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var
+from .vsgp import (DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var,
+                   _check_one_point)
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +74,8 @@ class AdaptiveState:
     b_lam: tuple[linalg.CholFactor, np.ndarray] | None = None
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
-    # Kxu (window x inducing), built on first need by fast mode's inducing
-    # addition and dropped by rebuild_caches, so full mode never carries it
+    # Kxu (window x inducing): kept by rebuild_caches, dropped after every
+    # parameter update (_update_or_restore), so only fast mode streams with it
     kxu: np.ndarray | None = None
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
     # counters
@@ -133,13 +141,12 @@ def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
 
 
 def rebuild_caches(state: AdaptiveState) -> None:
-    """Recompute s_y, s_k, w_ksum, kuu, kuu_inv from the window (O(T M^2)),
-    drop kxu and mark b_lam stale.
+    """Recompute s_y, s_k, w_ksum, kuu, kuu_inv and kxu from the window
+    (O(T M^2)) and mark b_lam stale.
 
     Needed after a parameter update; fast mode's inducing-set changes extend
-    or shrink the caches instead.  kxu is not kept: full mode
-    rebuilds after every step and never reads it, and fast mode builds it
-    again on its next inducing addition.  ``Kuu~`` is factored once, and kuu
+    or shrink the caches instead.  kxu is the set-up's own ``Kxu`` block, so
+    keeping it builds nothing more.  ``Kuu~`` is factored once, and kuu
     is the matrix that factor describes (``bound._window_setup``), jitter
     escalation included, so kuu and kuu_inv always describe one matrix."""
     s = bound._window_setup(state.window_x, state.window_y, state.inducing,
@@ -149,7 +156,7 @@ def rebuild_caches(state: AdaptiveState) -> None:
     state.s_k = 0.5 * (s.S_k + s.S_k.T)
     state.w_ksum = state.params.variance * float(s.w.sum())
     state.kuu = s.Kuu
-    state.kxu = None
+    state.kxu = s.Kxu
     state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None
 
@@ -158,18 +165,23 @@ def _update_or_restore(state: AdaptiveState, move) -> bool:
     """Run ``move()``, which changes the inducing points, kernel or noise,
     and rebuild the caches there; True.  On ``NotPsd`` from either, put
     those three back, rebuild there, count in ``state.skipped_updates`` and
-    warn; False, and the caller restores whatever else ``move()`` changed."""
+    warn; False, and the caller restores whatever else ``move()`` changed.
+
+    Either way kxu is dropped after the rebuild: the next update rebuilds
+    it, so carrying it through the steps between would only move it."""
     before = state.inducing.copy(), state.params, state.log_noise
     try:
         move()
         rebuild_caches(state)
-        return True
+        updated = True
     except NotPsd:
         state.skipped_updates += 1
         log.warning("update skipped: factorization failed")
-    state.inducing, state.params, state.log_noise = before
-    rebuild_caches(state)
-    return False
+        state.inducing, state.params, state.log_noise = before
+        rebuild_caches(state)
+        updated = False
+    state.kxu = None
+    return updated
 
 
 def refresh_b_lam(state: AdaptiveState) -> None:
@@ -204,10 +216,7 @@ def adaptive_q(state: AdaptiveState):
 
 
 def kernel_row(state: AdaptiveState, x) -> np.ndarray:
-    """k(U, x) for one input (``kernel_column``); for the rows of a 2-D
-    ``x``, one ``kernel_matrix`` of rows k(U, x_i), equal to those at D=1."""
-    if np.ndim(x) == 2 and len(x) > 1:
-        return kernel_matrix(x, state.inducing, state.params)
+    """k(U, x) for one input (``kernel_column``)."""
     return kernel_column(state.inducing, x, state.params)
 
 
@@ -223,10 +232,7 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
     any kernel or factorization."""
     ks = k_new
     if ks is None:
-        shape = np.shape(xstar)
-        if len(shape) > 2 or len(shape) == 2 and shape[0] != 1:
-            raise DimensionMismatch("adaptive_predict takes one query point, "
-                                    f"got an array of shape {shape}")
+        _check_one_point(xstar, "adaptive_predict")
         ks = kernel_row(state, xstar)
     if state.b_lam is None:
         refresh_b_lam(state)

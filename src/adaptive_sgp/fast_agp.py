@@ -9,10 +9,12 @@ A step of every model kind builds one kernel row per sample, k(U, x_new),
 in the opening all four kinds share (``_predict_and_slide``), and passes it
 to the prediction (the caches', or agp_vsi's explicit q), the slide and
 fast mode's admission, each of which builds it itself when it is omitted.
-While ``kxu`` is carried the slide reads the departing row from it, else
-it comes from k(U, x_new)'s kernel build; the admission builds only the
-candidate's column k(X, x_new).  Other one-point kernels are
-``kernel_column`` vectors, and each change of s_k or ``kuu_inv`` by one
+Fast mode carries ``kxu`` from ``from_batch`` on (``adaptive``'s rule: a
+rebuild keeps it, only a parameter update drops it), so its slide reads
+the departing row from ``kxu[0]`` and its admission builds only the
+candidate's column k(X, x_new); the other kinds' slide builds the departing
+row as one more ``kernel_row``.  Every one-point kernel is a
+``kernel_column`` vector, and each change of s_k or ``kuu_inv`` by one
 sample or one point is one BLAS rank-one update (``linalg.add_outer``) of a
 new array.  Every cache move marks ``b_lam`` stale; the cache prediction
 factors B_lambda first (``refresh_b_lam``) unless a skip left it current.
@@ -27,13 +29,13 @@ from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
                        refresh_b_lam, relevance_total, removal_scores,
                        skip_nonfinite)
 from .errors import SchurNotPositive
+# kernel_matrix is not called here; perfbench's tracer test pins its binding.
 from .kernel import kernel_column, kernel_matrix
 from .vsgp import PredictiveDist
 
 
 def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
-                 k_new: np.ndarray | None = None,
-                 k_old: np.ndarray | None = None) -> AdaptiveState:
+                 k_new: np.ndarray | None = None) -> AdaptiveState:
     """Append one sample, evicting the oldest once the window holds T, and
     update s_y, s_k and w_ksum by rank-one terms (O(M^2)) and kxu, when
     carried, by one row; b_lam is marked stale.
@@ -42,9 +44,9 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     sample carries weight lam^T after the new sample's geometric discount,
     so its contribution is removed with that coefficient from every cache.
 
-    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it, and
-    ``k_old`` the departing sample's row; without it that row is
-    ``kxu[0]`` while kxu is carried, else one kernel call."""
+    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.  The
+    departing sample's row is ``kxu[0]`` while kxu is carried, else one
+    ``kernel_row``."""
     x_row = np.atleast_2d(np.asarray(x_new, dtype=float))
     y_new = float(y_new)
     lam, var = state.lam, state.params.variance
@@ -55,9 +57,8 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     s_k = linalg.add_outer(lam * state.s_k, k_new, k_new)
     w_ksum = lam * state.w_ksum + var
     if evict:
-        if k_old is None:
-            k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
-                     else state.kxu[0])
+        k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
+                 else state.kxu[0])
         wT = lam ** state.window_t
         s_y = s_y - wT * k_old * float(state.window_y[0])
         s_k = linalg.add_outer(s_k, -wT * k_old, k_old)
@@ -76,17 +77,15 @@ def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
                        predict=None):
     """The opening of every step: skip an inf or NaN sample
     (``skip_nonfinite``; ``k_new`` is then None and nothing moves), build
-    k(U, x_new) once (with the departing row when the slide evicts and kxu
-    is not carried), predict from it with ``predict(k_new)`` (by default the
-    caches': factor a stale B_lambda, then ``adaptive_predict``), then slide
-    (``windowed_add``).  Returns ``(pred, k_new)``; the prediction at an inf
-    or NaN input is NaN, without evaluating the kernel there."""
+    k(U, x_new) once (``kernel_row``), predict from it with
+    ``predict(k_new)`` (by default the caches': factor a stale B_lambda,
+    then ``adaptive_predict``), then slide (``windowed_add``).  Returns
+    ``(pred, k_new)``; the prediction at an inf or NaN input is NaN,
+    without evaluating the kernel there."""
     skipped = skip_nonfinite(state, x_new, y_new)
     if skipped and not np.isfinite(x_new).all():
         return PredictiveDist(mean=math.nan, var=math.nan), None
-    pair = state.kxu is None and state.window_y.shape[0] == state.window_t
-    k_new, k_old = (kernel_row(state, np.vstack((x_new, state.window_x[:1])))
-                    if pair else (kernel_row(state, x_new), None))
+    k_new = kernel_row(state, x_new)
     if predict is None:
         if state.b_lam is None:
             refresh_b_lam(state)
@@ -95,7 +94,7 @@ def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
         pred = predict(k_new)
     if skipped:
         return pred, None
-    windowed_add(state, x_new, y_new, k_new=k_new, k_old=k_old)
+    windowed_add(state, x_new, y_new, k_new=k_new)
     return pred, k_new
 
 
@@ -137,11 +136,14 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     cache is left as it was and the candidate is counted in
     ``state.rejected_candidates``.  The defaults never reject.
 
-    An admitted candidate borders kuu, s_k and kxu (built here on first
-    need), grows kuu_inv by bordered block extension (O(M^2) besides kxu's
-    column) and marks b_lam stale; one that cannot be bordered (e.g. a
-    duplicated inducing point at zero jitter) is rejected and counted.
-    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.
+    The state must carry kxu, as fast mode's does from ``from_batch`` on:
+    the candidate's s_k row is ``kxu^T W k(X, x_new)``, so the only kernel
+    built here is the column k(X, x_new).  An admitted candidate borders
+    kuu, s_k and kxu, grows kuu_inv by bordered block extension (O(M^2)
+    besides kxu's column) and marks b_lam stale; one that cannot be
+    bordered (e.g. a duplicated inducing point at zero jitter) is rejected
+    and counted.  ``k_new`` is ``kernel_row(state, x_new)`` when the caller
+    has it.
     """
     if relevance_total(state) <= r_th_tot:
         return state, False
@@ -149,8 +151,6 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     w = state.weights()
     kuu_diag = state.params.variance + state.jitter
-    if state.kxu is None:
-        state.kxu = kernel_matrix(state.window_x, state.inducing, state.params)
 
     b_kuu = kernel_row(state, x_new) if k_new is None else k_new
     k_x = kernel_column(state.window_x, x_new, state.params)

@@ -8,9 +8,9 @@ subtraction squared in place, within three roundings at any offset; at
 D>1 they are the Gram expansion |x|^2 + |z|^2 - 2 x.z, one matrix product
 for all D columns, clipped at zero.  A window's ``Kxu`` and ``Kuu`` are row
 blocks of one ``_from_sq_dists`` of one ``sq_dists`` ([X; U] to U), which
-the chain rule reuses (``bound._window_setup``).  A step's one-point
-kernels are ``kernel_column``s; its k(U, x_new) and k(U, x_oldest), when it
-evicts with no carried kxu, are one ``kernel_matrix``.
+the chain rule reuses (``bound._window_setup``), and which a streaming
+state keeps as its ``kxu``.  A step's one-point kernels, k(U, x_new) among
+them, are ``kernel_column``s.
 """
 
 from dataclasses import dataclass

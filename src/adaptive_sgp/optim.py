@@ -15,12 +15,14 @@ from .kernel import KernelParams
 
 
 class Adam:
-    def __init__(self, lr: float = 0.05, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    """Adam with the usual moment decays and epsilon; only ``lr`` is set."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float = 0.05):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._slots: dict = {}
 
     def reset(self, name: str) -> None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bound, linalg
+from .errors import DimensionMismatch
 from .kernel import KernelParams, _as_inputs, kernel_matrix
 from .optim import Adam, ascent_step
 
@@ -61,8 +62,18 @@ def optimal_q(X, y, U, params: KernelParams, log_noise: float,
     return bound._q_from_factor(f_b, s.s_y, s.Kuu, s.sig2)
 
 
+def _check_one_point(xstar, who: str) -> None:
+    """Raise ``DimensionMismatch`` unless ``xstar`` is one point: a scalar,
+    or an array shaped (D,) or (1, D)."""
+    shape = np.shape(xstar)
+    if len(shape) > 2 or len(shape) == 2 and shape[0] != 1:
+        raise DimensionMismatch(f"{who} takes one point, got shape {shape}")
+
+
 def predict(model: VsgpModel, xstar) -> PredictiveDist:
-    """Predictive mean/variance at a single query input (O(M^2))."""
+    """Predictive mean/variance at a single query input (O(M^2)); a query
+    of several rows raises ``DimensionMismatch`` before any kernel."""
+    _check_one_point(xstar, "predict")
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
     ks = kernel_matrix(xstar, model.inducing, model.params).ravel()
     return _q_predict(ks, model.params.variance, model.kuu_inv,

@@ -3,12 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from adaptive_sgp import adaptive, bound, fast_agp, vsgp
-from adaptive_sgp.errors import DimensionMismatch, InvalidLambda
+from adaptive_sgp import adaptive, agp, bound, fast_agp, vsgp
+from adaptive_sgp.errors import DimensionMismatch, InvalidLambda, NotPsd
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
                      grad_close, make_state, random_instance, rel)
+from test_fast_agp import KERNEL_CACHE_RTOL
 
 
 def _kuu_jittered(st):
@@ -296,6 +297,55 @@ def test_window_setup_kuu_is_the_matrix_its_factor_describes():
         assert rel(s.Kuu, kuu) < 1e-12
         adaptive.rebuild_caches(st)
         assert np.array_equal(st.kuu, s.Kuu)
+
+
+# kxu's one rule: every rebuild keeps the set-up's Kxu block, and every
+# parameter update drops it after its rebuild.
+
+
+def test_rebuild_keeps_kxu_as_the_window_kernel():
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        st = make_state(rng)
+        st.kxu = None
+        adaptive.rebuild_caches(st)
+        kxu = kernel_matrix(st.window_x, st.inducing, st.params)
+        assert st.kxu.shape == kxu.shape
+        assert rel(st.kxu, kxu) <= KERNEL_CACHE_RTOL
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["update", "restore"])
+def test_update_or_restore_drops_kxu(fails):
+    rng = np.random.default_rng(27)
+    st = make_state(rng, t_cur=12, k=3, d=2)
+    before = st.params
+
+    def move():
+        st.params = KernelParams(st.params.log_variance + 0.1,
+                                 st.params.log_lengthscale)
+        if fails:
+            raise NotPsd("forced")
+
+    assert st.kxu is not None
+    assert adaptive._update_or_restore(st, move) is not fails
+    assert st.kxu is None
+    assert (st.params == before) is fails
+    assert st.skipped_updates == fails
+
+
+def test_full_mode_step_skipped_after_from_batch_keeps_kxu():
+    # A skipped sample moves nothing, so the kxu from_batch's rebuild kept
+    # is still the window's kernel; the first update drops it.
+    X, y, _, _, _ = random_instance(np.random.default_rng(28), n=40, m=5, d=1)
+    model = vsgp.fit_batch(X[:30], y[:30], 5, 5, seed=0)
+    st = adaptive.from_batch(model, X[:30], y[:30], 0.9, 30, 5)
+    opt = agp.adam_params()
+    agp.agp_step(st, opt, X[30], np.nan)
+    assert st.skipped_samples == 1
+    kxu = kernel_matrix(st.window_x, st.inducing, st.params)
+    assert rel(st.kxu, kxu) <= KERNEL_CACHE_RTOL
+    agp.agp_step(st, opt, X[31], y[31])
+    assert st.kxu is None
 
 
 def test_from_batch_rejects_a_window_it_could_never_slide():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, linalg,
-                          optim, vsgp, wvsgp)
+from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, kernel,
+                          linalg, optim, vsgp, wvsgp)
 from adaptive_sgp.errors import NotPsd
 from adaptive_sgp.kernel import KernelParams
 
@@ -212,11 +212,13 @@ def test_step_rebuilds_caches_once(monkeypatch):
     # factored once, for the prediction, and never inverted: four
     # factorizations per step (the prediction's, two in the gradient, one in
     # the rebuild) and three inverses (two in the gradient, kuu_inv in the
-    # rebuild).  The prediction and the slide share one k(U, x_new), built
-    # with the departing row k(U, x_oldest) as one two-row kernel_matrix;
-    # one-point kernels (kernel_column) are recorded too.  Inverses come from
-    # their factors (inv_from_factor), and the hot path calls neither np.ix_
-    # nor np.linalg.norm.
+    # rebuild).  The prediction and the slide share one k(U, x_new).  The
+    # first step slides kxu, which from_batch's rebuild keeps, and reads the
+    # departing row k(U, x_oldest) from it; the step's update drops kxu, so
+    # every later step builds that row as one kernel_column of its own.  No
+    # step builds a kernel_matrix.  Inverses come from their factors
+    # (inv_from_factor), and the hot path calls neither np.ix_ nor
+    # np.linalg.norm.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],
@@ -229,16 +231,18 @@ def test_step_rebuilds_caches_once(monkeypatch):
                    for name in ("cholesky", "cho_solve")]
     wrappers = [count_calls(monkeypatch, np, "ix_"),
                 count_calls(monkeypatch, np.linalg, "norm")]
-    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix",
-                                "kernel_column")
+    matrices = count_calls(monkeypatch, kernel, "kernel_matrix")
+    kernel_calls = record_calls(monkeypatch, kernel, "kernel_column")
     opt = agp.adam_params()
     for i in range(100, 160):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
         del kernel_calls[:]
         agp.agp_step(st, opt, X[i], y[i])
+        assert st.kxu is None, i
         assert builds_between(kernel_calls, before, X[i]) == 1, i
-        assert builds_between(kernel_calls, before, oldest) == 1, i
-        assert builds_between(kernel_calls, before, X[i], oldest) == 1, i
+        assert builds_between(kernel_calls, before, oldest) == (i > 100), i
+        assert builds_between(kernel_calls, before, X[i], oldest) == 0, i
+    assert matrices[0] == 0
     assert rebuilds[0] == 60
     assert chol[0] == 240
     assert inverses[0] == 180
@@ -288,8 +292,8 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
 
 
 def test_full_mode_never_carries_kxu():
-    # Only fast mode's inducing addition builds kxu; agp_step rebuilds the
-    # caches every step, which drops it, and never reads it.
+    # from_batch's rebuild keeps kxu, and agp_step's update drops it after
+    # its rebuild, so full mode never streams with it.
     X, y = piecewise_sinusoid(160, 1)
     model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=50, seed=0)
     st = adaptive.from_batch(model, X[:100], y[:100],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adaptive_sgp import adaptive, fast_agp, harness, linalg, vsgp
+from adaptive_sgp import adaptive, fast_agp, harness, kernel, linalg, vsgp
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (b_lam_inv, builds_between, count_calls, lagged_series,
@@ -134,10 +134,12 @@ def test_maybe_add_extension_matches_from_scratch():
         _caches_match(st, tol=1e-7)
 
 
-def test_maybe_add_carries_kxu_through_slides_adds_and_prunes():
+def test_maybe_add_carries_kxu_through_slides_adds_and_prunes(monkeypatch):
+    # The rebuild that made the state keeps kxu; every slide, admission and
+    # prune moves it exactly, and no admission builds a kernel_matrix.
     rng = np.random.default_rng(19)
     st = make_state(rng, t_cur=10, k=3, d=2, lam=0.9, window_t=10)
-    assert st.kxu is None
+    matrices = count_calls(monkeypatch, kernel, "kernel_matrix")
     for i in range(30):
         x = rng.normal(size=2)
         fast_agp.windowed_add(st, x, float(rng.normal()))
@@ -145,8 +147,9 @@ def test_maybe_add_carries_kxu_through_slides_adds_and_prunes():
             fast_agp.maybe_add_inducing(st, x, -1.0)
         if i % 5 == 0:
             fast_agp.prune_inducing(st, 1e-4, 4)
+        assert matrices[0] == 0, i
+        assert st.kxu is not None, i
         _caches_match(st)
-    assert st.kxu is not None
 
 
 def test_maybe_add_rejects_candidate_the_prune_would_remove_first():
@@ -198,7 +201,6 @@ def test_unborderable_candidate_is_rejected_with_caches_kept(monkeypatch):
     st = make_state(rng, t_cur=8, k=3, d=2)
     st.jitter = 0.0
     adaptive.rebuild_caches(st)
-    st.kxu = kernel_matrix(st.window_x, st.inducing, st.params)
     before = copy.deepcopy(st)
     refused = []
     extend = linalg.inv_extend
@@ -405,11 +407,9 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # Extension and shrink keep the caches exact, so the only factorization
     # of a fast step is B_lambda's, for the prediction, and no step forms an
     # inverse.  The step builds the kernel row k(U, x_new) once for the
-    # prediction, the slide and the admission.  Until kxu is carried, that
-    # build holds the departing row too (one two-row kernel_matrix); then
-    # the departing row is never built.  The first admission's kxu build
-    # holds x_new as well.  One-point kernels (kernel_column) are recorded
-    # with the matrix builds.  The hot path calls neither np.ix_ nor
+    # prediction, the slide and the admission.  kxu is carried from
+    # from_batch on, so the departing row is never built and no step builds
+    # a kernel_matrix.  The hot path calls neither np.ix_ nor
     # np.linalg.norm.
     X, y = piecewise_sinusoid(500, 1)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
@@ -420,24 +420,19 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
                    for name in ("cholesky", "cho_solve")]
     wrappers = [count_calls(monkeypatch, np, "ix_"),
                 count_calls(monkeypatch, np.linalg, "norm")]
-    kernel_calls = record_calls(monkeypatch, adaptive, "kernel_matrix",
-                                "kernel_column")
-    changes = carried = paired = 0
+    matrices = count_calls(monkeypatch, kernel, "kernel_matrix")
+    kernel_calls = record_calls(monkeypatch, kernel, "kernel_column")
+    changes = 0
     for i in range(100, 500):
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
-        kxu_carried = st.kxu is not None
+        assert st.kxu is not None, i
         del kernel_calls[:]
         fast_agp.fast_agp_step(st, X[i], y[i])
         changes += not np.array_equal(st.inducing, before)
-        built_kxu = not kxu_carried and st.kxu is not None
-        assert builds_between(kernel_calls, before, X[i]) == 1 + built_kxu, i
-        if kxu_carried:
-            carried += 1
-            assert builds_between(kernel_calls, before, oldest) == 0, i
-        else:
-            paired += 1
-            assert builds_between(kernel_calls, before, X[i], oldest) == 1, i
-    assert changes > 0 and carried > 300 and paired > 0
+        assert builds_between(kernel_calls, before, X[i]) == 1, i
+        assert builds_between(kernel_calls, before, oldest) == 0, i
+    assert changes > 0
+    assert matrices[0] == 0
     assert rebuilds[0] == 0
     assert chol[0] == 400
     assert inverses[0] == 0
@@ -484,21 +479,17 @@ def test_a_skipped_target_leaves_b_lam_factored_for_the_next_step(monkeypatch):
     assert st.skipped_samples == 10
 
 
-def _kxu_carried(st):
-    out = copy.deepcopy(st)
-    out.kxu = kernel_matrix(out.window_x, out.inducing, out.params)
-    return out
-
-
 @pytest.mark.parametrize("carry", [False, True], ids=["kxu_none", "kxu"])
 def test_passed_kernel_row_equals_omitted(carry):
     # Handing k(U, x_new) to the prediction, the slide and the admission is
     # a value handed over: every cache equals the one each computes itself.
+    # Without kxu (full mode after an update) the state slides, and only
+    # fast mode, which carries kxu, offers the admission.
     rng = np.random.default_rng(22)
     for _ in range(10):
         st = make_state(rng, t_cur=12, k=3, d=2, lam=0.9, window_t=12)
-        if carry:
-            st = _kxu_carried(st)
+        if not carry:
+            st.kxu = None
         ref = copy.deepcopy(st)
         x_new, y_new = rng.normal(size=2), float(rng.normal())
         k_new = adaptive.kernel_row(st, x_new)
@@ -506,8 +497,9 @@ def test_passed_kernel_row_equals_omitted(carry):
                 == adaptive.adaptive_predict(ref, x_new))
         fast_agp.windowed_add(st, x_new, y_new, k_new=k_new)
         fast_agp.windowed_add(ref, x_new, y_new)
-        fast_agp.maybe_add_inducing(st, x_new, -1.0, k_new=k_new)
-        fast_agp.maybe_add_inducing(ref, x_new, -1.0)
+        if carry:
+            fast_agp.maybe_add_inducing(st, x_new, -1.0, k_new=k_new)
+            fast_agp.maybe_add_inducing(ref, x_new, -1.0)
         for name in CACHES + ("kxu", "window_x", "window_y"):
             assert np.array_equal(_cache(st, name), _cache(ref, name)), name
         assert st.w_ksum == ref.w_ksum
@@ -523,8 +515,7 @@ def test_moves_leave_a_dropped_b_lam_dropped():
              lambda s, x, y: fast_agp.maybe_add_inducing(s, x, -1.0),
              lambda s, x, y: fast_agp.prune_inducing(s, 1e-4, 3))
     for _ in range(10):
-        st = _kxu_carried(make_state(rng, t_cur=12, k=3, d=2, lam=0.9,
-                                     window_t=12))
+        st = make_state(rng, t_cur=12, k=3, d=2, lam=0.9, window_t=12)
         ref = copy.deepcopy(st)
         x_new, y_new = rng.normal(size=2), float(rng.normal())
         for move in moves:
@@ -557,11 +548,8 @@ def _max_drift(X, y, T, M, lam, iters, every):
             b = adaptive.adaptive_predict(ref, X[i + 1])
             d_mean = max(d_mean, abs(a.mean - b.mean))
             d_var = max(d_var, abs(a.var - b.var) / b.var)
-            d_kern = max(d_kern, rel(st.kuu, ref.kuu))
-            if st.kxu is not None:
-                d_kern = max(d_kern, rel(st.kxu, kernel_matrix(
-                    st.window_x, st.inducing, st.params)))
-    assert st.kxu is not None
+            kxu = kernel_matrix(st.window_x, st.inducing, st.params)
+            d_kern = max(d_kern, rel(st.kuu, ref.kuu), rel(st.kxu, kxu))
     return d_mean, d_var, d_kern, changes
 
 

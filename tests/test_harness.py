@@ -215,11 +215,13 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes):
     # Fast mode moves its caches exactly and never rebuilds them; every
     # other kind rebuilds once per step, after its parameter update.  All
     # four kinds share one opening (fast_agp._predict_and_slide), which
-    # builds one kernel row k(U, x_new) per step for the prediction and the
-    # slide, in one build with the departing row while kxu is not carried
-    # (fast mode's first kxu build holds x_new as well).  The three kinds
-    # that predict from the caches factor B_lambda once per step; agp_vsi
-    # predicts from its explicit q and never does.
+    # builds one kernel row k(U, x_new) per step for the prediction, the
+    # slide and fast mode's admission.  The departing row is kxu[0] while
+    # kxu is carried (fast mode always, the others until their first
+    # update), else one kernel_column of its own; no step builds a
+    # kernel_matrix.  The three kinds that predict from the caches factor
+    # B_lambda once per step; agp_vsi predicts from its explicit q and
+    # never does.
     t, y = synth_toy(seed=0)
     X = t[:, None]
     cfg = ExperimentConfig(model_kind=kind, window_t=100, capacity_m=10,
@@ -235,18 +237,23 @@ def test_rebuild_budget_per_step(monkeypatch, kind, per_step, refreshes):
     step = harness._stepper(cfg, X[:100], y[:100])
     rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
     refresh = count_calls(monkeypatch, adaptive, "refresh_b_lam")
-    kernel_calls = record_calls(monkeypatch, kernel, "kernel_matrix",
-                                "kernel_column")
+    matrices = count_calls(monkeypatch, kernel, "kernel_matrix")
+    kernel_calls = record_calls(monkeypatch, kernel, "kernel_column")
+    carried_steps = 0
     for i in range(100, 130):
         st = states[0]
         before, oldest = st.inducing.copy(), st.window_x[:1].copy()
         carried = st.kxu is not None
+        carried_steps += carried
         del kernel_calls[:]
         step(X[i], y[i])
-        built_kxu = not carried and st.kxu is not None
-        assert builds_between(kernel_calls, before, X[i]) == 1 + built_kxu, i
-        assert builds_between(kernel_calls, before, X[i], oldest) == (
+        assert builds_between(kernel_calls, before, X[i]) == 1, i
+        assert builds_between(kernel_calls, before, oldest) == (
             not carried), i
+        assert builds_between(kernel_calls, before, X[i], oldest) == 0, i
+        assert (st.kxu is not None) == (kind == "fast_agp"), i
+    assert carried_steps == (30 if kind == "fast_agp" else 1)
+    assert matrices[0] == 0
     assert rebuilds[0] == 30 * per_step
     assert refresh[0] == 30 * refreshes
 

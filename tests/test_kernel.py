@@ -3,7 +3,6 @@ import dataclasses
 import pickle
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,41 +81,6 @@ def test_kernel_column_matches_kernel_matrix_at_d2_to_d8(d):
         assert col.shape == (X.shape[0],)
         dev = np.max(np.abs(col - kernel_matrix(X, x[None], p).ravel()))
         assert dev <= 1e-12 * p.variance, i
-
-
-# kernel_row of several points is one kernel_matrix with a row per point.
-
-
-def _rows_case(rng, d):
-    U, x, p = _column_case(rng, d)
-    P = np.vstack([x, rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 5)), d))
-                   * np.abs(x).max()])
-    return SimpleNamespace(inducing=U, params=p), P
-
-
-def test_kernel_row_of_several_points_equals_one_at_a_time_at_d1():
-    rng = np.random.default_rng(30)
-    for i in range(1000):
-        st, P = _rows_case(rng, 1)
-        rows = adaptive.kernel_row(st, P)
-        assert rows.shape == (P.shape[0], st.inducing.shape[0]), i
-        for x, row in zip(P, rows):
-            assert np.array_equal(row, adaptive.kernel_row(st, x)), i
-
-
-@pytest.mark.parametrize("d", range(2, 9))
-def test_kernel_row_of_several_points_matches_one_at_a_time_at_d2_to_d8(d):
-    # kernel_column and kernel_matrix each round differently at D > 1 (up
-    # to 4.2e-15 variance apart on one point); a row of the several-point
-    # matrix and the one-point column differ by up to 8.0e-15 variance in
-    # these 2100 cases.
-    rng = np.random.default_rng(31 + d)
-    for i in range(300):
-        st, P = _rows_case(rng, d)
-        rows = adaptive.kernel_row(st, P)
-        for x, row in zip(P, rows):
-            dev = np.max(np.abs(row - adaptive.kernel_row(st, x)))
-            assert dev <= 1e-14 * st.params.variance, i
 
 
 # bound._window_setup builds one distance matrix, [X; U] to U; its blocks
@@ -328,17 +292,18 @@ def test_gradients_build_each_distance_matrix_once(monkeypatch):
 def test_fit_batch_builds_each_distance_matrix_once(monkeypatch):
     # 200 gradients at 1 each, and the final set-up's 1, whose jittered Kuu
     # the cached inverse reuses.  A sliding-window step adds 5 gradients at
-    # 1 each, its rebuild's 1 and one for its two kernel rows: the window
-    # is full and kxu is not carried, so k(U, x_new) and the departing row
-    # are one kernel_matrix.
+    # 1 each and its rebuild's 1.  Its kernel rows build no distance matrix:
+    # k(U, x_new) is a kernel_column, and the departing row is kxu[0], which
+    # from_batch's rebuild keeps.
     calls = count_calls(monkeypatch, kernel, "sq_dists")
     X, y, U, p, ln = random_instance(np.random.default_rng(7), n=30, m=5, d=2)
     model = vsgp.fit_batch(X, y, 5, 200, seed=0)
     assert calls[0] == 201
     state = adaptive.from_batch(model, X, y, 1.0, 30, 5)
     assert calls[0] == 201 + 1          # from_batch's rebuild
+    assert state.kxu is not None
     wvsgp.wvsgp_step(state, Adam(), X[0], y[0], inner_iters=5)
-    assert calls[0] == 201 + 1 + 7
+    assert calls[0] == 201 + 1 + 6
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

@@ -30,7 +30,14 @@ def test_no_imports_inside_functions():
 
 # Imports a module keeps without using them, each pinned by a test
 # elsewhere, with the reason.
-UNUSED_IMPORTS_ALLOWED = {}
+UNUSED_IMPORTS_ALLOWED = {
+    ("adaptive.py", "kernel_matrix"):
+        "perfbench/test_perfbench.py::test_tracer_installs_everywhere_and_"
+        "restores asserts that adaptive binds kernel_matrix",
+    ("fast_agp.py", "kernel_matrix"):
+        "perfbench/test_perfbench.py::test_tracer_installs_everywhere_and_"
+        "restores asserts that fast_agp binds kernel_matrix",
+}
 
 
 def _unused_imports(path: Path) -> set:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adaptive_sgp import linalg, vsgp
+from adaptive_sgp import kernel, linalg, vsgp
+from adaptive_sgp.errors import DimensionMismatch
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 from adaptive_sgp.optim import Adam
 
@@ -112,6 +113,38 @@ def test_predict_scalar_hand_case():
     pred = vsgp.predict(model, np.array([0.0]))
     assert pred.mean == pytest.approx(0.5, abs=1e-5)
     assert pred.var == pytest.approx(0.5, abs=1e-5)
+
+
+def test_predict_rejects_a_query_of_several_points_before_any_kernel(
+        monkeypatch):
+    # A k x M kernel used to be ravelled and fail inside kuu_inv @ ks with
+    # numpy's matmul ValueError; a query of several rows is refused up
+    # front, naming its shape, before any kernel is built.
+    rng = np.random.default_rng(16)
+    X, y, U, params, ln = random_instance(rng, n=12, m=4, d=1)
+    model = _model(X, y, U, params, ln)
+    kernels = count_calls(monkeypatch, kernel, "kernel_matrix")
+    for xstar in (np.zeros((2, 1)), np.zeros((4, 1)), np.zeros((1, 1, 1))):
+        with pytest.raises(DimensionMismatch, match=str(xstar.shape)):
+            vsgp.predict(model, xstar)
+    assert kernels[0] == 0
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_predict_of_one_point_in_every_shape_is_the_q_form(d):
+    # (D,), (1, D) and, at D=1, a bare scalar each predict the q-form of
+    # the one kernel row, bit for bit.
+    rng = np.random.default_rng(17 + d)
+    X, y, U, params, ln = random_instance(rng, n=12, m=4, d=d)
+    model = _model(X, y, U, params, ln)
+    for _ in range(20):
+        x = rng.normal(size=d)
+        ks = kernel_matrix(x[None], model.inducing, params).ravel()
+        want = vsgp._q_predict(ks, params.variance, model.kuu_inv,
+                               model.q_mean, model.q_cov)
+        queries = [x, x[None]] + ([float(x[0])] if d == 1 else [])
+        for xstar in queries:
+            assert vsgp.predict(model, xstar) == want
 
 
 def test_gradients_match_finite_differences():

@@ -15,8 +15,11 @@ the host's speed falls on both alike.  One process, one BLAS thread.
 It prints the median over steps of parent time / change time per step
 (above 1 when the change is faster), the ratio of the total step times,
 and whether the two trees' predictions (mean, variance) and noise
-variances are bit-identical.  Given the same directory twice (an A/A run)
-it should read 1.00 within about 0.01.
+variances are bit-identical.  When they are not, it also prints the first
+step at which they differ, the largest |change - parent| of the mean and
+the largest of the variance relative to the parent's.  Given the same
+directory twice (an A/A run) it should read 1.00 within about 0.01, and
+bit-identical.
 """
 
 import argparse
@@ -95,6 +98,12 @@ def main(argv=None) -> int:
     same = [np.array_equal(out[0, k], out[1, k], equal_nan=True)
             for k in range(3)]
     print("bit-identical: mean {} var {} noise_var {}".format(*same))
+    if not all(same):
+        a, b = out
+        differs = ((a != b) & ~(np.isnan(a) & np.isnan(b))).any(axis=0)
+        print(f"first differing step: {int(differs.argmax())}")
+        print(f"max |d mean|: {np.nanmax(np.abs(b[0] - a[0])):.3g}  "
+              f"max |d var|/var: {np.nanmax(np.abs(b[1] - a[1]) / a[1]):.3g}")
     return 0
 
 
