@@ -11,13 +11,28 @@ block identities.  ``rebuild_caches`` recomputes everything from the window
 ``from_batch`` and ``_update_or_restore`` call it.
 
 ``kxu`` follows one rule: every rebuild keeps the ``Kxu`` block its set-up
-built, and every parameter update (``_update_or_restore``) drops it, since
-the next update rebuilds everything anyway.  Fast mode never updates its
-parameters, so it carries ``kxu`` from ``from_batch`` on; the other kinds
-carry it only until their first update.  Every cache move moves ``kxu``
-while it is carried.  B_lambda = Kuu~ + s_k/sig2 is never inverted: every
-cache move marks ``b_lam`` stale, and ``refresh_b_lam`` factors it once per
-step, before the prediction's triangular solve.
+built, except a parameter update's (``_update_or_restore``), which drops
+it, since the next update rebuilds everything anyway.  Fast mode never
+updates its parameters, so it carries ``kxu`` from ``from_batch`` on; the
+other kinds carry it only until their first update.  Every cache move
+moves ``kxu`` while it is carried.  B_lambda = Kuu~ + s_k/sig2 is never
+inverted: every cache move marks ``b_lam`` stale, and ``refresh_b_lam``
+factors it once per step, before the prediction's triangular solve.
+
+The window lives in fixed-capacity buffers the state owns, each with room
+for ``window_t`` plus a slack of ceil(``window_t``/4) samples: the rows
+(samples x D), the targets, at D > 1 the rows' squared norms, and, while
+``kxu`` is carried, a buffer with one row per inducing point and one
+column per sample.  The window is the span between two indices, oldest
+first, so a slide writes one sample (O(D + M)) after the newest and moves
+both indices; only when the buffers are full does a compaction copy the
+window to the front of new ones, O(T (D + M)), once every >= T/4 slides.
+An admission writes one buffer row and a prune shifts the later rows up by
+one.  ``window_x``, ``window_y`` and ``kxu`` are time-ordered views into
+these buffers, valid until the next step or cache move, which may write
+into them or replace the buffers they show; copy one to keep it.
+``set_window`` replaces the window and the ``kxu`` setter the carried
+kernel, each by a copy.
 
 A step builds the kernel row k(U, x_new) once (``kernel_row``) and hands
 it to the prediction and to every cache move that needs it.
@@ -25,7 +40,7 @@ it to the prediction and to every cache move that needs it.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,12 +68,24 @@ def lambda_weights(t_cur: int, lam: float) -> np.ndarray:
     return w
 
 
+def _front(block: np.ndarray, cap: int) -> np.ndarray:
+    """A new buffer of ``cap`` samples (first axis) holding ``block`` at
+    the front."""
+    out = np.empty((cap,) + block.shape[1:])
+    out[:block.shape[0]] = block
+    return out
+
+
 @dataclass
 class AdaptiveState:
-    """Mutable state of one streaming model (single-writer)."""
+    """Mutable state of one streaming model (single-writer).
 
-    window_x: np.ndarray          # T_cur x D, oldest first
-    window_y: np.ndarray          # T_cur
+    ``window_x``, ``window_y`` and ``kxu`` are views into buffers the state
+    owns (the module docstring gives their layout), valid until the next
+    step or cache move."""
+
+    window_x: InitVar[np.ndarray]  # T_cur x D, oldest first
+    window_y: InitVar[np.ndarray]  # T_cur
     inducing: np.ndarray          # k x D
     params: KernelParams
     log_noise: float
@@ -74,14 +101,14 @@ class AdaptiveState:
     b_lam: tuple[linalg.CholFactor, np.ndarray] | None = None
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
-    # Kxu (window x inducing): kept by rebuild_caches, dropped after every
-    # parameter update (_update_or_restore), so only fast mode streams with it
-    kxu: np.ndarray | None = None
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
     # counters
     skipped_samples: int = 0                   # non-finite samples not ingested
     skipped_updates: int = 0                   # step updates lost to NotPsd
     rejected_candidates: int = 0               # inducing candidates scored out
+
+    def __post_init__(self, window_x, window_y):
+        self.set_window(window_x, window_y)
 
     @property
     def noise_var(self) -> float:
@@ -91,8 +118,135 @@ class AdaptiveState:
     def k_inducing(self) -> int:
         return self.inducing.shape[0]
 
+    @property
+    def t_cur(self) -> int:
+        """Samples in the window."""
+        return self._hi - self._lo
+
+    @property
+    def kxu(self) -> np.ndarray | None:
+        """Kxu (window x inducing) while carried, else None: kept by
+        rebuild_caches, dropped by every parameter update, so only fast
+        mode streams with it."""
+        if self._kut is None:
+            return None
+        return self._kut[:self.inducing.shape[0], self._lo:self._hi].T
+
+    @kxu.setter
+    def kxu(self, kxu) -> None:
+        self._kut = (None if kxu is None else
+                     self._kut_buffer(kxu.T, self._kut_rows(kxu.shape[1])))
+
+    @property
+    def window_sq_norms(self) -> np.ndarray | None:
+        """|x|^2 of each window row, oldest first, at D > 1; None at D = 1,
+        where ``kernel_column`` takes differences instead."""
+        return None if self._xx is None else self._xx[self._lo:self._hi]
+
     def weights(self) -> np.ndarray:
-        return lambda_weights(self.window_y.shape[0], self.lam)
+        return lambda_weights(self._hi - self._lo, self.lam)
+
+    def set_window(self, window_x, window_y) -> None:
+        """Copy a new window into new buffers and drop kxu, which no longer
+        describes it; the caches are left for ``rebuild_caches``."""
+        window_x = _as_inputs(window_x)
+        window_y = np.asarray(window_y, dtype=float).ravel()
+        n = window_y.shape[0]
+        if window_x.shape[0] != n:
+            raise DimensionMismatch(f"window_x has {window_x.shape[0]} rows "
+                                    f"but window_y has {n} targets")
+        cap = self._capacity(n)
+        self._lo, self._hi = 0, n
+        self._x, self._y = _front(window_x, cap), _front(window_y, cap)
+        self._xx = (None if window_x.shape[1] == 1 else
+                    _front(np.einsum("ij,ij->i", window_x, window_x), cap))
+        self._kut = None
+
+    def append_sample(self, x: np.ndarray, y: float,
+                      k_row: np.ndarray | None) -> None:
+        """Write one sample after the newest: its input ``x`` (D,), target
+        ``y``, squared norm at D > 1 and, while kxu is carried, its kxu row
+        ``k_row`` = k(U, x).  Full buffers are compacted first."""
+        if self._hi == self._y.shape[0]:
+            self._compact()
+        hi = self._hi
+        self._x[hi] = x
+        self._y[hi] = y
+        if self._xx is not None:
+            # the same einsum as kernel_column's, so the norm is the same
+            self._xx[hi] = np.einsum("i,i->", x, x)
+        if self._kut is not None:
+            self._kut[:self.inducing.shape[0], hi] = k_row
+        self._hi = hi + 1
+
+    def evict_sample(self):
+        """Drop the oldest sample; returns its input (D,), target and kxu
+        row (None while kxu is not carried), valid until the next
+        ``append_sample``."""
+        lo = self._lo
+        self._lo = lo + 1
+        k_row = (None if self._kut is None else
+                 self._kut[:self.inducing.shape[0], lo])
+        return self._x[lo], self._y[lo], k_row
+
+    def add_inducing(self, z: np.ndarray, k_col: np.ndarray | None) -> None:
+        """Append inducing point ``z`` (1 x D) and, while kxu is carried,
+        its kxu column ``k_col`` = k(X, z) as one buffer row; a full kxu
+        buffer grows first."""
+        k = self.inducing.shape[0]
+        kut = self._kut
+        if kut is not None:
+            if k == kut.shape[0]:
+                kut = self._kut = self._kut_buffer(
+                    kut[:k, self._lo:self._hi], self._kut_rows(k + 1))
+            kut[k, self._lo:self._hi] = k_col
+        self.inducing = np.concatenate((self.inducing, z))
+
+    def remove_inducing(self, m: int, keep: np.ndarray) -> None:
+        """Remove inducing point ``m``; ``keep`` is the index array of every
+        other point, in order.  While kxu is carried, the later buffer
+        rows shift up by one."""
+        kut, k = self._kut, self.inducing.shape[0]
+        if kut is not None:
+            # one overlapping 1-D copy of whole rows, which numpy moves in
+            # place with no temporary
+            w, flat = kut.shape[1], kut.reshape(-1)
+            flat[m * w:(k - 1) * w] = flat[(m + 1) * w:k * w]
+        self.inducing = self.inducing.take(keep, 0)
+
+    def _capacity(self, n: int) -> int:
+        return max(n, self.window_t) + (self.window_t + 3) // 4
+
+    def _kut_rows(self, k: int) -> int:
+        return max(self.capacity_m, k) + 1
+
+    def _kut_buffer(self, block: np.ndarray, rows: int) -> np.ndarray:
+        """A new kxu buffer of ``rows`` rows and the window buffers'
+        columns, holding ``block`` (k x T_cur) in the window's columns."""
+        kut = np.empty((rows, self._y.shape[0]))
+        kut[:block.shape[0], self._lo:self._hi] = block
+        return kut
+
+    def _compact(self) -> None:
+        """Copy the window to the front of new buffers."""
+        lo, hi = self._lo, self._hi
+        cap = self._capacity(hi - lo)
+        self._x = _front(self._x[lo:hi], cap)
+        self._y = _front(self._y[lo:hi], cap)
+        if self._xx is not None:
+            self._xx = _front(self._xx[lo:hi], cap)
+        self._lo, self._hi = 0, hi - lo
+        if self._kut is not None:
+            self._kut = self._kut_buffer(
+                self._kut[:self.inducing.shape[0], lo:hi], self._kut.shape[0])
+
+
+# After the decorator, so that __init__ keeps them as its two first
+# arguments: the window, read through views into the buffers.
+AdaptiveState.window_x = property(lambda self: self._x[self._lo:self._hi],
+                                  doc="T_cur x D, oldest first (a view).")
+AdaptiveState.window_y = property(lambda self: self._y[self._lo:self._hi],
+                                  doc="T_cur targets, oldest first (a view).")
 
 
 def from_batch(model: VsgpModel, window_x, window_y, lam: float,
@@ -100,17 +254,9 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
     """Wrap a trained batch model as the initial streaming state.  The
     window may be shorter than ``window_t``, never longer: ``windowed_add``
     evicts only from a full window, so a longer one would never slide."""
-    window_x = _as_inputs(window_x)
-    window_y = np.asarray(window_y, dtype=float).ravel()
-    if window_x.shape[0] != window_y.shape[0]:
-        raise DimensionMismatch(f"window_x has {window_x.shape[0]} rows but "
-                                f"window_y has {window_y.shape[0]} targets")
-    if window_y.shape[0] > window_t:
-        raise ValueError(f"window of {window_y.shape[0]} samples is longer "
-                         f"than window_t={window_t}")
     state = AdaptiveState(
-        window_x=window_x.copy(),
-        window_y=window_y.copy(),
+        window_x=window_x,
+        window_y=window_y,
         inducing=model.inducing.copy(),
         params=model.params,
         log_noise=model.log_noise,
@@ -119,6 +265,9 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
         window_t=window_t,
         jitter=model.jitter,
     )
+    if state.t_cur > window_t:
+        raise ValueError(f"window of {state.t_cur} samples is longer "
+                         f"than window_t={window_t}")
     rebuild_caches(state)
     return state
 
@@ -140,14 +289,16 @@ def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
     return True
 
 
-def rebuild_caches(state: AdaptiveState) -> None:
-    """Recompute s_y, s_k, w_ksum, kuu, kuu_inv and kxu from the window
-    (O(T M^2)) and mark b_lam stale.
+def rebuild_caches(state: AdaptiveState, *, keep_kxu: bool = True) -> None:
+    """Recompute s_y, s_k, w_ksum, kuu, kuu_inv and, with ``keep_kxu``, kxu
+    from the window (O(T M^2)) and mark b_lam stale; without it kxu is
+    dropped.
 
     Needed after a parameter update; fast mode's inducing-set changes extend
-    or shrink the caches instead.  kxu is the set-up's own ``Kxu`` block, so
-    keeping it builds nothing more.  ``Kuu~`` is factored once, and kuu
-    is the matrix that factor describes (``bound._window_setup``), jitter
+    or shrink the caches instead.  kxu is the set-up's own ``Kxu`` block,
+    so keeping it builds nothing more; it is copied into the state's kxu
+    buffer only when kept.  ``Kuu~`` is factored once, and kuu is the
+    matrix that factor describes (``bound._window_setup``), jitter
     escalation included, so kuu and kuu_inv always describe one matrix."""
     s = bound._window_setup(state.window_x, state.window_y, state.inducing,
                             state.params, state.log_noise, state.weights(),
@@ -156,7 +307,7 @@ def rebuild_caches(state: AdaptiveState) -> None:
     state.s_k = 0.5 * (s.S_k + s.S_k.T)
     state.w_ksum = state.params.variance * float(s.w.sum())
     state.kuu = s.Kuu
-    state.kxu = s.Kxu
+    state.kxu = s.Kxu if keep_kxu else None
     state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None
 
@@ -167,21 +318,19 @@ def _update_or_restore(state: AdaptiveState, move) -> bool:
     those three back, rebuild there, count in ``state.skipped_updates`` and
     warn; False, and the caller restores whatever else ``move()`` changed.
 
-    Either way kxu is dropped after the rebuild: the next update rebuilds
-    it, so carrying it through the steps between would only move it."""
+    Either rebuild drops kxu: the next update rebuilds it, so carrying it
+    through the steps between would only move it."""
     before = state.inducing.copy(), state.params, state.log_noise
     try:
         move()
-        rebuild_caches(state)
-        updated = True
+        rebuild_caches(state, keep_kxu=False)
+        return True
     except NotPsd:
         state.skipped_updates += 1
         log.warning("update skipped: factorization failed")
         state.inducing, state.params, state.log_noise = before
-        rebuild_caches(state)
-        updated = False
-    state.kxu = None
-    return updated
+        rebuild_caches(state, keep_kxu=False)
+        return False
 
 
 def refresh_b_lam(state: AdaptiveState) -> None:

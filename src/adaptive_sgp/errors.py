@@ -24,6 +24,11 @@ class SchurNotPositive(AdaptiveSgpError):
     """
 
 
+class KxuNotCarried(AdaptiveSgpError):
+    """A fast-mode admission on a state that carries no ``kxu`` (one whose
+    parameters an update has moved)."""
+
+
 class InvalidLambda(AdaptiveSgpError):
     """Forgetting factor outside (0, 1]."""
 

@@ -11,13 +11,19 @@ to the prediction (the caches', or agp_vsi's explicit q), the slide and
 fast mode's admission, each of which builds it itself when it is omitted.
 Fast mode carries ``kxu`` from ``from_batch`` on (``adaptive``'s rule: a
 rebuild keeps it, only a parameter update drops it), so its slide reads
-the departing row from ``kxu[0]`` and its admission builds only the
-candidate's column k(X, x_new); the other kinds' slide builds the departing
-row as one more ``kernel_row``.  Every one-point kernel is a
-``kernel_column`` vector, and each change of s_k or ``kuu_inv`` by one
-sample or one point is one BLAS rank-one update (``linalg.add_outer``) of a
-new array.  Every cache move marks ``b_lam`` stale; the cache prediction
-factors B_lambda first (``refresh_b_lam``) unless a skip left it current.
+the departing row from ``kxu`` and its admission builds only the
+candidate's column k(X, x_new), from the window's carried squared norms at
+D > 1; the other kinds' slide builds the departing row as one more
+``kernel_row``.  The window and ``kxu`` move through the state's own
+methods (``append_sample``, ``evict_sample``, ``add_inducing``,
+``remove_inducing``), which write O(D + M) numbers into its fixed-capacity
+buffers per sample and one buffer row per admission; ``adaptive`` gives
+the layout, and the views ``window_x``, ``window_y`` and ``kxu`` hold only
+until the next move.  Every one-point kernel is a ``kernel_column`` vector,
+and each change of s_k or ``kuu_inv`` by one sample or one point is one
+BLAS rank-one update (``linalg.add_outer``) of a new array.  Every cache
+move marks ``b_lam`` stale; the cache prediction factors B_lambda first
+(``refresh_b_lam``) unless a skip left it current.
 """
 
 import math
@@ -28,7 +34,7 @@ from . import linalg
 from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
                        refresh_b_lam, relevance_total, removal_scores,
                        skip_nonfinite)
-from .errors import SchurNotPositive
+from .errors import KxuNotCarried, SchurNotPositive
 # kernel_matrix is not called here; perfbench's tracer test pins its binding.
 from .kernel import kernel_column, kernel_matrix
 from .vsgp import PredictiveDist
@@ -45,30 +51,26 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     so its contribution is removed with that coefficient from every cache.
 
     ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.  The
-    departing sample's row is ``kxu[0]`` while kxu is carried, else one
+    departing sample's row is its kxu row while kxu is carried, else one
     ``kernel_row``."""
-    x_row = np.atleast_2d(np.asarray(x_new, dtype=float))
+    x = np.asarray(x_new, dtype=float).ravel()
     y_new = float(y_new)
     lam, var = state.lam, state.params.variance
-    evict = state.window_y.shape[0] == state.window_t
     if k_new is None:
-        k_new = kernel_row(state, x_row)
+        k_new = kernel_row(state, x)
     s_y = lam * state.s_y + k_new * y_new
     s_k = linalg.add_outer(lam * state.s_k, k_new, k_new)
     w_ksum = lam * state.w_ksum + var
-    if evict:
-        k_old = (kernel_row(state, state.window_x[0]) if state.kxu is None
-                 else state.kxu[0])
+    if state.t_cur == state.window_t:
+        x_old, y_old, k_old = state.evict_sample()
+        if k_old is None:
+            k_old = kernel_row(state, x_old)
         wT = lam ** state.window_t
-        s_y = s_y - wT * k_old * float(state.window_y[0])
+        s_y = s_y - wT * k_old * float(y_old)
         s_k = linalg.add_outer(s_k, -wT * k_old, k_old)
         w_ksum = w_ksum - wT * var
-    first = int(evict)
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
-    state.window_x = np.concatenate((state.window_x, x_row))[first:]
-    state.window_y = np.concatenate((state.window_y, [y_new]))[first:]
-    if state.kxu is not None:
-        state.kxu = np.concatenate((state.kxu, k_new[None]))[first:]
+    state.append_sample(x, y_new, k_new)
     state.b_lam = None
     return state
 
@@ -136,26 +138,33 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     cache is left as it was and the candidate is counted in
     ``state.rejected_candidates``.  The defaults never reject.
 
-    The state must carry kxu, as fast mode's does from ``from_batch`` on:
-    the candidate's s_k row is ``kxu^T W k(X, x_new)``, so the only kernel
+    The state must carry kxu, as fast mode's does from ``from_batch`` on,
+    else ``KxuNotCarried`` is raised before anything moves: the
+    candidate's s_k row is ``kxu^T W k(X, x_new)``, so the only kernel
     built here is the column k(X, x_new).  An admitted candidate borders
-    kuu, s_k and kxu, grows kuu_inv by bordered block extension (O(M^2)
-    besides kxu's column) and marks b_lam stale; one that cannot be
-    bordered (e.g. a duplicated inducing point at zero jitter) is rejected
-    and counted.  ``k_new`` is ``kernel_row(state, x_new)`` when the caller
-    has it.
+    kuu and s_k, writes its kxu column (``add_inducing``), grows kuu_inv by
+    bordered block extension (O(M^2) besides kxu's column) and marks b_lam
+    stale; one that cannot be bordered (e.g. a duplicated inducing point at
+    zero jitter) is rejected and counted.  ``k_new`` is
+    ``kernel_row(state, x_new)`` when the caller has it.
     """
+    kxu = state.kxu
+    if kxu is None:
+        raise KxuNotCarried("maybe_add_inducing needs the state's kxu; "
+                            "this state carries none (a parameter update "
+                            "drops it)")
     if relevance_total(state) <= r_th_tot:
         return state, False
 
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    x_new = np.asarray(x_new, dtype=float).reshape(1, -1)
     w = state.weights()
     kuu_diag = state.params.variance + state.jitter
 
     b_kuu = kernel_row(state, x_new) if k_new is None else k_new
-    k_x = kernel_column(state.window_x, x_new, state.params)
+    k_x = kernel_column(state.window_x, x_new, state.params,
+                        state.window_sq_norms)
     wk_x = w * k_x
-    s_k_row = state.kxu.T @ wk_x
+    s_k_row = kxu.T @ wk_x
     s_k_diag = float(np.dot(wk_x, k_x))
     s_k = _border(state.s_k, s_k_row, s_k_diag)
     try:
@@ -170,9 +179,9 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
 
     state.kuu_inv, state.b_lam, state.s_k = kuu_inv, None, s_k
     state.kuu = _border(state.kuu, b_kuu, kuu_diag)
-    state.kxu = np.concatenate((state.kxu, k_x[:, None]), axis=1)
-    state.s_y = np.append(state.s_y, float(np.dot(wk_x, state.window_y)))
-    state.inducing = np.concatenate((state.inducing, x_new))
+    s_y_new = float(np.dot(wk_x, state.window_y))
+    state.s_y = np.concatenate((state.s_y, (s_y_new,)))
+    state.add_inducing(x_new, k_x)
     return state, True
 
 
@@ -185,9 +194,10 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     Scores come from the cached s_k and kuu_inv, which must match the
     current window, inducing set and kernel.  Each removal builds one index
     array of the points kept, shrinks kuu_inv by ``inv_shrink`` (O(M^2), no
-    refactorisation) and restricts kuu, s_k, s_y, kxu (when carried) and
-    the inducing set by that array, and marks b_lam stale, so every round
-    scores the remaining set exactly and the caches stay exact afterwards."""
+    refactorisation), restricts kuu, s_k, s_y and the inducing set by that
+    array, shifts kxu's later buffer rows up (``remove_inducing``, when
+    carried) and marks b_lam stale, so every round scores the remaining set
+    exactly and the caches stay exact afterwards."""
     while state.k_inducing > 1:
         m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
         if m is None:
@@ -199,9 +209,7 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
         state.kuu = state.kuu.take(keep, 0).take(keep, 1)
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)
         state.s_y = state.s_y.take(keep)
-        state.inducing = state.inducing.take(keep, 0)
-        if state.kxu is not None:
-            state.kxu = state.kxu.take(keep, 1)
+        state.remove_inducing(m, keep)
     return state
 
 

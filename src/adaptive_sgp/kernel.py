@@ -79,13 +79,16 @@ def kernel_matrix(X, Z, p: KernelParams) -> np.ndarray:
     return _from_sq_dists(d2, p, out=d2)
 
 
-def kernel_column(X, x, p: KernelParams) -> np.ndarray:
+def kernel_column(X, x, p: KernelParams,
+                  X_sq: np.ndarray | None = None) -> np.ndarray:
     """k(X, x) for the rows of ``X`` and one point ``x``, as a vector.
 
     ``kernel_matrix(X, x[None]).ravel()`` in place, with the distances in
     ``sq_dists``' form: at D=1 ``(X - x)^2``, bit-identical to it; at D>1
     (|X|^2 + |x|^2) - 2 X x by one matrix-vector product, clipped at 0,
-    where the sums may round differently."""
+    where the sums may round differently.  ``X_sq``, at D>1, is the rows'
+    |X|^2 when the caller carries them, each taken by the same ``einsum``
+    that would otherwise run here, so the column is the same."""
     X = _as_inputs(X)
     x = np.asarray(x, dtype=float).ravel()
     if X.shape[1] != x.shape[0]:
@@ -94,8 +97,11 @@ def kernel_column(X, x, p: KernelParams) -> np.ndarray:
         k = X[:, 0] - x
         k *= k
     else:
-        k = np.einsum("ij,ij->i", X, X)
-        k += x @ x
+        if X_sq is None:
+            k = np.einsum("ij,ij->i", X, X)
+            k += x @ x
+        else:
+            k = X_sq + x @ x
         k -= 2.0 * (X @ x)
         np.maximum(k, 0.0, out=k)
     return _from_sq_dists(k, p, out=k)

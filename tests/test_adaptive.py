@@ -138,7 +138,7 @@ def test_adaptive_q_reduces_and_matches_dense():
 def test_adaptive_q_zero_targets():
     rng = np.random.default_rng(7)
     st = make_state(rng)
-    st.window_y = np.zeros_like(st.window_y)
+    st.set_window(st.window_x, np.zeros_like(st.window_y))
     adaptive.rebuild_caches(st)
     mu, _ = adaptive.adaptive_q(st)
     assert np.allclose(mu, 0.0)
@@ -212,7 +212,7 @@ def test_relevance_total_zero_when_inducing_cover_window():
 def test_relevance_total_single_datum_bounds():
     rng = np.random.default_rng(12)
     st = make_state(rng, t_cur=1, k=1, d=1, lam=1.0)
-    st.window_x = st.inducing + 1.0
+    st.set_window(st.inducing + 1.0, st.window_y)
     adaptive.rebuild_caches(st)
     r = adaptive.relevance_total(st)
     assert 0.0 < r < st.params.variance
@@ -299,8 +299,8 @@ def test_window_setup_kuu_is_the_matrix_its_factor_describes():
         assert np.array_equal(st.kuu, s.Kuu)
 
 
-# kxu's one rule: every rebuild keeps the set-up's Kxu block, and every
-# parameter update drops it after its rebuild.
+# kxu's one rule: every rebuild keeps the set-up's Kxu block, except a
+# parameter update's, which drops it.
 
 
 def test_rebuild_keeps_kxu_as_the_window_kernel():

@@ -175,8 +175,7 @@ def test_bound_mostly_improves_on_stationary_stream():
         # single optimizer step on the bound over the updated window
         pre = copy.deepcopy(st)
         agp.agp_step(st, opt, x[i], y[i])
-        pre.window_x = st.window_x.copy()
-        pre.window_y = st.window_y.copy()
+        pre.set_window(st.window_x, st.window_y)
         pre.inducing = st.inducing.copy()
         pre.inducing[-1] = x[i]  # pre-step position of the adopted point
         neg = copy.deepcopy(pre)
@@ -265,11 +264,11 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
     rebuild = adaptive.rebuild_caches
     calls = [0]
 
-    def fails_once(state):
+    def fails_once(state, **kwargs):
         calls[0] += 1
         if calls[0] == 11:
             raise NotPsd("injected")
-        rebuild(state)
+        rebuild(state, **kwargs)
 
     monkeypatch.setattr(adaptive, "rebuild_caches", fails_once)
     opt = agp.adam_params()

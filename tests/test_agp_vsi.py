@@ -184,11 +184,11 @@ def test_failed_rebuild_restores_the_step_and_continues(monkeypatch):
     rebuild = adaptive.rebuild_caches
     calls = [0]
 
-    def fails_once(state):
+    def fails_once(state, **kwargs):
         calls[0] += 1
         if calls[0] == 6:
             raise NotPsd("injected")
-        rebuild(state)
+        rebuild(state, **kwargs)
 
     monkeypatch.setattr(adaptive, "rebuild_caches", fails_once)
     opt = Adam(lr=0.05)

@@ -1,16 +1,18 @@
 import copy
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from adaptive_sgp import adaptive, fast_agp, harness, kernel, linalg, vsgp
+from adaptive_sgp import adaptive, agp, fast_agp, harness, kernel, linalg, vsgp
+from adaptive_sgp.errors import KxuNotCarried
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
 from helpers import (b_lam_inv, builds_between, count_calls, lagged_series,
-                     make_state, piecewise_sinusoid, record_calls,
-                     reference_slide_s_k, rel)
+                     make_state, piecewise_sinusoid, random_instance,
+                     record_calls, reference_slide_s_k, rel)
 
 
 def _fresh(state):
@@ -44,8 +46,7 @@ def test_rank1_add_base_case():
     rng = np.random.default_rng(0)
     st = make_state(rng, t_cur=1, k=3, d=1, lam=1.0, window_t=10)
     # start from an empty history
-    st.window_x = np.zeros((0, 1))
-    st.window_y = np.zeros(0)
+    st.set_window(np.zeros((0, 1)), np.zeros(0))
     st.s_y = np.zeros(3)
     st.s_k = np.zeros((3, 3))
     st.w_ksum = 0.0
@@ -67,8 +68,7 @@ def test_rank1_add_sequence_matches_from_scratch():
 def test_rank1_add_geometric_accumulation():
     rng = np.random.default_rng(2)
     st = make_state(rng, t_cur=1, k=2, d=1, lam=0.5, window_t=10)
-    st.window_x = np.zeros((0, 1))
-    st.window_y = np.zeros(0)
+    st.set_window(np.zeros((0, 1)), np.zeros(0))
     st.s_y = np.zeros(2)
     st.s_k = np.zeros((2, 2))
     st.w_ksum = 0.0
@@ -83,8 +83,7 @@ def test_windowed_add_identical_samples_no_forgetting():
     rng = np.random.default_rng(3)
     st = make_state(rng, t_cur=1, k=2, d=1, lam=1.0, window_t=3)
     x, y = np.array([0.1]), 1.0
-    st.window_x = np.tile(x, (3, 1))
-    st.window_y = np.full(3, y)
+    st.set_window(np.tile(x, (3, 1)), np.full(3, y))
     adaptive.rebuild_caches(st)
     before = (st.s_y.copy(), st.s_k.copy(), st.w_ksum)
     fast_agp.windowed_add(st, x, y)
@@ -227,7 +226,7 @@ def test_prune_keeps_equally_relevant_set():
     rng = np.random.default_rng(10)
     st = make_state(rng, t_cur=6, k=1, d=1)
     # symmetric placement: equal relevance for both points
-    st.window_x = np.array([[0.0]] * 6)
+    st.set_window(np.array([[0.0]] * 6), st.window_y)
     st.inducing = np.array([[-0.5], [0.5]])
     adaptive.rebuild_caches(st)
     fast_agp.prune_inducing(st, 1e-4, 4)
@@ -577,3 +576,117 @@ def test_long_stream_caches_do_not_drift(stream, T, M, lam, iters, every):
     assert d_mean < DRIFT_MEAN_TOL
     assert d_var < DRIFT_VAR_RTOL
     assert d_kern < KERNEL_CACHE_RTOL
+
+
+# The window, its targets and kxu live in buffers the state owns; a slide
+# writes one sample and a compaction, once every >= T/4 slides, copies the
+# window to the front of new buffers.
+
+
+def test_maybe_add_without_kxu_raises_before_anything_moves():
+    # A full-mode step drops kxu with its update, so an admission on the
+    # state it leaves has no s_k row to read: a library error that names
+    # kxu, with the state as it was.
+    X, y = piecewise_sinusoid(140, 2)
+    st = _stream_state(X, y, 100, 10, 0.97724, 20)
+    opt = agp.adam_params()
+    for i in range(100, 103):
+        agp.agp_step(st, opt, X[i], y[i])
+    assert st.kxu is None
+    before = copy.deepcopy(st)
+    with pytest.raises(KxuNotCarried, match="kxu"):
+        fast_agp.maybe_add_inducing(st, X[103], -1.0)
+    for name in CACHES + ("window_x", "window_y"):
+        assert np.array_equal(_cache(st, name), _cache(before, name)), name
+    assert st.kxu is None and st.b_lam is None
+    assert (st.w_ksum, st.rejected_candidates) == (before.w_ksum, 0)
+
+
+def _small_d8_state(rng, T=12, M=4):
+    X, y, U, params, ln = random_instance(rng, n=T, m=M, d=8)
+    params = KernelParams(0.0, float(np.log(3.0)))   # neighbours overlap
+    st = adaptive.AdaptiveState(window_x=X, window_y=y, inducing=U,
+                                params=params, log_noise=ln, lam=0.95,
+                                capacity_m=M, window_t=T)
+    adaptive.rebuild_caches(st)
+    return st
+
+
+def test_buffers_equal_a_concatenated_window_through_compactions(monkeypatch):
+    # D=8, T=12, M=4: fast steps through many compactions, admissions and
+    # prunes, and a run of direct default admissions that grows the
+    # inducing set past capacity_m + 1, which the kxu buffer must follow.
+    rng = np.random.default_rng(40)
+    st = _small_d8_state(rng)
+    ref_x, ref_y = st.window_x.copy(), st.window_y.copy()
+    compactions = count_calls(monkeypatch, adaptive.AdaptiveState, "_compact")
+    sizes = set()
+    for i in range(60):
+        x, y = rng.normal(size=8), float(rng.normal())
+        if 25 <= i < 29:
+            fast_agp.windowed_add(st, x, y)
+            _, added = fast_agp.maybe_add_inducing(st, x, -1.0)
+            assert added, i
+        else:
+            fast_agp.fast_agp_step(st, x, y)
+        sizes.add(st.k_inducing)
+        ref_x = np.concatenate((ref_x, x[None]))[-12:]
+        ref_y = np.concatenate((ref_y, [y]))[-12:]
+        assert np.array_equal(st.window_x, ref_x), i
+        assert np.array_equal(st.window_y, ref_y), i
+        # the carried norms are kernel_column's own einsum, bit for bit
+        assert np.array_equal(st.window_sq_norms,
+                              np.einsum("ij,ij->i", ref_x, ref_x)), i
+        kxu = kernel_matrix(st.window_x, st.inducing, st.params)
+        assert st.kxu.shape == kxu.shape, i
+        assert rel(st.kxu, kxu) <= KERNEL_CACHE_RTOL, i
+    assert compactions[0] >= 10
+    assert max(sizes) > st.capacity_m + 1 and min(sizes) <= st.capacity_m
+    _caches_match(st, tol=1e-7)
+
+
+def test_a_deep_copy_streams_alone():
+    # perfbench and tools/ab_steps.py deep-copy states: the copy owns its
+    # buffers, streams bit-identically, and each leaves the other's views
+    # as they were.
+    rng = np.random.default_rng(41)
+    st = _small_d8_state(rng)
+    for _ in range(30):
+        fast_agp.fast_agp_step(st, rng.normal(size=8), float(rng.normal()))
+    twin = copy.deepcopy(st)
+    stream = [(rng.normal(size=8), float(rng.normal())) for _ in range(20)]
+    for a, b in ((st, twin), (twin, st)):
+        kept = {name: getattr(b, name).copy()
+                for name in ("window_x", "window_y", "kxu")}
+        for x, y in stream[:10]:
+            fast_agp.fast_agp_step(a, x, y)
+        for name, value in kept.items():
+            assert np.array_equal(getattr(b, name), value), name
+    for x, y in stream[10:]:
+        pa = fast_agp.fast_agp_step(st, x, y)[1]
+        pb = fast_agp.fast_agp_step(twin, x, y)[1]
+        assert (pa.mean, pa.var) == (pb.mean, pb.var)
+    for name in CACHES + ("window_x", "window_y", "kxu"):
+        assert np.array_equal(_cache(st, name), _cache(twin, name)), name
+
+
+def test_warm_fast_step_allocates_no_window_copy():
+    # At lag8-fast's shapes (T=400, M=40, D=8) the per-step peak of traced
+    # memory is the O(M^2) caches and the candidate's O(T) column; a copy
+    # of kxu alone would be 128 KB.
+    T, M = 400, 40
+    X, y = lagged_series(T + 450, 0)
+    st = _stream_state(X, y, T, M, 0.1 ** (1 / T), 30)
+    for i in range(T, T + 50):
+        fast_agp.fast_agp_step(st, X[i], y[i])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for i in range(T + 50, T + 450):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fast_agp.fast_agp_step(st, X[i], y[i])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert np.median(peaks) <= 5 * T * M

@@ -17,9 +17,11 @@ It prints the median over steps of parent time / change time per step
 and whether the two trees' predictions (mean, variance) and noise
 variances are bit-identical.  When they are not, it also prints the first
 step at which they differ, the largest |change - parent| of the mean and
-the largest of the variance relative to the parent's.  Given the same
-directory twice (an A/A run) it should read 1.00 within about 0.01, and
-bit-identical.
+the largest of the variance relative to the parent's.  It also compares
+the number of inducing points after every step and prints the first step
+at which it differs, so that a roundoff-level change can show that the
+inducing trajectory did not move.  Given the same directory twice (an A/A
+run) it should read 1.00 within about 0.01, and bit-identical.
 """
 
 import argparse
@@ -80,6 +82,7 @@ def main(argv=None) -> int:
                                  (args.change, "ab_change"))]
     ns = np.empty((2, n))
     out = np.empty((2, 3, n))          # mean, var, noise variance per step
+    k_ind = np.empty((2, n), dtype=int)  # inducing points after each step
     clock = time.perf_counter_ns
     for i in range(n):
         x, t = X[w.window_t + i], y[w.window_t + i]
@@ -89,6 +92,7 @@ def main(argv=None) -> int:
             pred = step(x, t)
             ns[j, i] = clock() - t0
             out[j, :, i] = pred.mean, pred.var, state.noise_var
+            k_ind[j, i] = state.k_inducing
 
     print(f"workload {w.name}  seed {args.seed}  steps {n}")
     print(f"step time parent/change: median {np.median(ns[0] / ns[1]):.3f}, "
@@ -104,6 +108,9 @@ def main(argv=None) -> int:
         print(f"first differing step: {int(differs.argmax())}")
         print(f"max |d mean|: {np.nanmax(np.abs(b[0] - a[0])):.3g}  "
               f"max |d var|/var: {np.nanmax(np.abs(b[1] - a[1]) / a[1]):.3g}")
+    moved = k_ind[0] != k_ind[1]
+    print("k_inducing: " + (f"first differs at step {int(moved.argmax())}"
+                            if moved.any() else "the same at every step"))
     return 0
 
 
