@@ -106,6 +106,9 @@ class AdaptiveState:
     skipped_samples: int = 0                   # non-finite samples not ingested
     skipped_updates: int = 0                   # step updates lost to NotPsd
     rejected_candidates: int = 0               # inducing candidates scored out
+    # (kuu_inv, s_k, r_th, max_k, target) of the prune round an admission
+    # scored; fast_agp.prune_inducing reads it once
+    _scored_round: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, window_x, window_y):
         self.set_window(window_x, window_y)
@@ -304,7 +307,8 @@ def rebuild_caches(state: AdaptiveState, *, keep_kxu: bool = True) -> None:
                             state.params, state.log_noise, state.weights(),
                             state.jitter)
     state.s_y = s.s_y
-    state.s_k = 0.5 * (s.S_k + s.S_k.T)
+    state.s_k = np.add(s.S_k, s.S_k.T, out=s.S_k)    # (S + S^T) / 2, in place
+    state.s_k *= 0.5
     state.w_ksum = state.params.variance * float(s.w.sum())
     state.kuu = s.Kuu
     state.kxu = s.Kxu if keep_kxu else None

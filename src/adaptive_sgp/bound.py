@@ -48,13 +48,13 @@ def _window_setup(X, y, U, params: KernelParams, log_noise: float, weights,
     K = _from_sq_dists(d2, params)
     d2_xu, d2_uu, Kxu, Kuu_raw = d2[:n], d2[n:], K[:n], K[n:]
     Kuu = Kuu_raw.copy()
-    Kuu.flat[diag] += jitter
+    Kuu.ravel()[diag] += jitter     # a view of the new C-ordered copy
     WKxu = w[:, None] * Kxu
     Wy = w * y
     S_k, s_y = Kxu.T @ WKxu, Kxu.T @ Wy
     f_k = linalg.cholesky_psd(Kuu, 0.0)
     if f_k.jitter_used:
-        Kuu.flat[diag] += f_k.jitter_used
+        Kuu.ravel()[diag] += f_k.jitter_used
     return _WindowSetup(X, y, U, w, float(np.exp(log_noise)), d2_uu, d2_xu,
                         Kuu_raw, Kuu, Kxu, WKxu, Wy, S_k, s_y, f_k)
 
@@ -115,11 +115,12 @@ def _chain_to_params(G_uu, G_xu, X, U, Kuu_raw, Kxu, d2_uu, d2_xu,
     Cxu = np.multiply(G_xu, Kxu, out=G_xu)
     col = Cxu.sum(axis=0)
     g_lv = float(Cuu.sum() + col.sum())
-    g_ll = float((Cuu * d2_uu).sum() + Cxu.ravel() @ d2_xu.ravel()) / ell2
+    g_ll = float(np.vdot(Cuu, d2_uu) + np.vdot(Cxu, d2_xu)) / ell2
 
-    H = (G_uu + G_uu.T) * Kuu_raw
-    gU = (H @ U - H.sum(axis=1)[:, None] * U) / ell2
-    gU += (Cxu.T @ X - col[:, None] * U) / ell2
+    H = Cuu + Cuu.T     # = (G_uu + G_uu^T) * Kuu_raw, Kuu_raw symmetric
+    gU = H @ U + Cxu.T @ X
+    gU -= (H.sum(axis=1) + col)[:, None] * U
+    gU /= ell2
     return g_lv, g_ll, gU
 
 
@@ -131,22 +132,23 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
     ``log_noise`` and ``inducing`` (shaped like U).
     """
     s, f_b = _factor(X, y, U, params, log_noise, weights, jitter)
-    sig2, S_k = s.sig2, s.S_k
-    n = s.y.shape[0]
+    sig2, S_k, n = s.sig2, s.S_k, s.y.shape[0]
     B = linalg.inv_from_factor(f_b)
     Q = linalg.inv_from_factor(s.f_k)
     c = B @ s.s_y
     QS_k = Q @ S_k
     QmB = Q - B
 
-    # dF/dKuu entrywise; dF/dKxu = WKxu (Q - B) / sig2 + r c^T.
-    G_uu = (
-        0.5 * QmB
-        - 0.5 * (c[:, None] * c) / sig2**2
-        - 0.5 * (QS_k @ Q) / sig2
-    )
-    r = (s.Wy - s.WKxu @ c / sig2) / sig2**2
-    G_xu = linalg.add_outer(s.WKxu @ (QmB / sig2), r, c)
+    # dF/dKuu = ((Q - B) - (Q S_k Q + c c^T / sig2) / sig2) / 2 entrywise
+    # and dF/dKxu = WKxu (Q - B) / sig2 + r c^T, r = (Wy - WKxu c / sig2) /
+    # sig2^2, each formed in place.
+    G_uu = linalg.add_outer(QS_k @ Q, c, c / sig2)
+    G_uu *= -1.0 / sig2
+    G_uu += QmB
+    G_uu *= 0.5
+    QmB /= sig2
+    G_xu = linalg.add_outer(s.WKxu @ QmB, s.Wy - s.WKxu @ (c / sig2),
+                            c / sig2**2)
     g_lv, g_ll, gU = _chain_to_params(G_uu, G_xu, s.X, s.U, s.Kuu_raw, s.Kxu,
                                       s.d2_uu, s.d2_xu, params)
 
@@ -158,7 +160,7 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
 
     trc = w_ksum - float(QS_k.trace())
     g_ln = (
-        -0.5 * (n - (B * S_k).sum() / sig2)
+        -0.5 * (n - np.vdot(B, S_k) / sig2)
         + 0.5 * np.dot(s.Wy, s.y) / sig2
         - (s.s_y @ c) / sig2**2
         + 0.5 * (c @ S_k @ c) / sig2**3
@@ -166,9 +168,5 @@ def weighted_bound_gradients(X, y, U, params: KernelParams, log_noise: float,
         + trc / (2.0 * sig2)
     )
 
-    return {
-        "log_variance": float(g_lv),
-        "log_lengthscale": float(g_ll),
-        "log_noise": float(g_ln),
-        "inducing": gU,
-    }
+    return {"log_variance": float(g_lv), "log_lengthscale": float(g_ll),
+            "log_noise": float(g_ln), "inducing": gU}

@@ -114,14 +114,26 @@ def _border(A: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
 def _prune_target(kuu_inv: np.ndarray, s_k: np.ndarray, r_th: float,
                   max_k: float):
     """The inducing point one round of the greedy prune removes, or None
-    when the prune stops: the lowest ``removal_scores`` entry goes while it
-    is below ``r_th`` times the largest or more than ``max_k`` points
-    remain."""
+    when the prune stops: at one point, else the lowest ``removal_scores``
+    entry goes while it is below ``r_th`` times the largest or more than
+    ``max_k`` points remain."""
     r = removal_scores(kuu_inv, s_k)
     m = int(r.argmin())
-    if r.shape[0] <= max_k and r[m] >= r_th * float(r.max()):
+    if r.size < 2 or r.size <= max_k and r[m] >= r_th * float(r.max()):
         return None
     return m
+
+
+def _first_target(state: AdaptiveState, r_th: float, max_k: float):
+    """The prune's first round: the target an admission scored with the
+    same ``r_th`` and ``max_k`` (``maybe_add_inducing``) while ``kuu_inv``
+    and ``s_k`` are still the arrays it scored, else ``_prune_target``'s.
+    Every cache move replaces those arrays, so the two agree bit for bit."""
+    scored, state._scored_round = state._scored_round, None
+    if (scored is not None and scored[0] is state.kuu_inv
+            and scored[1] is state.s_k and scored[2:4] == (r_th, max_k)):
+        return scored[4]
+    return _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
 
 
 def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
@@ -171,13 +183,14 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
         kuu_inv = linalg.inv_extend(state.kuu_inv, b_kuu, kuu_diag)
     except SchurNotPositive:        # x_new is in the span of the inducing set
         kuu_inv = None
-    if kuu_inv is None or (
-            r_th is not None
-            and _prune_target(kuu_inv, s_k, r_th, max_k) == state.k_inducing):
+    target = (None if kuu_inv is None or r_th is None else
+              _prune_target(kuu_inv, s_k, r_th, max_k))
+    if kuu_inv is None or target == state.k_inducing:
         state.rejected_candidates += 1
         return state, False
 
     state.kuu_inv, state.b_lam, state.s_k = kuu_inv, None, s_k
+    state._scored_round = kuu_inv, s_k, r_th, max_k, target
     state.kuu = _border(state.kuu, b_kuu, kuu_diag)
     s_y_new = float(np.dot(wk_x, state.window_y))
     state.s_y = np.concatenate((state.s_y, (s_y_new,)))
@@ -197,11 +210,11 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
     refactorisation), restricts kuu, s_k, s_y and the inducing set by that
     array, shifts kxu's later buffer rows up (``remove_inducing``, when
     carried) and marks b_lam stale, so every round scores the remaining set
-    exactly and the caches stay exact afterwards."""
-    while state.k_inducing > 1:
-        m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
-        if m is None:
-            break
+    exactly and the caches stay exact afterwards.  The first round is the
+    one a scored admission just made on the same caches, when there is
+    one (``_first_target``), so no round is scored twice."""
+    m = _first_target(state, r_th, max_k)
+    while m is not None:
         keep = np.arange(state.k_inducing - 1)     # every index but m
         keep[m:] += 1
         state.kuu_inv = linalg.inv_shrink(state.kuu_inv, m, keep)
@@ -210,6 +223,7 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int) -> AdaptiveSta
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)
         state.s_y = state.s_y.take(keep)
         state.remove_inducing(m, keep)
+        m = _prune_target(state.kuu_inv, state.s_k, r_th, max_k)
     return state
 
 

@@ -97,11 +97,7 @@ def kernel_column(X, x, p: KernelParams,
         k = X[:, 0] - x
         k *= k
     else:
-        if X_sq is None:
-            k = np.einsum("ij,ij->i", X, X)
-            k += x @ x
-        else:
-            k = X_sq + x @ x
+        k = (np.einsum("ij,ij->i", X, X) if X_sq is None else X_sq) + x @ x
         k -= 2.0 * (X @ x)
         np.maximum(k, 0.0, out=k)
     return _from_sq_dists(k, p, out=k)
@@ -110,8 +106,7 @@ def kernel_column(X, x, p: KernelParams,
 def _from_sq_dists(d2: np.ndarray, p: KernelParams, out=None) -> np.ndarray:
     """The kernel from squared distances, for callers that reuse them: a new
     array, or ``out`` (which may be ``d2`` itself) written in place."""
-    K = np.multiply(d2, -0.5, out=out)
-    K /= p.lengthscale**2
+    K = np.multiply(d2, -0.5 / p.lengthscale**2, out=out)
     np.exp(K, out=K)
     K *= p.variance
     return K

@@ -67,13 +67,16 @@ def test_ascent_step_hyper_slot_matches_three_scalar_slots():
         assert p_a == p_b and ln_a == ln_b
 
 
-def test_step_updates_only_newest_inducing_row():
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_step_updates_only_newest_inducing_row(d):
     # The inference step moves the newest inducing point by Adam on its own
-    # row of the full gradient; the rows the prune kept stay in place.
+    # row of the full gradient; the rows the prune kept stay in place.  The
+    # row's update, taken in Python floats, equals a fresh Adam.step on it
+    # bit for bit.
     rng = np.random.default_rng(5)
-    st = make_state(rng, t_cur=12, k=4, d=2, lam=0.9, window_t=12)
+    st = make_state(rng, t_cur=12, k=4, d=d, lam=0.9, window_t=12)
     ref = copy.deepcopy(st)
-    x_new, y_new = np.array([0.3, -0.5]), 0.8
+    x_new, y_new = rng.normal(size=d), 0.8
     agp.agp_step(st, agp.adam_params(), x_new, y_new)
 
     fast_agp.windowed_add(ref, x_new, y_new)
@@ -84,6 +87,56 @@ def test_step_updates_only_newest_inducing_row():
     step = optim.Adam().step("inducing", g["inducing"][-1])
     assert np.array_equal(st.inducing[:-1], ref.inducing[:-1])
     assert np.array_equal(st.inducing[-1], ref.inducing[-1] + step)
+
+
+def _reference_agp_step(st, opt, x_new, y_new):
+    """agp_step by hand, with one ``Adam.step`` slot per parameter: the
+    newest row on an "inducing" slot reset every step, each hyperparameter
+    on a scalar slot of its own that keeps its moments."""
+    fast_agp.windowed_add(st, x_new, y_new)
+    fast_agp.prune_inducing(st, 1e-4, st.capacity_m - 1)
+    st.inducing = np.vstack([st.inducing, st.window_x[-1:]])
+    g = adaptive.adaptive_bound_gradients(st)
+    opt.reset("inducing")
+    st.inducing[-1] = st.inducing[-1] + opt.step("inducing", g["inducing"][-1])
+    st.params = KernelParams(
+        st.params.log_variance + opt.step("log_variance", g["log_variance"]),
+        st.params.log_lengthscale
+        + opt.step("log_lengthscale", g["log_lengthscale"]))
+    st.log_noise = st.log_noise + opt.step("log_noise", g["log_noise"])
+    adaptive.rebuild_caches(st, keep_kxu=False)
+
+
+def test_two_steps_restart_the_row_and_keep_the_hyperparameter_moments():
+    # Over two steps on one optimizer, the newest row's update restarts
+    # from fresh moments while the "hyper" slot carries its own into the
+    # second step: bit for bit the same as separate Adam.step slots.
+    rng = np.random.default_rng(6)
+    st = make_state(rng, t_cur=12, k=4, d=2, lam=0.9, window_t=12)
+    ref = copy.deepcopy(st)
+    opt, ref_opt = agp.adam_params(), agp.adam_params()
+    for _ in range(2):
+        x_new, y_new = rng.normal(size=2), float(rng.normal())
+        agp.agp_step(st, opt, x_new, y_new)
+        _reference_agp_step(ref, ref_opt, x_new, y_new)
+        assert np.array_equal(st.inducing, ref.inducing)
+        assert st.params == ref.params and st.log_noise == ref.log_noise
+
+
+def test_step_rejects_a_capacity_below_two_before_anything_moves():
+    # The prune stops at one point and the step appends the newest, so a
+    # capacity of one would silently keep two points.
+    rng = np.random.default_rng(7)
+    st = make_state(rng, t_cur=12, k=1, d=1, lam=0.9, window_t=12)
+    st.capacity_m = 1
+    ref = copy.deepcopy(st)
+    with pytest.raises(ValueError, match="capacity_m"):
+        agp.agp_step(st, agp.adam_params(), np.array([0.3]), 0.8)
+    assert np.array_equal(st.window_x, ref.window_x)
+    assert np.array_equal(st.window_y, ref.window_y)
+    for name in ("inducing", "s_y", "s_k", "kuu", "kuu_inv"):
+        assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+    assert (st.params, st.log_noise) == (ref.params, ref.log_noise)
 
 
 def _stationary_stream(rng, n):

@@ -402,6 +402,33 @@ def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
     assert ref.rejected_candidates == 0
 
 
+def test_prune_after_an_admission_scores_no_round_twice(monkeypatch):
+    # The admission scores the prune's first round on the bordered caches,
+    # and the prune starts from that round.  So every step makes one
+    # removal_scores call per removal plus the one that stops the prune,
+    # and one more only for a candidate that was scored and rejected.
+    X, y = piecewise_sinusoid(700, 0)
+    st = _stream_state(X, y, 100, 10, 0.97724, 50)
+    scores = count_calls(monkeypatch, adaptive, "removal_scores")
+    admit, added = fast_agp.maybe_add_inducing, []
+
+    def recorded(*args, **kwargs):
+        out = admit(*args, **kwargs)
+        added.append(out[1])
+        return out
+
+    monkeypatch.setattr(fast_agp, "maybe_add_inducing", recorded)
+    pruned_admissions = 0
+    for i in range(100, 700):
+        k, rejected, calls = st.k_inducing, st.rejected_candidates, scores[0]
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        removed = k + added[-1] - st.k_inducing
+        pruned_admissions += added[-1] and removed > 0
+        assert scores[0] - calls == (removed + 1
+                                     + st.rejected_candidates - rejected), i
+    assert len(added) == 600 and pruned_admissions > 0
+
+
 def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # Extension and shrink keep the caches exact, so the only factorization
     # of a fast step is B_lambda's, for the prediction, and no step forms an

@@ -22,6 +22,11 @@ the number of inducing points after every step and prints the first step
 at which it differs, so that a roundoff-level change can show that the
 inducing trajectory did not move.  Given the same directory twice (an A/A
 run) it should read 1.00 within about 0.01, and bit-identical.
+
+``--seeds S1 S2 ...`` repeats all of this on each seed's stream, with new
+set-ups, and ends with the number of seeds on which the change won (a
+median ratio above 1), a preview of the benchmark's rule that a claimed
+gain must win nine of ten pairs.
 """
 
 import argparse
@@ -61,25 +66,9 @@ def stepper(pkg, wl, w, X, y, seed):
     return state, lambda x, t: pkg.agp_step(state, opt, x, t, wl.R_TH)[2]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--steps", type=int, default=None,
-                    help="streamed samples (default: the workload's pass)")
-    args = ap.parse_args(argv)
-
-    sys.path[:0] = [str(args.change / "src"), str(args.change)]
-    from perfbench import workloads as wl
-
-    w = wl.WORKLOADS[args.workload]
-    n = args.steps or w.pass_len
-    X, y = w.make(w.window_t + n, args.seed)
-    trees = [stepper(load_tree(root.resolve(), alias), wl, w, X, y, args.seed)
-             for root, alias in ((args.parent, "ab_parent"),
-                                 (args.change, "ab_change"))]
+def compare(trees, w, X, y, n):
+    """Step both trees in lock-step over ``n`` samples and print the
+    comparison; returns the median ratio parent/change of step times."""
     ns = np.empty((2, n))
     out = np.empty((2, 3, n))          # mean, var, noise variance per step
     k_ind = np.empty((2, n), dtype=int)  # inducing points after each step
@@ -94,8 +83,8 @@ def main(argv=None) -> int:
             out[j, :, i] = pred.mean, pred.var, state.noise_var
             k_ind[j, i] = state.k_inducing
 
-    print(f"workload {w.name}  seed {args.seed}  steps {n}")
-    print(f"step time parent/change: median {np.median(ns[0] / ns[1]):.3f}, "
+    ratio = float(np.median(ns[0] / ns[1]))
+    print(f"step time parent/change: median {ratio:.3f}, "
           f"total {ns[0].sum() / ns[1].sum():.3f}")
     print(f"median step us: parent {np.median(ns[0]) / 1e3:.1f}, "
           f"change {np.median(ns[1]) / 1e3:.1f}")
@@ -111,6 +100,41 @@ def main(argv=None) -> int:
     moved = k_ind[0] != k_ind[1]
     print("k_inducing: " + (f"first differs at step {int(moved.argmax())}"
                             if moved.any() else "the same at every step"))
+    return ratio
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1],
+                    help="streams to run, one after another (default: 1)")
+    ap.add_argument("--steps", type=int, default=None,
+                    help="streamed samples per seed (default: the "
+                         "workload's pass)")
+    args = ap.parse_args(argv)
+
+    sys.path[:0] = [str(args.change / "src"), str(args.change)]
+    from perfbench import workloads as wl
+
+    w = wl.WORKLOADS[args.workload]
+    n = args.steps or w.pass_len
+    pkgs = [load_tree(root.resolve(), alias)
+            for root, alias in ((args.parent, "ab_parent"),
+                                (args.change, "ab_change"))]
+    ratios = []
+    for seed in args.seeds:
+        X, y = w.make(w.window_t + n, seed)
+        trees = [stepper(pkg, wl, w, X, y, seed) for pkg in pkgs]
+        print(f"workload {w.name}  seed {seed}  steps {n}")
+        ratios.append(compare(trees, w, X, y, n))
+    if len(ratios) > 1:
+        print("median ratio per seed: "
+              + " ".join(f"{seed}:{r:.3f}" for seed, r in zip(args.seeds,
+                                                              ratios)))
+        print(f"change won {sum(r > 1.0 for r in ratios)} of {len(ratios)} "
+              "seeds")
     return 0
 
 
