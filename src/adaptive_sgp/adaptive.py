@@ -21,17 +21,20 @@ factors it once per step, before the prediction's triangular solve.
 
 The window lives in fixed-capacity buffers the state owns, each with room
 for ``window_t`` plus a slack of ceil(``window_t``/4) samples: the rows
-(samples x D), the targets, at D > 1 the rows' squared norms, and, while
-``kxu`` is carried, a buffer with one row per inducing point and one
-column per sample.  The window is the span between two indices, oldest
-first, so a slide writes one sample (O(D + M)) after the newest and moves
-both indices; only when the buffers are full does a compaction copy the
-window to the front of new ones, O(T (D + M)), once every >= T/4 slides.
-An admission writes one buffer row and a prune shifts the later rows up by
-one.  ``window_x``, ``window_y`` and ``kxu`` are time-ordered views into
-these buffers, valid until the next step or cache move, which may write
-into them or replace the buffers they show; copy one to keep it.
-``set_window`` replaces the window and the ``kxu`` setter the carried
+(samples x D), the targets and, while ``kxu`` is carried, a buffer with
+one row per inducing point and one column per sample.  No row norms are
+carried: the kernel's rule is vectors by differences, matrices by one
+product, so a one-point kernel (``kernel.kernel_column``) needs none, and
+a matrix, where one product is about 5x faster than differences at D=8,
+stays Gram.  The window is the span between two indices,
+oldest first, so a slide writes one sample (O(D + M)) after the newest and
+moves both indices; only when the buffers are full does a compaction copy
+the window to the front of new ones, O(T (D + M)), once every >= T/4
+slides.  An admission writes one buffer row and a prune shifts the later
+rows up by one.  ``window_x``, ``window_y`` and ``kxu`` are time-ordered
+views into these buffers, valid until the next step or cache move, which
+may write into them or replace the buffers they show; copy one to keep
+it.  ``set_window`` replaces the window and the ``kxu`` setter the carried
 kernel, each by a copy.
 
 A step builds the kernel row k(U, x_new) once (``kernel_row``) and hands
@@ -49,8 +52,8 @@ from . import bound, linalg
 # kernel_matrix is not called here; perfbench's tracer test pins its binding.
 from .kernel import KernelParams, _as_inputs, kernel_column, kernel_matrix
 from .errors import DimensionMismatch, InvalidLambda, NotPsd
-from .vsgp import (DEFAULT_JITTER, PredictiveDist, VsgpModel, _clamp_var,
-                   _check_one_point)
+from .vsgp import (DEFAULT_JITTER, PredictiveDist, VsgpModel, _check_finite,
+                   _check_one_point, _clamp_var)
 
 log = logging.getLogger(__name__)
 
@@ -140,12 +143,6 @@ class AdaptiveState:
         self._kut = (None if kxu is None else
                      self._kut_buffer(kxu.T, self._kut_rows(kxu.shape[1])))
 
-    @property
-    def window_sq_norms(self) -> np.ndarray | None:
-        """|x|^2 of each window row, oldest first, at D > 1; None at D = 1,
-        where ``kernel_column`` takes differences instead."""
-        return None if self._xx is None else self._xx[self._lo:self._hi]
-
     def weights(self) -> np.ndarray:
         return lambda_weights(self._hi - self._lo, self.lam)
 
@@ -161,23 +158,18 @@ class AdaptiveState:
         cap = self._capacity(n)
         self._lo, self._hi = 0, n
         self._x, self._y = _front(window_x, cap), _front(window_y, cap)
-        self._xx = (None if window_x.shape[1] == 1 else
-                    _front(np.einsum("ij,ij->i", window_x, window_x), cap))
         self._kut = None
 
     def append_sample(self, x: np.ndarray, y: float,
                       k_row: np.ndarray | None) -> None:
         """Write one sample after the newest: its input ``x`` (D,), target
-        ``y``, squared norm at D > 1 and, while kxu is carried, its kxu row
-        ``k_row`` = k(U, x).  Full buffers are compacted first."""
+        ``y`` and, while kxu is carried, its kxu row ``k_row`` = k(U, x).
+        Full buffers are compacted first."""
         if self._hi == self._y.shape[0]:
             self._compact()
         hi = self._hi
         self._x[hi] = x
         self._y[hi] = y
-        if self._xx is not None:
-            # the same einsum as kernel_column's, so the norm is the same
-            self._xx[hi] = np.einsum("i,i->", x, x)
         if self._kut is not None:
             self._kut[:self.inducing.shape[0], hi] = k_row
         self._hi = hi + 1
@@ -236,8 +228,6 @@ class AdaptiveState:
         cap = self._capacity(hi - lo)
         self._x = _front(self._x[lo:hi], cap)
         self._y = _front(self._y[lo:hi], cap)
-        if self._xx is not None:
-            self._xx = _front(self._xx[lo:hi], cap)
         self._lo, self._hi = 0, hi - lo
         if self._kut is not None:
             self._kut = self._kut_buffer(
@@ -256,7 +246,9 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
                window_t: int, capacity_m: int) -> AdaptiveState:
     """Wrap a trained batch model as the initial streaming state.  The
     window may be shorter than ``window_t``, never longer: ``windowed_add``
-    evicts only from a full window, so a longer one would never slide."""
+    evicts only from a full window, so a longer one would never slide.  An
+    inf or NaN in it raises ``ValueError``, naming its row, before the
+    caches are built."""
     state = AdaptiveState(
         window_x=window_x,
         window_y=window_y,
@@ -271,6 +263,7 @@ def from_batch(model: VsgpModel, window_x, window_y, lam: float,
     if state.t_cur > window_t:
         raise ValueError(f"window of {state.t_cur} samples is longer "
                          f"than window_t={window_t}")
+    _check_finite(state.window_x, state.window_y, "from_batch")
     rebuild_caches(state)
     return state
 

@@ -12,17 +12,19 @@ fast mode's admission, each of which builds it itself when it is omitted.
 Fast mode carries ``kxu`` from ``from_batch`` on (``adaptive``'s rule: a
 rebuild keeps it, only a parameter update drops it), so its slide reads
 the departing row from ``kxu`` and its admission builds only the
-candidate's column k(X, x_new), from the window's carried squared norms at
-D > 1; the other kinds' slide builds the departing row as one more
-``kernel_row``.  The window and ``kxu`` move through the state's own
-methods (``append_sample``, ``evict_sample``, ``add_inducing``,
-``remove_inducing``), which write O(D + M) numbers into its fixed-capacity
-buffers per sample and one buffer row per admission; ``adaptive`` gives
-the layout, and the views ``window_x``, ``window_y`` and ``kxu`` hold only
-until the next move.  Every one-point kernel is a ``kernel_column`` vector,
-and each change of s_k or ``kuu_inv`` by one sample or one point is one
-BLAS rank-one update (``linalg.add_outer``) of a new array.  Every cache
-move marks ``b_lam`` stale; the cache prediction factors B_lambda first
+candidate's column k(X, x_new); the other kinds' slide builds the
+departing row as one more ``kernel_row``.  The window and ``kxu`` move
+through the state's own methods (``append_sample``, ``evict_sample``,
+``add_inducing``, ``remove_inducing``), which write O(D + M) numbers into
+its fixed-capacity buffers per sample and one buffer row per admission;
+``adaptive`` gives the layout, and the views ``window_x``, ``window_y`` and
+``kxu`` hold only until the next move.  Every one-point kernel is a
+``kernel_column`` vector, by differences at every D (vectors by
+differences, matrices by one product: a matrix stays Gram since one
+product beats D passes about 5x at D=8, as ``kernel`` measures), and each
+change of s_k or ``kuu_inv`` by one sample or one point is one BLAS
+rank-one update (``linalg.add_outer``) of a new array.  Every cache move
+marks ``b_lam`` stale; the cache prediction factors B_lambda first
 (``refresh_b_lam``) unless a skip left it current.
 """
 
@@ -173,8 +175,7 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     kuu_diag = state.params.variance + state.jitter
 
     b_kuu = kernel_row(state, x_new) if k_new is None else k_new
-    k_x = kernel_column(state.window_x, x_new, state.params,
-                        state.window_sq_norms)
+    k_x = kernel_column(state.window_x, x_new, state.params)
     wk_x = w * k_x
     s_k_row = kxu.T @ wk_x
     s_k_diag = float(np.dot(wk_x, k_x))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bound, linalg
 from .errors import DimensionMismatch
-from .kernel import KernelParams, _as_inputs, kernel_matrix
+from .kernel import KernelParams, _as_inputs, kernel_column
 from .optim import Adam, ascent_step
 
 DEFAULT_JITTER = 1e-6
@@ -70,12 +70,22 @@ def _check_one_point(xstar, who: str) -> None:
         raise DimensionMismatch(f"{who} takes one point, got shape {shape}")
 
 
+def _check_finite(X: np.ndarray, y: np.ndarray, who: str) -> None:
+    """Raise ``ValueError`` naming a row of ``X`` (N x D) or ``y`` that
+    holds an inf or NaN: a stream skips such a sample, but a fit or a cache
+    rebuild over it cannot be factored."""
+    for what, ok in (("input", np.isfinite(X).all(axis=1)),
+                     ("target", np.isfinite(y))):
+        if not ok.all():
+            raise ValueError(f"{who}: row {int(ok.argmin())} has a non-finite "
+                             f"{what}; only a streamed sample can be skipped")
+
+
 def predict(model: VsgpModel, xstar) -> PredictiveDist:
     """Predictive mean/variance at a single query input (O(M^2)); a query
     of several rows raises ``DimensionMismatch`` before any kernel."""
     _check_one_point(xstar, "predict")
-    xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
-    ks = kernel_matrix(xstar, model.inducing, model.params).ravel()
+    ks = kernel_column(model.inducing, xstar, model.params)
     return _q_predict(ks, model.params.variance, model.kuu_inv,
                       model.q_mean, model.q_cov)
 
@@ -105,12 +115,14 @@ def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
               jitter: float = DEFAULT_JITTER) -> VsgpModel:
     """Train a batch model: subset-of-data inducing initialization, ``iters``
     Adam ascent steps on the collapsed bound (``train``), then the optimal
-    q and the cached Kuu inverse from one ``bound._factor``."""
+    q and the cached Kuu inverse from one ``bound._factor``.  An inf or NaN
+    input or target raises ``ValueError``, naming its row, before any fit."""
     X = _as_inputs(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     if not 1 <= M <= n:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={n}")
+    _check_finite(X, y, "fit_batch")
 
     rng = np.random.default_rng(seed)
     U = X[rng.choice(n, size=M, replace=False)].copy()

@@ -7,8 +7,9 @@ from adaptive_sgp import adaptive, agp, bound, fast_agp, vsgp
 from adaptive_sgp.errors import DimensionMismatch, InvalidLambda, NotPsd
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 
-from helpers import (dense_weighted_bound, fd_gradient, flat_bound_gradients,
-                     grad_close, make_state, random_instance, rel)
+from helpers import (count_calls, dense_weighted_bound, fd_gradient,
+                     flat_bound_gradients, grad_close, make_state,
+                     random_instance, rel)
 from test_fast_agp import KERNEL_CACHE_RTOL
 
 
@@ -346,6 +347,19 @@ def test_full_mode_step_skipped_after_from_batch_keeps_kxu():
     assert rel(st.kxu, kxu) <= KERNEL_CACHE_RTOL
     agp.agp_step(st, opt, X[31], y[31])
     assert st.kxu is None
+
+
+def test_from_batch_names_a_non_finite_row_before_any_rebuild(monkeypatch):
+    X, y, _, _, _ = random_instance(np.random.default_rng(26), n=40, m=5, d=2)
+    model = vsgp.fit_batch(X, y, 5, 5, seed=0)
+    rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
+    X[7, 1] = np.nan
+    with pytest.raises(ValueError, match="from_batch: row 7 .* input"):
+        adaptive.from_batch(model, X, y, 0.9, 40, 5)
+    X[7, 1], y[3] = 0.0, -np.inf
+    with pytest.raises(ValueError, match="from_batch: row 3 .* target"):
+        adaptive.from_batch(model, X, y, 0.9, 40, 5)
+    assert rebuilds[0] == 0
 
 
 def test_from_batch_rejects_a_window_it_could_never_slide():

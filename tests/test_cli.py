@@ -86,6 +86,17 @@ def _nan_stream_csv(tmp_path, where):
     return path
 
 
+def test_run_with_a_nan_in_the_initial_window_names_its_row(tmp_path,
+                                                            capsys):
+    # A model kind fits its first window, which must be finite; the error
+    # names the sample where numpy's Cholesky message named none.
+    assert cli_main(["run", "--model", "fast-agp", "--data",
+                     str(_nan_stream_csv(tmp_path, [10]))]) == 1
+    assert capsys.readouterr().err == (
+        "error: fit_batch: row 10 has a non-finite target; only a streamed "
+        "sample can be skipped\n")
+
+
 def test_persistence_summary_after_a_nan_is_finite(tmp_path):
     # The baseline carries the last finite value past the NaN, so the
     # sample after it, whose target is finite, is scored on a finite guess.

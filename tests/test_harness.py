@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptive_sgp import (adaptive, agp, agp_vsi, fast_agp, harness, kernel,
-                          vsgp, wvsgp)
+from adaptive_sgp import (adaptive, agp, agp_vsi, bound, fast_agp, harness,
+                          kernel, vsgp, wvsgp)
 from adaptive_sgp.adaptive import lambda_weights, rebuild_caches
 from adaptive_sgp.errors import (DimensionMismatch, EmptyRecords, InvalidLambda,
                                  MapeUndefined, TooShort)
@@ -287,6 +287,24 @@ def test_run_experiment_rejects_mismatched_lengths_before_fitting(monkeypatch):
         run_experiment(cfg, t[:120], y[:200])
     with pytest.raises(DimensionMismatch, match="200.*120"):
         run_experiment(cfg, t[:200], y[:120])
+
+
+def test_run_experiment_names_a_non_finite_initial_sample_before_fitting(
+        monkeypatch):
+    # The stream skips an inf or NaN sample, but the first T samples are
+    # fitted and factored, so one there is refused up front, naming its row;
+    # it used to surface from inside a Cholesky as numpy's bare message.
+    gradients = count_calls(monkeypatch, bound, "weighted_bound_gradients")
+    t, y = synth_toy(0)
+    X, y = t[:130, None].copy(), y[:130].copy()
+    cfg = ExperimentConfig(model_kind="fast_agp", init_iters=5)
+    y[10] = np.nan
+    with pytest.raises(ValueError, match="row 10 has a non-finite target"):
+        run_experiment(cfg, X, y)
+    y[10], X[42, 0] = 0.0, np.inf
+    with pytest.raises(ValueError, match="row 42 has a non-finite input"):
+        run_experiment(cfg, X, y)
+    assert gradients[0] == 0
 
 
 @pytest.mark.parametrize("kind", harness.MODEL_KINDS)

@@ -156,6 +156,40 @@ def test_d1_kernel_column_matches_exact_rationals_on_close_pairs():
         assert abs(k - want) <= 1e-15 * want
 
 
+# At D>1 a column's distances are the row sums of (X - x)^2, so close
+# points keep their distance as at D=1: each square within three roundings
+# and the sum of D of them within D - 1 more.  The Gram form read exactly
+# the variance on close pairs; [1e3 + 1e-6, 1e3] against [1e3, 1e3] at
+# lengthscale 1e-3 read 1.0 where the exact value is 0.9999995.
+
+
+def _close_points(d):
+    rng = np.random.default_rng(51 + d)
+    offset = 10.0 ** rng.uniform(0.0, 3.0, size=(400, d))
+    offset *= rng.choice([-1.0, 1.0], size=(400, d))
+    gap = 10.0 ** rng.uniform(-12.0, 0.0, size=(400, 1))
+    direction = rng.normal(size=(400, d))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    x, z = offset, offset + gap * direction
+    assert np.all(np.any(x != z, axis=1))
+    exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(xi, zi))
+             for xi, zi in zip(x, z)]
+    return x, z, exact
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_kernel_column_matches_exact_rationals_on_close_pairs_at_d2_and_d8(d):
+    # As at D=1, the lengthscale at each pair's gap puts the kernel near
+    # variance * exp(-1/2), so a distance read as 0 shows as the variance.
+    x, z, exact = _close_points(d)
+    for a, b, e in zip(x, z, exact):
+        p = KernelParams(0.2, float(np.log(np.sqrt(float(e)))))
+        k = kernel.kernel_column(a[None], b, p)[0]
+        want = p.variance * np.exp(-0.5 * float(e) / p.lengthscale**2)
+        assert k < p.variance
+        assert abs(k - want) <= 1e-15 * want
+
+
 def test_kernel_column_rejects_a_point_of_another_dimension():
     p = KernelParams(0.0, 0.0)
     for x in (np.zeros(3), np.zeros(1)):

@@ -112,6 +112,13 @@ def test_distances_only_in_the_set_up_and_kernel_matrix():
                                       ("kernel.py", "kernel_matrix")}
 
 
+def test_no_library_code_builds_a_kernel_matrix():
+    # Vectors by differences, matrices by one product: every one-point
+    # kernel is a kernel_column, and every matrix is the set-up's, so
+    # kernel_matrix is left to callers of the package.
+    assert _callers({"kernel_matrix"}) == set()
+
+
 def test_one_guard_handles_a_failed_factorization():
     # "The stream never aborts" has one policy: a NotPsd anywhere in a
     # step's update restores the step in adaptive._update_or_restore, and no

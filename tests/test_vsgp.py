@@ -123,11 +123,13 @@ def test_predict_rejects_a_query_of_several_points_before_any_kernel(
     rng = np.random.default_rng(16)
     X, y, U, params, ln = random_instance(rng, n=12, m=4, d=1)
     model = _model(X, y, U, params, ln)
-    kernels = count_calls(monkeypatch, kernel, "kernel_matrix")
+    kernels = count_calls(monkeypatch, kernel, "kernel_column")
     for xstar in (np.zeros((2, 1)), np.zeros((4, 1)), np.zeros((1, 1, 1))):
         with pytest.raises(DimensionMismatch, match=str(xstar.shape)):
             vsgp.predict(model, xstar)
     assert kernels[0] == 0
+    vsgp.predict(model, np.zeros(1))
+    assert kernels[0] == 1
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -139,7 +141,7 @@ def test_predict_of_one_point_in_every_shape_is_the_q_form(d):
     model = _model(X, y, U, params, ln)
     for _ in range(20):
         x = rng.normal(size=d)
-        ks = kernel_matrix(x[None], model.inducing, params).ravel()
+        ks = kernel.kernel_column(model.inducing, x, params)
         want = vsgp._q_predict(ks, params.variance, model.kuu_inv,
                                model.q_mean, model.q_cov)
         queries = [x, x[None]] + ([float(x[0])] if d == 1 else [])
