@@ -109,9 +109,6 @@ class AdaptiveState:
     skipped_samples: int = 0                   # non-finite samples not ingested
     skipped_updates: int = 0                   # step updates lost to NotPsd
     rejected_candidates: int = 0               # inducing candidates scored out
-    # (kuu_inv, s_k, r_th, max_k, target) of the prune round an admission
-    # scored; fast_agp.prune_inducing reads it once
-    _scored_round: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, window_x, window_y):
         self.set_window(window_x, window_y)
@@ -389,11 +386,15 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 
-def relevance_total(state: AdaptiveState) -> float:
+def relevance_total(state: AdaptiveState,
+                    ps: np.ndarray | None = None) -> float:
     """Weighted Nystrom residual of the window given the inducing set,
-    computed from the caches; clamped at zero."""
-    val = state.w_ksum - float((state.kuu_inv * state.s_k).sum())
-    return max(val, 0.0)
+    w_ksum - tr(kuu_inv s_k), computed from the caches; clamped at zero.
+    ``ps`` is the product kuu_inv @ s_k when the caller has it (fast mode's
+    standing round)."""
+    if ps is None:
+        ps = state.kuu_inv @ state.s_k
+    return max(state.w_ksum - float(ps.diagonal().sum()), 0.0)
 
 
 def removal_scores(kuu_inv: np.ndarray, s_k: np.ndarray) -> np.ndarray:

@@ -3,6 +3,9 @@ log-determinants, and the bordered block-inverse extension (``inv_extend``)
 and shrink (``inv_shrink``) of ``Kuu~^-1``, the one inverse the streaming
 state keeps, each one BLAS rank-one update (``add_outer``) of a new array,
 O(M^2); B_lambda and the bound value are read through triangular solves.
+A border is refused by one rule, ``schur_positive``: fast mode tests a
+candidate by it before building anything for it, and ``inv_extend``
+raises ``SchurNotPositive`` by it.
 
 Factorizations and solves call LAPACK's ``dpotrf``/``dpotrs``/``dtrtrs``
 directly.  With M around 10 a streaming step is bound by per-call
@@ -159,6 +162,12 @@ def add_outer(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dger(1.0, y, x, a=A.T, overwrite_a=True).T
 
 
+def schur_positive(schur: float, b0: float) -> bool:
+    """Whether a Schur complement ``b0 - b^T A^-1 b`` is positive enough to
+    border A with (b, b0): above ``SCHUR_RTOL * max(|b0|, 1)``."""
+    return schur > SCHUR_RTOL * max(abs(b0), 1.0)
+
+
 def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     """Inverse of the bordered matrix [[A, b], [b^T, b0]] in O(k^2).
 
@@ -168,8 +177,8 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     Raises
     ------
     SchurNotPositive
-        When the Schur complement is <= ``SCHUR_RTOL * max(|b0|, 1)``; fast
-        mode then rejects the candidate point.
+        When ``schur_positive`` refuses the Schur complement.  Fast mode
+        tests it first, by the same rule, and rejects the candidate point.
     """
     Ainv = np.asarray(Ainv, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -177,7 +186,7 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
         raise DimensionMismatch("border vector length does not match inverse size")
     v = Ainv @ b
     schur = float(b0 - b @ v)
-    if schur <= SCHUR_RTOL * max(abs(b0), 1.0):
+    if not schur_positive(schur, b0):
         raise SchurNotPositive(f"Schur complement {schur:g} not positive")
     # [[Ainv, 0], [0, 0]] + u u^T / schur with u = [v, -1], on a new array
     k = Ainv.shape[0]

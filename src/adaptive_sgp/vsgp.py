@@ -115,11 +115,16 @@ def fit_batch(X, y, M: int, iters: int, seed: int, lr: float = 0.05,
               jitter: float = DEFAULT_JITTER) -> VsgpModel:
     """Train a batch model: subset-of-data inducing initialization, ``iters``
     Adam ascent steps on the collapsed bound (``train``), then the optimal
-    q and the cached Kuu inverse from one ``bound._factor``.  An inf or NaN
-    input or target raises ``ValueError``, naming its row, before any fit."""
+    q and the cached Kuu inverse from one ``bound._factor``.  Before any
+    fit, an ``X`` and ``y`` of different lengths raise
+    ``DimensionMismatch``, naming both, and an inf or NaN input or target
+    ``ValueError``, naming its row."""
     X = _as_inputs(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
+    if y.shape[0] != n:
+        raise DimensionMismatch(f"fit_batch: X has {n} rows but y has "
+                                f"{y.shape[0]} targets")
     if not 1 <= M <= n:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={n}")
     _check_finite(X, y, "fit_batch")

@@ -193,29 +193,25 @@ def test_maybe_add_duplicate_point_falls_back():
 
 def test_unborderable_candidate_is_rejected_with_caches_kept(monkeypatch):
     # At zero jitter a copy of an inducing point makes the bordered Kuu
-    # singular, so its Schur complement is roundoff and the extension is
-    # refused.  Fast mode rejects the candidate and counts it; it never
-    # rebuilds, and every cache stays as it was, bit for bit.
+    # singular, so its Schur complement is roundoff and the border is
+    # refused.  Fast mode tests the complement first: it rejects the
+    # candidate and counts it before building its window column k(X, x),
+    # never extends or rebuilds, and every cache stays as it was, bit for
+    # bit.
     rng = np.random.default_rng(9)
     st = make_state(rng, t_cur=8, k=3, d=2)
     st.jitter = 0.0
     adaptive.rebuild_caches(st)
     before = copy.deepcopy(st)
-    refused = []
-    extend = linalg.inv_extend
-
-    def spy(*args):
-        try:
-            return extend(*args)
-        except linalg.SchurNotPositive:
-            refused.append(args)
-            raise
-
-    monkeypatch.setattr(linalg, "inv_extend", spy)
+    extends = count_calls(monkeypatch, linalg, "inv_extend")
     rebuilds = count_calls(monkeypatch, adaptive, "rebuild_caches")
-    _, added = fast_agp.maybe_add_inducing(st, st.inducing[0].copy(), -1.0)
-    assert not added and len(refused) == 1 and rebuilds[0] == 0
-    assert st.rejected_candidates == 1
+    kernel_calls = record_calls(monkeypatch, kernel, "kernel_column")
+    dup = st.inducing[0].copy()
+    _, added = fast_agp.maybe_add_inducing(st, dup, -1.0)
+    assert not added and st.rejected_candidates == 1
+    assert extends[0] == 0 and rebuilds[0] == 0
+    assert builds_between(kernel_calls, before.window_x, dup) == 0
+    assert builds_between(kernel_calls, before.inducing, dup) == 1
     for name in ("inducing", "window_x", "window_y", "s_y", "s_k", "kuu",
                  "kuu_inv", "kxu"):
         assert np.array_equal(getattr(st, name), getattr(before, name)), name
@@ -402,13 +398,15 @@ def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
     assert ref.rejected_candidates == 0
 
 
-def test_prune_after_an_admission_scores_no_round_twice(monkeypatch):
-    # The admission scores the prune's first round on the bordered caches,
-    # and the prune starts from that round.  So every step makes one
-    # removal_scores call per removal plus the one that stops the prune,
-    # and one more only for a candidate that was scored and rejected.
+def test_a_fast_step_scores_one_round_plus_one_per_removal(monkeypatch):
+    # The step forms the caches' standing round once, after the slide; the
+    # relevance gate, the candidate's bordered scores (O(M^2)) and the
+    # prune's first round all read it.  So a step forms exactly one
+    # O(M^3) round, plus one removal_scores round per removal, whether its
+    # candidate is gated out or admitted.
     X, y = piecewise_sinusoid(700, 0)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
+    standing = count_calls(monkeypatch, fast_agp, "_standing_round")
     scores = count_calls(monkeypatch, adaptive, "removal_scores")
     admit, added = fast_agp.maybe_add_inducing, []
 
@@ -420,13 +418,14 @@ def test_prune_after_an_admission_scores_no_round_twice(monkeypatch):
     monkeypatch.setattr(fast_agp, "maybe_add_inducing", recorded)
     pruned_admissions = 0
     for i in range(100, 700):
-        k, rejected, calls = st.k_inducing, st.rejected_candidates, scores[0]
+        k, rounds = st.k_inducing, standing[0] + scores[0]
         fast_agp.fast_agp_step(st, X[i], y[i])
         removed = k + added[-1] - st.k_inducing
         pruned_admissions += added[-1] and removed > 0
-        assert scores[0] - calls == (removed + 1
-                                     + st.rejected_candidates - rejected), i
+        assert standing[0] == i - 99, i
+        assert standing[0] + scores[0] - rounds == 1 + removed, i
     assert len(added) == 600 and pruned_admissions > 0
+    assert not all(added)
 
 
 def test_step_factors_once_and_never_rebuilds(monkeypatch):

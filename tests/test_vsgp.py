@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_sgp import kernel, linalg, vsgp
+from adaptive_sgp import bound, kernel, linalg, vsgp
 from adaptive_sgp.errors import DimensionMismatch
 from adaptive_sgp.kernel import KernelParams, kernel_matrix
 from adaptive_sgp.optim import Adam
@@ -210,6 +210,33 @@ def test_fit_batch_rejects_a_capacity_outside_one_to_n(M):
     with pytest.raises(ValueError, match="1 <= M <= N"):
         vsgp.fit_batch(rng.normal(size=(30, 1)), rng.normal(size=30), M=M,
                        iters=0, seed=7)
+
+
+def test_fit_batch_rejects_inputs_of_three_dimensions_before_any_fit(
+        monkeypatch):
+    # A (110, 1, 1) X once reached the bound and failed there with numpy's
+    # broadcast error; every input set is read by kernel._as_inputs, which
+    # now names the shape.
+    rng = np.random.default_rng(10)
+    grads = count_calls(monkeypatch, bound, "weighted_bound_gradients")
+    with pytest.raises(DimensionMismatch, match=r"\(110, 1, 1\)"):
+        vsgp.fit_batch(rng.normal(size=(110, 1, 1)), rng.normal(size=110),
+                       M=5, iters=3, seed=0)
+    with pytest.raises(DimensionMismatch, match="N x D"):
+        kernel.kernel_matrix(rng.normal(size=(4, 2, 1)),
+                             rng.normal(size=(3, 2)), KernelParams(0.0, 0.0))
+    assert grads[0] == 0
+
+
+def test_fit_batch_rejects_x_and_y_of_different_lengths_before_any_fit(
+        monkeypatch):
+    rng = np.random.default_rng(10)
+    grads = count_calls(monkeypatch, bound, "weighted_bound_gradients")
+    for n_y in (40, 1):
+        with pytest.raises(DimensionMismatch, match=f"50 rows .* {n_y} "):
+            vsgp.fit_batch(rng.normal(size=(50, 2)), rng.normal(size=n_y),
+                           M=5, iters=3, seed=0)
+    assert grads[0] == 0
 
 
 def test_fit_batch_factors_kuu_and_b_once_each(monkeypatch):

@@ -27,6 +27,16 @@ run) it should read 1.00 within about 0.01, and bit-identical.
 set-ups, and ends with the number of seeds on which the change won (a
 median ratio above 1), a preview of the benchmark's rule that a claimed
 gain must win nine of ten pairs.
+
+``--perturb lam`` or ``--perturb lr`` runs the CHANGE tree with the
+workload's forgetting factor, or its Adam learning rate (the batch fit's
+and, for agp, the stream's), moved up by one ulp (``np.nextafter``).  Given
+one tree twice, that measures the tree's roundoff sensitivity:
+
+    python3 tools/ab_steps.py DIR DIR --workload toy-agp --perturb lr
+
+Every run also prints each side's prequential MSE over the streamed
+samples.
 """
 
 import argparse
@@ -53,16 +63,17 @@ def load_tree(root: Path, alias: str):
     return pkg
 
 
-def stepper(pkg, wl, w, X, y, seed):
-    """``perfbench.workloads``' set-up and step for one tree's package."""
+def stepper(pkg, wl, w, X, y, seed, lam, lr):
+    """``perfbench.workloads``' set-up and step for one tree's package, at
+    forgetting factor ``lam`` and learning rate ``lr``."""
     T = w.window_t
     model = pkg.fit_batch(X[:T], y[:T], w.capacity_m, wl.INIT_ITERS,
-                          seed=wl.inducing_seed(seed), lr=wl.LR,
+                          seed=wl.inducing_seed(seed), lr=lr,
                           jitter=wl.JITTER)
-    state = pkg.from_batch(model, X[:T], y[:T], w.lam, T, w.capacity_m)
+    state = pkg.from_batch(model, X[:T], y[:T], lam, T, w.capacity_m)
     if w.kind == "fast_agp":
         return state, lambda x, t: pkg.fast_agp_step(state, x, t, wl.R_TH)[1]
-    opt = pkg.adam_params(lr=wl.LR)
+    opt = pkg.adam_params(lr=lr)
     return state, lambda x, t: pkg.agp_step(state, opt, x, t, wl.R_TH)[2]
 
 
@@ -97,6 +108,8 @@ def compare(trees, w, X, y, n):
         print(f"first differing step: {int(differs.argmax())}")
         print(f"max |d mean|: {np.nanmax(np.abs(b[0] - a[0])):.3g}  "
               f"max |d var|/var: {np.nanmax(np.abs(b[1] - a[1]) / a[1]):.3g}")
+    mse = np.nanmean((out[:, 0] - y[w.window_t:w.window_t + n]) ** 2, axis=1)
+    print(f"mse: parent {mse[0]:.6g}, change {mse[1]:.6g}")
     moved = k_ind[0] != k_ind[1]
     print("k_inducing: " + (f"first differs at step {int(moved.argmax())}"
                             if moved.any() else "the same at every step"))
@@ -113,6 +126,9 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=None,
                     help="streamed samples per seed (default: the "
                          "workload's pass)")
+    ap.add_argument("--perturb", choices=("lam", "lr"), default=None,
+                    help="run CHANGE_DIR with the workload's lambda or "
+                         "learning rate one ulp up")
     args = ap.parse_args(argv)
 
     sys.path[:0] = [str(args.change / "src"), str(args.change)]
@@ -123,11 +139,18 @@ def main(argv=None) -> int:
     pkgs = [load_tree(root.resolve(), alias)
             for root, alias in ((args.parent, "ab_parent"),
                                 (args.change, "ab_change"))]
+    settings = [{"lam": w.lam, "lr": wl.LR} for _ in pkgs]
+    if args.perturb:
+        value = settings[1][args.perturb]
+        settings[1][args.perturb] = float(np.nextafter(value, np.inf))
     ratios = []
     for seed in args.seeds:
         X, y = w.make(w.window_t + n, seed)
-        trees = [stepper(pkg, wl, w, X, y, seed) for pkg in pkgs]
-        print(f"workload {w.name}  seed {seed}  steps {n}")
+        trees = [stepper(pkg, wl, w, X, y, seed, **kw)
+                 for pkg, kw in zip(pkgs, settings)]
+        print(f"workload {w.name}  seed {seed}  steps {n}"
+              + (f"  change's {args.perturb} {settings[1][args.perturb]!r}"
+                 if args.perturb else ""))
         ratios.append(compare(trees, w, X, y, n))
     if len(ratios) > 1:
         print("median ratio per seed: "
