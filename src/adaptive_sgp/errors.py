@@ -20,7 +20,9 @@ class DimensionMismatch(AdaptiveSgpError):
 class SchurNotPositive(AdaptiveSgpError):
     """Bordered-matrix extension rejected: Schur complement not positive.
 
-    Fast mode then rejects the candidate inducing point.
+    ``linalg.inv_extend`` raises it when called on its own.  Fast mode
+    tests the complement first (``linalg.schur_positive``) and rejects the
+    candidate inducing point before extending, so no stream raises it.
     """
 
 

@@ -10,7 +10,8 @@ in the opening all four kinds share (``_predict_and_slide``), and passes it
 to the prediction (the caches', or agp_vsi's explicit q), the slide and
 fast mode's admission, each of which builds it itself when it is omitted.
 Fast mode carries ``kxu`` from ``from_batch`` on (``adaptive``'s rule: a
-rebuild keeps it, only a parameter update drops it), so its slide reads
+rebuild keeps it, only a parameter update drops it, for the reason
+``adaptive`` gives), so its slide reads
 the departing row from ``kxu`` and its admission builds only the
 candidate's column k(X, x_new); the other kinds' slide builds the
 departing row as one more ``kernel_row``.  The window and ``kxu`` move

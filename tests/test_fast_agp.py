@@ -47,9 +47,7 @@ def test_rank1_add_base_case():
     st = make_state(rng, t_cur=1, k=3, d=1, lam=1.0, window_t=10)
     # start from an empty history
     st.set_window(np.zeros((0, 1)), np.zeros(0))
-    st.s_y = np.zeros(3)
-    st.s_k = np.zeros((3, 3))
-    st.w_ksum = 0.0
+    adaptive.rebuild_caches(st)
     x1, y1 = np.array([0.4]), 1.3
     fast_agp.windowed_add(st, x1, y1)
     k1 = kernel_matrix(st.inducing, x1[None, :], st.params).ravel()
@@ -69,9 +67,7 @@ def test_rank1_add_geometric_accumulation():
     rng = np.random.default_rng(2)
     st = make_state(rng, t_cur=1, k=2, d=1, lam=0.5, window_t=10)
     st.set_window(np.zeros((0, 1)), np.zeros(0))
-    st.s_y = np.zeros(2)
-    st.s_k = np.zeros((2, 2))
-    st.w_ksum = 0.0
+    adaptive.rebuild_caches(st)
     x, y = np.array([0.2]), 0.7
     fast_agp.windowed_add(st, x, y)
     fast_agp.windowed_add(st, x, y)
