@@ -18,10 +18,15 @@ temporaries in the test process, and acceptance criterion 8's first
 T-doubling ratio then sits at its 1.5 floor (README, Performance).  Fast
 mode never updates its parameters, so it carries ``kxu`` from
 ``from_batch`` on; the other kinds carry it only until their first
-update.  Every cache move moves ``kxu`` while it is carried.  B_lambda =
-Kuu~ + s_k/sig2 is never inverted: every cache move marks ``b_lam``
-stale, and ``refresh_b_lam`` factors it once per step, before the
-prediction's triangular solve.
+update.  Every cache move moves ``kxu`` while it is carried.  Fast mode's
+score round, ``score_num`` (the removal scores' numerators diag(kuu_inv
+s_k kuu_inv)), is kept by a stricter rule: a slide moves it, an
+admission drops it, a fast step's removal forms it afresh, and every
+rebuild and ``set_window`` drop it, so no other kind ever slides one
+(``fast_agp`` gives the arithmetic).  B_lambda = Kuu~ + s_k/sig2 is
+never inverted: every cache move marks ``b_lam`` stale, and
+``refresh_b_lam`` factors it once per step, before the prediction's
+triangular solve.
 
 The window lives in fixed-capacity buffers the state owns, each with room
 for ``window_t`` plus a slack of ceil(``window_t``/4) samples: the rows
@@ -109,6 +114,9 @@ class AdaptiveState:
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
+    # fast mode's carried removal-score numerators diag(P S P), P = kuu_inv,
+    # S = s_k (fast_agp); None once dropped
+    score_num: np.ndarray | None = None
     # counters
     skipped_samples: int = 0                   # non-finite samples not ingested
     skipped_updates: int = 0                   # step updates lost to NotPsd
@@ -148,8 +156,9 @@ class AdaptiveState:
         return lambda_weights(self._hi - self._lo, self.lam)
 
     def set_window(self, window_x, window_y) -> None:
-        """Copy a new window into new buffers and drop kxu, which no longer
-        describes it; the caches are left for ``rebuild_caches``."""
+        """Copy a new window into new buffers and drop kxu and the score
+        round, which no longer describe it; the caches are left for
+        ``rebuild_caches``."""
         window_x = _as_inputs(window_x)
         window_y = np.asarray(window_y, dtype=float).ravel()
         n = window_y.shape[0]
@@ -160,6 +169,7 @@ class AdaptiveState:
         self._lo, self._hi = 0, n
         self._x, self._y = _front(window_x, cap), _front(window_y, cap)
         self._kut = None
+        self.score_num = None
 
     def append_sample(self, x: np.ndarray, y: float,
                       k_row: np.ndarray | None) -> None:
@@ -288,8 +298,8 @@ def skip_nonfinite(state: AdaptiveState, x_new, y_new) -> bool:
 
 def rebuild_caches(state: AdaptiveState, *, keep_kxu: bool = True) -> None:
     """Recompute s_y, s_k, w_ksum, kuu, kuu_inv and, with ``keep_kxu``, kxu
-    from the window (O(T M^2)) and mark b_lam stale; without it kxu is
-    dropped.
+    from the window (O(T M^2)), mark b_lam stale and drop the score round;
+    without ``keep_kxu`` kxu is dropped too.
 
     Needed after a parameter update; fast mode's inducing-set changes extend
     or shrink the caches instead.  kxu is the set-up's own ``Kxu`` block,
@@ -308,6 +318,7 @@ def rebuild_caches(state: AdaptiveState, *, keep_kxu: bool = True) -> None:
     state.kxu = s.Kxu if keep_kxu else None
     state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None
+    state.score_num = None
 
 
 def _update_or_restore(state: AdaptiveState, move) -> bool:
@@ -332,8 +343,12 @@ def _update_or_restore(state: AdaptiveState, move) -> bool:
 
 
 def refresh_b_lam(state: AdaptiveState) -> None:
-    """Carry L = chol(Kuu~ + s_k/sig2), jitter kept, and L^-1 s_y (O(M^3))."""
-    f = linalg.cholesky_psd(state.kuu + state.s_k / state.noise_var, 0.0)
+    """Carry L = chol(Kuu~ + s_k/sig2), jitter kept, and L^-1 s_y (O(M^3)).
+    kuu is added into the one new array s_k/sig2 (IEEE addition commutes,
+    so the sum is kuu + s_k/sig2 bit for bit)."""
+    b = state.s_k / state.noise_var
+    b += state.kuu
+    f = linalg.cholesky_psd(b, 0.0)
     state.b_lam = f, linalg.solve_lower(f, state.s_y)
 
 
@@ -368,11 +383,14 @@ def kernel_row(state: AdaptiveState, x) -> np.ndarray:
 
 
 def adaptive_predict(state: AdaptiveState, xstar, *,
-                     k_new: np.ndarray | None = None) -> PredictiveDist:
+                     k_new: np.ndarray | None = None,
+                     a: np.ndarray | None = None) -> PredictiveDist:
     """Adaptive predictive mean/variance at one query (O(M^2) from caches;
     a stale B_lambda is factored first): with v = L^-1 k, mean =
     v^T L^-1 s_y / sig2 and var = kss - k^T kuu_inv k + v^T v.  ``k_new``
-    is ``kernel_row(state, xstar)`` when the caller has it.
+    is ``kernel_row(state, xstar)`` when the caller has it, and ``a`` its
+    ``kuu_inv @ k_new`` (fast mode's step forms it once), which makes
+    k^T kuu_inv k the dot product k.a.
 
     ``xstar`` is one point, shaped (D,) or (1, D); without ``k_new``, a
     query of any other number of rows raises ``DimensionMismatch`` before
@@ -386,19 +404,17 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
     f, l_s_y = state.b_lam
     v = linalg.solve_lower(f, ks)
     mean = float(v @ l_s_y) / state.noise_var
-    var = state.params.variance - float(ks @ state.kuu_inv @ ks) + float(v @ v)
+    kpk = float(ks @ state.kuu_inv @ ks) if a is None else float(ks @ a)
+    var = state.params.variance - kpk + float(v @ v)
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 
-def relevance_total(state: AdaptiveState,
-                    ps: np.ndarray | None = None) -> float:
+def relevance_total(state: AdaptiveState) -> float:
     """Weighted Nystrom residual of the window given the inducing set,
     w_ksum - tr(kuu_inv s_k), computed from the caches; clamped at zero.
-    ``ps`` is the product kuu_inv @ s_k when the caller has it (fast mode's
-    standing round)."""
-    if ps is None:
-        ps = state.kuu_inv @ state.s_k
-    return max(state.w_ksum - float(ps.diagonal().sum()), 0.0)
+    Both matrices are symmetric, so the trace is the sum of their
+    elementwise product: one O(M^2) ``np.vdot``."""
+    return max(state.w_ksum - float(np.vdot(state.kuu_inv, state.s_k)), 0.0)
 
 
 def removal_scores(kuu_inv: np.ndarray, s_k: np.ndarray) -> np.ndarray:

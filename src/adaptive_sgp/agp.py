@@ -38,7 +38,7 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     """
     if state.capacity_m < 2:
         raise ValueError(f"agp_step: capacity_m {state.capacity_m} < 2")
-    pred, k_new = _predict_and_slide(state, x_new, y_new)
+    pred, k_new, _ = _predict_and_slide(state, x_new, y_new)
     if k_new is None:
         return state, opt, pred
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)

@@ -159,7 +159,7 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
     stream's one failure policy: a factorization that fails in any
     iteration or in the rebuild restores the step's inducing points,
     kernel and noise, and the step puts q back as well."""
-    pred, k_new = _predict_and_slide(
+    pred, k_new, _ = _predict_and_slide(
         state, x_new, y_new, lambda k: _q_predict(
             k, state.params.variance, state.kuu_inv, q.mean, q.cov))
     if k_new is None:

@@ -28,15 +28,28 @@ rank-one update (``linalg.add_outer``) of a new array.  Every cache move
 marks ``b_lam`` stale; the cache prediction factors B_lambda first
 (``refresh_b_lam``) unless a skip left it current.
 
-A fast step makes one O(M^3) round of removal scores, the standing round
-of the caches after the slide (``_standing_round``: kuu_inv s_k and the
-scores' numerators and denominators), plus one per removal.  It serves
-the relevance gate (w_ksum - tr(kuu_inv s_k)), the candidate's scores on
-the bordered set, which follow from it in O(M^2) (``_bordered_scores``,
-Csato & Opper 2002), and the prune's first round, which the step hands
-over as an argument.  Only an admitted candidate borders the caches; a
-rejected one, whether its Schur complement or its score refuses it,
-moves nothing.
+Fast mode carries its round of removal scores across slides: the
+numerators num = diag(P S P) for P = kuu_inv and S = s_k, the state's
+``score_num``; the denominators are always read as diag(P).  A step forms
+a = kuu_inv k(U, x_new) once, before its slide, which leaves kuu_inv as
+it is.  The prediction reads k^T kuu_inv k as k.a, the admission reads a
+as the candidate's u, and the slide moves the numerators by rank-one
+terms (Csato & Opper 2002), num <- lam num + a*a - lam^T b*b with the
+departing row's b = kuu_inv k_old: O(M^2) for b, O(M) for the rest.  The
+round serves the candidate's scores on the bordered set, which follow
+from it in O(M^2) (``_bordered_scores``), and the prune's first round;
+the relevance gate reads the trace tr(P S) in O(M^2) itself
+(``relevance_total``).  Only an admitted candidate borders the caches,
+and it drops the round; a rejected one, whether its Schur complement or
+its score refuses it, moves nothing.  Each removal of a step forms the
+round fresh (``_standing_round``, O(M^3), bit for bit ``removal_scores``)
+and carries it, and a step whose state carries none forms it fresh after
+its slide.  So a step that finds a round and removes no point makes one
+O(M^3) call, B_lambda's Cholesky, and a carried round has only ever been
+slid: by lambda-damped terms, never across a change of the inducing set.
+Every public cache move keeps the round exact or drops it;
+``adaptive.rebuild_caches`` drops it, so the other kinds, whose every
+update rebuilds, never slide one.
 """
 
 import math
@@ -55,63 +68,89 @@ from .vsgp import PredictiveDist
 
 
 def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
-                 k_new: np.ndarray | None = None) -> AdaptiveState:
+                 k_new: np.ndarray | None = None,
+                 a: np.ndarray | None = None) -> AdaptiveState:
     """Append one sample, evicting the oldest once the window holds T, and
-    update s_y, s_k and w_ksum by rank-one terms (O(M^2)) and kxu, when
-    carried, by one row; b_lam is marked stale.
+    update s_y, s_k and w_ksum by rank-one terms (O(M^2)), kxu, when
+    carried, by one row and the score round's numerators, when carried,
+    by ``_slid_num``; b_lam is marked stale.
 
     s_y <- lam*s_y + k_new*y,  s_k <- lam*s_k + k_new k_new^T.  A departing
     sample carries weight lam^T after the new sample's geometric discount,
     so its contribution is removed with that coefficient from every cache.
 
-    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it.  The
-    departing sample's row is its kxu row while kxu is carried, else one
-    ``kernel_row``."""
+    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it, and
+    ``a`` its ``kuu_inv @ k_new``.  The departing sample's row is its kxu
+    row while kxu is carried, else one ``kernel_row``."""
     x = np.asarray(x_new, dtype=float).ravel()
     y_new = float(y_new)
     lam, var = state.lam, state.params.variance
     if k_new is None:
         k_new = kernel_row(state, x)
-    s_y = lam * state.s_y + k_new * y_new
+    s_y = lam * state.s_y
+    s_y += k_new * y_new
     s_k = linalg.add_outer(lam * state.s_k, k_new, k_new)
     w_ksum = lam * state.w_ksum + var
+    k_old = None
     if state.t_cur == state.window_t:
         x_old, y_old, k_old = state.evict_sample()
         if k_old is None:
             k_old = kernel_row(state, x_old)
         wT = lam ** state.window_t
-        s_y = s_y - wT * k_old * float(y_old)
+        s_y -= wT * k_old * float(y_old)
         s_k = linalg.add_outer(s_k, -wT * k_old, k_old)
         w_ksum = w_ksum - wT * var
+    if state.score_num is not None:
+        state.score_num = _slid_num(state, k_new, a, k_old)
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
     state.append_sample(x, y_new, k_new)
     state.b_lam = None
     return state
 
 
+def _slid_num(state: AdaptiveState, k_new: np.ndarray,
+              a: np.ndarray | None, k_old: np.ndarray | None) -> np.ndarray:
+    """The state's score numerators after a slide that adds the kernel row
+    ``k_new`` and, when the window is full, removes ``k_old``: with a =
+    kuu_inv k_new (formed here when None) and b = kuu_inv k_old,
+    lam num + a*a - lam^T b*b, a new array."""
+    lam = state.lam
+    if a is None:
+        a = state.kuu_inv @ k_new
+    num = lam * state.score_num
+    num += a * a
+    if k_old is not None:
+        b = state.kuu_inv @ k_old
+        num -= lam ** state.window_t * b * b
+    return num
+
+
 def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
-                       predict=None):
+                       predict=None, *, share: bool = False):
     """The opening of every step: skip an inf or NaN sample
     (``skip_nonfinite``; ``k_new`` is then None and nothing moves), build
     k(U, x_new) once (``kernel_row``), predict from it with
     ``predict(k_new)`` (by default the caches': factor a stale B_lambda,
-    then ``adaptive_predict``), then slide (``windowed_add``).  Returns
-    ``(pred, k_new)``; the prediction at an inf or NaN input is NaN,
-    without evaluating the kernel there."""
+    then ``adaptive_predict``), then slide (``windowed_add``).  With
+    ``share`` (fast mode's step) a = kuu_inv k_new is formed once, first,
+    and the cache prediction and the slide read it.  Returns
+    ``(pred, k_new, a)``, a None without ``share``; the prediction at an
+    inf or NaN input is NaN, without evaluating the kernel there."""
     skipped = skip_nonfinite(state, x_new, y_new)
     if skipped and not np.isfinite(x_new).all():
-        return PredictiveDist(mean=math.nan, var=math.nan), None
+        return PredictiveDist(mean=math.nan, var=math.nan), None, None
     k_new = kernel_row(state, x_new)
+    a = state.kuu_inv @ k_new if share else None
     if predict is None:
         if state.b_lam is None:
             refresh_b_lam(state)
-        pred = adaptive_predict(state, x_new, k_new=k_new)
+        pred = adaptive_predict(state, x_new, k_new=k_new, a=a)
     else:
         pred = predict(k_new)
     if skipped:
-        return pred, None
-    windowed_add(state, x_new, y_new, k_new=k_new)
-    return pred, k_new
+        return pred, None, None
+    windowed_add(state, x_new, y_new, k_new=k_new, a=a)
+    return pred, k_new, a
 
 
 def _border(A: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
@@ -138,34 +177,42 @@ def _prune_target(r: np.ndarray, r_th: float, max_k: float):
 
 @dataclass(slots=True)
 class _Round:
-    """One step's standing round on the caches, made once after the slide
-    (``_standing_round``): ``ps`` = kuu_inv s_k, whose trace the relevance
-    gate reads, and the removal scores' numerators ``num`` = diag(ps
-    kuu_inv) and denominators ``pd`` = diag(kuu_inv).  ``scores`` is what
-    the prune's first round reads: num / pd, bit for bit
-    ``removal_scores``, until an admission puts the bordered set's scores
-    there."""
+    """One step's view of the state's score round (``_held_round``): the
+    numerators ``num`` = diag(P S P) the state carries, the denominators
+    ``pd`` = diag(P), and ``scores``, what the prune's first round reads:
+    num / pd until an admission puts the bordered set's scores there."""
 
-    ps: np.ndarray
     num: np.ndarray
     pd: np.ndarray
     scores: np.ndarray
 
 
-def _standing_round(state: AdaptiveState) -> _Round:
-    """The caches' one O(M^3) round (``_Round``)."""
+def _standing_round(state: AdaptiveState) -> np.ndarray:
+    """Form the caches' score numerators fresh (O(M^3): kuu_inv s_k, then
+    diag(kuu_inv s_k kuu_inv)), carry them as the state's ``score_num``
+    and return the scores, num / diag(kuu_inv), bit for bit
+    ``removal_scores``."""
     kuu_inv = state.kuu_inv
     ps = kuu_inv @ state.s_k
-    num = (ps * kuu_inv).sum(axis=1)
-    pd = kuu_inv.diagonal()
-    return _Round(ps, num, pd, num / pd)
+    num = state.score_num = np.add.reduce(
+        np.multiply(ps, kuu_inv, out=ps), 1)
+    return num / kuu_inv.diagonal()
+
+
+def _held_round(state: AdaptiveState) -> _Round:
+    """The state's score round (``_Round``), its numerators formed fresh
+    first (``_standing_round``) when the state carries none."""
+    if state.score_num is None:
+        _standing_round(state)
+    num, pd = state.score_num, state.kuu_inv.diagonal()
+    return _Round(num, pd, num / pd)
 
 
 def _bordered_scores(rnd: _Round, kuu_inv: np.ndarray, s_k: np.ndarray,
                      u: np.ndarray, s: float, r: np.ndarray,
                      d: float) -> np.ndarray:
     """``removal_scores`` of the bordered set, the candidate last, in
-    O(M^2) from the standing round ``rnd`` of P = kuu_inv and S = s_k.
+    O(M^2) from the score round ``rnd`` of P = kuu_inv and S = s_k.
 
     With u = P b and the Schur complement s = b0 - b^T u of the candidate's
     kernel row b and diagonal b0, the bordered inverse is
@@ -187,6 +234,7 @@ def _bordered_scores(rnd: _Round, kuu_inv: np.ndarray, s_k: np.ndarray,
 def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
                        r_th: float | None = None, max_k: float = math.inf,
                        k_new: np.ndarray | None = None,
+                       a: np.ndarray | None = None,
                        standing: _Round | None = None):
     """Adopt ``x_new`` as an inducing point when the weighted Nystrom
     residual (``relevance_total``) exceeds ``r_th_tot``; returns
@@ -195,7 +243,7 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     With ``r_th`` given, the candidate is scored before it is committed (the
     basis-vector scoring of Csato & Opper 2002): the prune's first round
     (``prune_inducing`` with ``r_th`` and ``max_k``) is applied to the
-    bordered set's removal scores, which follow in O(M^2) from the standing
+    bordered set's removal scores, which follow in O(M^2) from the score
     round (``_bordered_scores``).  When that round would remove the
     candidate, adding it and then pruning equals not adding it, so every
     cache is left as it was and the candidate is counted in
@@ -209,31 +257,34 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     e.g. a duplicated inducing point at zero jitter) is rejected and
     counted before that column is built.  Only an admitted candidate
     borders kuu and s_k, writes its kxu column (``add_inducing``), grows
-    kuu_inv by bordered block extension (``inv_extend``, O(M^2)) and marks
-    b_lam stale.  ``k_new`` is ``kernel_row(state, x_new)`` when the caller
-    has it, and ``standing`` the caches' ``_standing_round``, which is made
-    here when omitted; an admission writes the bordered scores into it
-    for the prune.
+    kuu_inv by bordered block extension (``inv_extend``, O(M^2)), marks
+    b_lam stale and drops the score round.  ``k_new`` is
+    ``kernel_row(state, x_new)`` when the caller has it, ``a`` its
+    ``kuu_inv @ k_new`` (the candidate's u = kuu_inv b, which
+    ``inv_extend`` reuses), and ``standing`` the state's ``_held_round``,
+    which is taken here, past the gate, when omitted (formed fresh, and
+    carried, when the state carries none); an admission writes the
+    bordered scores into it for the prune.
     """
     kxu = state.kxu
     if kxu is None:
         raise KxuNotCarried("maybe_add_inducing needs the state's kxu; "
                             "this state carries none (a parameter update "
                             "drops it)")
-    if standing is None:
-        standing = _standing_round(state)
-    if relevance_total(state, standing.ps) <= r_th_tot:
+    if relevance_total(state) <= r_th_tot:
         return state, False
 
     x_new = np.asarray(x_new, dtype=float).reshape(1, -1)
     kuu_inv = state.kuu_inv
     b = kernel_row(state, x_new) if k_new is None else k_new
     b0 = state.params.variance + state.jitter
-    u = kuu_inv @ b
+    u = kuu_inv @ b if a is None else a
     s = float(b0 - b @ u)
     if not linalg.schur_positive(s, b0):  # x_new is in the inducing set's span
         state.rejected_candidates += 1
         return state, False
+    if standing is None:
+        standing = _held_round(state)
 
     k_x = kernel_column(state.window_x, x_new, state.params)
     wk_x = state.weights() * k_x
@@ -246,7 +297,8 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
         return state, False
 
     standing.scores = scores
-    state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0)
+    state.score_num = None
+    state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0, u=u)
     state.s_k = _border(state.s_k, r, d)
     state.kuu = _border(state.kuu, b, b0)
     state.b_lam = None
@@ -268,10 +320,17 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
     array of the points kept, shrinks kuu_inv by ``inv_shrink`` (O(M^2), no
     refactorisation), restricts kuu, s_k, s_y and the inducing set by that
     array, shifts kxu's later buffer rows up (``remove_inducing``, when
-    carried) and marks b_lam stale, so every round scores the remaining set
-    exactly and the caches stay exact afterwards.  ``scores`` are the first
-    round's when the caller has them (``fast_agp_step`` passes its standing
-    round's), so a step scores one O(M^3) round plus one per removal."""
+    carried), marks b_lam stale and scores the remaining set afresh, so
+    every round scores it exactly and the caches stay exact afterwards.
+
+    ``scores`` are the first round's when the caller has them:
+    ``fast_agp_step`` passes its held round's, or the bordered set's after
+    an admission.  A prune given them forms each later round by
+    ``_standing_round``, which carries it as the state's score round, so a
+    step's last round serves the next step.  One without them (agp's, whose
+    update rebuilds the caches next) scores every round by
+    ``removal_scores`` and drops the state's round once a point goes."""
+    carry = scores is not None
     if scores is None:
         scores = removal_scores(state.kuu_inv, state.s_k)
     m = _prune_target(scores, r_th, max_k)
@@ -284,28 +343,33 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)
         state.s_y = state.s_y.take(keep)
         state.remove_inducing(m, keep)
-        m = _prune_target(removal_scores(state.kuu_inv, state.s_k), r_th,
-                          max_k)
+        if carry:
+            scores = _standing_round(state)
+        else:
+            state.score_num = None
+            scores = removal_scores(state.kuu_inv, state.s_k)
+        m = _prune_target(scores, r_th, max_k)
     return state
 
 
 def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
                   r_th: float = 1e-4):
-    """One prequential step: predict and slide (``_predict_and_slide``),
-    form the caches' standing round once (``_standing_round``), offer the
-    sample as an inducing point (gated and scored against the same prune
-    rule from that round), then prune, starting from that round's scores
-    or, after an admission, the bordered set's.  Returns
+    """One prequential step: predict and slide (``_predict_and_slide``,
+    which slides the carried score round), take the score round
+    (``_held_round``, formed fresh only when the state carries none), offer
+    the sample as an inducing point (gated and scored against the same
+    prune rule from that round), then prune, starting from that round's
+    scores or, after an admission, the bordered set's.  Returns
     ``(state, pred_before)``, the prediction made before the new target is
     used; a skipped sample moves nothing.  The inducing set is the same
     from the prediction to the admission, so all three share one kernel
-    row k(U, x_new)."""
-    pred, k_new = _predict_and_slide(state, x_new, y_new)
+    row k(U, x_new) and its a = kuu_inv k(U, x_new)."""
+    pred, k_new, a = _predict_and_slide(state, x_new, y_new, share=True)
     if k_new is None:
         return state, pred
-    standing = _standing_round(state)
+    standing = _held_round(state)
     maybe_add_inducing(state, x_new, state.w_ksum / state.window_t,
                        r_th=r_th, max_k=state.capacity_m, k_new=k_new,
-                       standing=standing)
+                       a=a, standing=standing)
     prune_inducing(state, r_th, state.capacity_m, scores=standing.scores)
     return state, pred

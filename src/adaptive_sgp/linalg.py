@@ -168,11 +168,14 @@ def schur_positive(schur: float, b0: float) -> bool:
     return schur > SCHUR_RTOL * max(abs(b0), 1.0)
 
 
-def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
+def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, *,
+               u: np.ndarray | None = None) -> np.ndarray:
     """Inverse of the bordered matrix [[A, b], [b^T, b0]] in O(k^2).
 
     ``Ainv`` must be the inverse of A.  Uses the block-inversion identities;
-    the Schur complement ``b0 - b^T Ainv b`` must be positive.
+    the Schur complement ``b0 - b^T Ainv b`` must be positive.  ``u`` is
+    ``Ainv @ b`` when the caller has it (fast mode's admission does), so it
+    is not formed again.
 
     Raises
     ------
@@ -184,16 +187,17 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != Ainv.shape[0]:
         raise DimensionMismatch("border vector length does not match inverse size")
-    v = Ainv @ b
-    schur = float(b0 - b @ v)
+    if u is None:
+        u = Ainv @ b
+    schur = float(b0 - b @ u)
     if not schur_positive(schur, b0):
         raise SchurNotPositive(f"Schur complement {schur:g} not positive")
-    # [[Ainv, 0], [0, 0]] + u u^T / schur with u = [v, -1], on a new array
+    # [[Ainv, 0], [0, 0]] + v v^T / schur with v = [u, -1], on a new array
     k = Ainv.shape[0]
     out = np.zeros((k + 1, k + 1))
     out[:k, :k] = Ainv
-    u = np.concatenate((v, (-1.0,)))
-    return add_outer(out, u / schur, u)
+    v = np.concatenate((u, (-1.0,)))
+    return add_outer(out, v / schur, v)
 
 
 def inv_shrink(Ainv: np.ndarray, m: int, keep: np.ndarray) -> np.ndarray:

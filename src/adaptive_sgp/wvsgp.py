@@ -16,7 +16,7 @@ def wvsgp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     then ``vsgp.train`` on the window under ``_update_or_restore``; returns
     ``(state, opt, pred_before)``.  A skipped sample (an inf or NaN) leaves
     state and optimizer untouched."""
-    pred, k_new = _predict_and_slide(state, x_new, y_new)
+    pred, k_new, _ = _predict_and_slide(state, x_new, y_new)
     if k_new is None:
         return state, opt, pred
 

@@ -1,8 +1,8 @@
 """Oracle for fast mode's candidate scores in O(M^2).
 
 A fast step scores its candidate by ``fast_agp._bordered_scores``: the
-removal scores of the bordered inducing set, read from the standing round
-of the unbordered caches.  The reference is the same bordered round
+removal scores of the bordered inducing set, read from the score round of
+the unbordered caches, which the state carries across slides.  The reference is the same bordered round
 evaluated at 30 digits with mpmath, from the same float inputs: the
 cached ``kuu_inv`` (P) and ``s_k`` (S), the candidate's kernel row b and
 diagonal b0, and its s_k row r and diagonal d.  The parent form, one
@@ -18,6 +18,7 @@ down to the jitter's scale.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -138,9 +139,13 @@ def test_stream_states_score_as_the_parent_round_does():
 
 
 def test_standing_round_is_removal_scores_bit_for_bit():
+    # The round each removal forms fresh, and the state then carries, scores
+    # as removal_scores does, bit for bit, on every recorded state.
     for c in _streams():
-        assert np.array_equal(c["num"] / c["pd"],
-                              adaptive.removal_scores(c["P"], c["S"]))
+        state = SimpleNamespace(kuu_inv=c["P"], s_k=c["S"], score_num=None)
+        scores = fast_agp._standing_round(state)
+        assert np.array_equal(scores, adaptive.removal_scores(c["P"], c["S"]))
+        assert np.array_equal(state.score_num / c["pd"], scores)
 
 
 @st.composite

@@ -36,7 +36,12 @@ one tree twice, that measures the tree's roundoff sensitivity:
     python3 tools/ab_steps.py DIR DIR --workload toy-agp --perturb lr
 
 Every run also prints each side's prequential MSE over the streamed
-samples.
+samples and its CRPS, scored as the benchmark scores it
+(``perfbench.workloads.quality``: the predictive band N(mean, var +
+noise variance)), with the change's CRPS less the parent's, so that a
+roundoff-level change of the variance reads as a CRPS delta.  When the
+inducing-point counts differ, it prints the share of steps at which they
+do.
 """
 
 import argparse
@@ -45,6 +50,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -77,9 +83,10 @@ def stepper(pkg, wl, w, X, y, seed, lam, lr):
     return state, lambda x, t: pkg.agp_step(state, opt, x, t, wl.R_TH)[2]
 
 
-def compare(trees, w, X, y, n):
+def compare(trees, w, X, y, n, quality):
     """Step both trees in lock-step over ``n`` samples and print the
-    comparison; returns the median ratio parent/change of step times."""
+    comparison, the CRPS by ``quality`` (``perfbench.workloads.quality``);
+    returns the median ratio parent/change of step times."""
     ns = np.empty((2, n))
     out = np.empty((2, 3, n))          # mean, var, noise variance per step
     k_ind = np.empty((2, n), dtype=int)  # inducing points after each step
@@ -108,10 +115,16 @@ def compare(trees, w, X, y, n):
         print(f"first differing step: {int(differs.argmax())}")
         print(f"max |d mean|: {np.nanmax(np.abs(b[0] - a[0])):.3g}  "
               f"max |d var|/var: {np.nanmax(np.abs(b[1] - a[1]) / a[1]):.3g}")
-    mse = np.nanmean((out[:, 0] - y[w.window_t:w.window_t + n]) ** 2, axis=1)
+    target = y[w.window_t:w.window_t + n]
+    mse = np.nanmean((out[:, 0] - target) ** 2, axis=1)
     print(f"mse: parent {mse[0]:.6g}, change {mse[1]:.6g}")
+    crps = [quality(target, SimpleNamespace(mean=m, var=v, noise_var=nv))
+            ["crps"] for m, v, nv in out]
+    print(f"crps: parent {crps[0]:.9g}, change {crps[1]:.9g}, "
+          f"change - parent {crps[1] - crps[0]:.3g}")
     moved = k_ind[0] != k_ind[1]
-    print("k_inducing: " + (f"first differs at step {int(moved.argmax())}"
+    print("k_inducing: " + (f"first differs at step {int(moved.argmax())}, "
+                            f"differs at {moved.mean():.1%} of steps"
                             if moved.any() else "the same at every step"))
     return ratio
 
@@ -151,7 +164,7 @@ def main(argv=None) -> int:
         print(f"workload {w.name}  seed {seed}  steps {n}"
               + (f"  change's {args.perturb} {settings[1][args.perturb]!r}"
                  if args.perturb else ""))
-        ratios.append(compare(trees, w, X, y, n))
+        ratios.append(compare(trees, w, X, y, n, wl.quality))
     if len(ratios) > 1:
         print("median ratio per seed: "
               + " ".join(f"{seed}:{r:.3f}" for seed, r in zip(args.seeds,
