@@ -404,7 +404,7 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
     f, l_s_y = state.b_lam
     v = linalg.solve_lower(f, ks)
     mean = float(v @ l_s_y) / state.noise_var
-    kpk = float(ks @ state.kuu_inv @ ks) if a is None else float(ks @ a)
+    kpk = float(ks @ state.kuu_inv @ ks) if a is None else float(ks.dot(a))
     var = state.params.variance - kpk + float(v @ v)
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 

@@ -28,27 +28,31 @@ rank-one update (``linalg.add_outer``) of a new array.  Every cache move
 marks ``b_lam`` stale; the cache prediction factors B_lambda first
 (``refresh_b_lam``) unless a skip left it current.
 
-Fast mode carries its round of removal scores across slides: the
-numerators num = diag(P S P) for P = kuu_inv and S = s_k, the state's
-``score_num``; the denominators are always read as diag(P).  A step forms
-a = kuu_inv k(U, x_new) once, before its slide, which leaves kuu_inv as
-it is.  The prediction reads k^T kuu_inv k as k.a, the admission reads a
-as the candidate's u, and the slide moves the numerators by rank-one
-terms (Csato & Opper 2002), num <- lam num + a*a - lam^T b*b with the
-departing row's b = kuu_inv k_old: O(M^2) for b, O(M) for the rest.  The
-round serves the candidate's scores on the bordered set, which follow
-from it in O(M^2) (``_bordered_scores``), and the prune's first round;
-the relevance gate reads the trace tr(P S) in O(M^2) itself
-(``relevance_total``).  Only an admitted candidate borders the caches,
-and it drops the round; a rejected one, whether its Schur complement or
-its score refuses it, moves nothing.  Each removal of a step forms the
-round fresh (``_standing_round``, O(M^3), bit for bit ``removal_scores``)
-and carries it, and a step whose state carries none forms it fresh after
-its slide.  So a step that finds a round and removes no point makes one
-O(M^3) call, B_lambda's Cholesky, and a carried round has only ever been
-slid: by lambda-damped terms, never across a change of the inducing set.
-Every public cache move keeps the round exact or drops it;
-``adaptive.rebuild_caches`` drops it, so the other kinds, whose every
+Fast mode carries its round of removal scores across slides: the numerators
+num = diag(P S P) for P = kuu_inv and S = s_k, the state's ``score_num``;
+the denominators are always read as diag(P).  A step forms a = kuu_inv k(U,
+x_new) once, before its slide, which leaves kuu_inv as it is.  The
+prediction reads k^T kuu_inv k as k.a, the admission reads a as the
+candidate's u, and the slide moves the numerators by rank-one terms (Csato
+& Opper 2002), num <- lam num + a*a - lam^T b*b with the departing row's b
+= kuu_inv k_old: O(M^2) for b, O(M) for the rest.  These products, and the
+candidate's in its O(M^2) scores, are ``ndarray.dot``, the BLAS routine
+``@`` calls, at about 0.3 us less per call: at M <= 40 a call's overhead,
+not its flops, is what such a product costs.  The one product with the
+window's kxu stays ``@``, which BLAS reads in place where ``dot`` would
+first copy the strided view.  The round serves the candidate's scores on
+the bordered set, which follow from it in O(M^2) (``_bordered_scores``),
+and the prune's first round; the relevance gate reads the trace tr(P S) in
+O(M^2) itself (``relevance_total``).  Only an admitted candidate borders
+the caches, and it drops the round; a rejected one, whether its Schur
+complement or its score refuses it, moves nothing.  Each removal of a step
+forms the round fresh (``_standing_round``, O(M^3), bit for bit
+``removal_scores``) and carries it, and a step whose state carries none
+forms it fresh after its slide.  So a step that finds a round and removes
+no point makes one O(M^3) call, B_lambda's Cholesky, and a carried round
+has only ever been slid: by lambda-damped terms, never across a change of
+the inducing set.  Every public cache move keeps the round exact or drops
+it; ``adaptive.rebuild_caches`` drops it, so the other kinds, whose every
 update rebuilds, never slide one.
 """
 
@@ -73,11 +77,14 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     """Append one sample, evicting the oldest once the window holds T, and
     update s_y, s_k and w_ksum by rank-one terms (O(M^2)), kxu, when
     carried, by one row and the score round's numerators, when carried,
-    by ``_slid_num``; b_lam is marked stale.
+    by rank-one terms; b_lam is marked stale.
 
     s_y <- lam*s_y + k_new*y,  s_k <- lam*s_k + k_new k_new^T.  A departing
     sample carries weight lam^T after the new sample's geometric discount,
     so its contribution is removed with that coefficient from every cache.
+    So the numerators diag(kuu_inv s_k kuu_inv) move to lam num + a*a -
+    lam^T b*b, with a = kuu_inv k_new and b = kuu_inv k_old for the
+    departing row k_old: one new array.
 
     ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it, and
     ``a`` its ``kuu_inv @ k_new``.  The departing sample's row is its kxu
@@ -87,11 +94,16 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
     lam, var = state.lam, state.params.variance
     if k_new is None:
         k_new = kernel_row(state, x)
+    num = state.score_num
+    if num is not None:
+        if a is None:
+            a = state.kuu_inv.dot(k_new)
+        num = lam * num
+        num += a * a
     s_y = lam * state.s_y
     s_y += k_new * y_new
     s_k = linalg.add_outer(lam * state.s_k, k_new, k_new)
     w_ksum = lam * state.w_ksum + var
-    k_old = None
     if state.t_cur == state.window_t:
         x_old, y_old, k_old = state.evict_sample()
         if k_old is None:
@@ -100,29 +112,14 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
         s_y -= wT * k_old * float(y_old)
         s_k = linalg.add_outer(s_k, -wT * k_old, k_old)
         w_ksum = w_ksum - wT * var
-    if state.score_num is not None:
-        state.score_num = _slid_num(state, k_new, a, k_old)
+        if num is not None:
+            b = state.kuu_inv.dot(k_old)
+            num -= wT * b * b
     state.s_y, state.s_k, state.w_ksum = s_y, s_k, w_ksum
+    state.score_num = num
     state.append_sample(x, y_new, k_new)
     state.b_lam = None
     return state
-
-
-def _slid_num(state: AdaptiveState, k_new: np.ndarray,
-              a: np.ndarray | None, k_old: np.ndarray | None) -> np.ndarray:
-    """The state's score numerators after a slide that adds the kernel row
-    ``k_new`` and, when the window is full, removes ``k_old``: with a =
-    kuu_inv k_new (formed here when None) and b = kuu_inv k_old,
-    lam num + a*a - lam^T b*b, a new array."""
-    lam = state.lam
-    if a is None:
-        a = state.kuu_inv @ k_new
-    num = lam * state.score_num
-    num += a * a
-    if k_old is not None:
-        b = state.kuu_inv @ k_old
-        num -= lam ** state.window_t * b * b
-    return num
 
 
 def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
@@ -140,7 +137,7 @@ def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
     if skipped and not np.isfinite(x_new).all():
         return PredictiveDist(mean=math.nan, var=math.nan), None, None
     k_new = kernel_row(state, x_new)
-    a = state.kuu_inv @ k_new if share else None
+    a = state.kuu_inv.dot(k_new) if share else None
     if predict is None:
         if state.b_lam is None:
             refresh_b_lam(state)
@@ -202,10 +199,12 @@ def _standing_round(state: AdaptiveState) -> np.ndarray:
 def _held_round(state: AdaptiveState) -> _Round:
     """The state's score round (``_Round``), its numerators formed fresh
     first (``_standing_round``) when the state carries none."""
+    pd = state.kuu_inv.diagonal()
     if state.score_num is None:
-        _standing_round(state)
-    num, pd = state.score_num, state.kuu_inv.diagonal()
-    return _Round(num, pd, num / pd)
+        scores = _standing_round(state)
+    else:
+        scores = state.score_num / pd
+    return _Round(state.score_num, pd, scores)
 
 
 def _bordered_scores(rnd: _Round, kuu_inv: np.ndarray, s_k: np.ndarray,
@@ -221,9 +220,9 @@ def _bordered_scores(rnd: _Round, kuu_inv: np.ndarray, s_k: np.ndarray,
     d]] v = u^T S u - 2 r^T u + d and t = u / s, point j scores
     (num_j + t_j (2 h_j + q t_j)) / (pd_j + u_j t_j) and the candidate
     q / s."""
-    su = s_k @ u
-    h = kuu_inv @ (su - r)
-    q = float(u @ su) - 2.0 * float(r @ u) + d
+    su = s_k.dot(u)
+    h = kuu_inv.dot(su - r)
+    q = float(u.dot(su)) - 2.0 * float(r.dot(u)) + d
     t = u / s
     out = np.empty(u.shape[0] + 1)
     np.divide(rnd.num + t * (2.0 * h + q * t), rnd.pd + u * t, out=out[:-1])
@@ -278,8 +277,8 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     kuu_inv = state.kuu_inv
     b = kernel_row(state, x_new) if k_new is None else k_new
     b0 = state.params.variance + state.jitter
-    u = kuu_inv @ b if a is None else a
-    s = float(b0 - b @ u)
+    u = kuu_inv.dot(b) if a is None else a
+    s = float(b0 - b.dot(u))
     if not linalg.schur_positive(s, b0):  # x_new is in the inducing set's span
         state.rejected_candidates += 1
         return state, False
@@ -289,7 +288,7 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     k_x = kernel_column(state.window_x, x_new, state.params)
     wk_x = state.weights() * k_x
     r = kxu.T @ wk_x
-    d = float(np.dot(wk_x, k_x))
+    d = float(wk_x.dot(k_x))
     scores = _bordered_scores(standing, kuu_inv, state.s_k, u, s, r, d)
     if r_th is not None and _prune_target(scores, r_th,
                                           max_k) == state.k_inducing:

@@ -2,8 +2,9 @@
 
 A fast step scores its candidate by ``fast_agp._bordered_scores``: the
 removal scores of the bordered inducing set, read from the score round of
-the unbordered caches, which the state carries across slides.  The reference is the same bordered round
-evaluated at 30 digits with mpmath, from the same float inputs: the
+the unbordered caches, which the state carries across slides.  The
+reference is the same bordered round evaluated at 30 digits with mpmath,
+from the same float inputs: the
 cached ``kuu_inv`` (P) and ``s_k`` (S), the candidate's kernel row b and
 diagonal b0, and its s_k row r and diagonal d.  The parent form, one
 O(M^3) ``removal_scores`` round on the ``inv_extend`` and ``_border``
