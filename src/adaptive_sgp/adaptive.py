@@ -21,8 +21,9 @@ mode never updates its parameters, so it carries ``kxu`` from
 update.  Every cache move moves ``kxu`` while it is carried.  Fast mode's
 score round, ``score_num`` (the removal scores' numerators diag(kuu_inv
 s_k kuu_inv)), is kept by a stricter rule: a slide moves it, an
-admission drops it, a fast step's removal forms it afresh, and every
-rebuild and ``set_window`` drop it, so no other kind ever slides one
+admission drops it, a prune forms it afresh after each removal (and
+for its first round when not handed one), and every rebuild and
+``set_window`` drop it, so no other kind ever slides one
 (``fast_agp`` gives the arithmetic).  B_lambda = Kuu~ + s_k/sig2 is
 never inverted: every cache move marks ``b_lam`` stale, and
 ``refresh_b_lam`` factors it once per step, before the prediction's

@@ -50,9 +50,11 @@ forms the round fresh (``_standing_round``, O(M^3), bit for bit
 ``removal_scores``) and carries it, and a step whose state carries none
 forms it fresh after its slide.  So a step that finds a round and removes
 no point makes one O(M^3) call, B_lambda's Cholesky, and a carried round
-has only ever been slid: by lambda-damped terms, never across a change of
-the inducing set.  Every public cache move keeps the round exact or drops
-it; ``adaptive.rebuild_caches`` drops it, so the other kinds, whose every
+has only ever been slid, never across a change of the inducing set.  The
+slide damps the round's roundoff by lambda only when lambda < 1; at lambda
+= 1 a stationary stream can slide one round, undamped, for many steps.
+Every public cache move keeps the round exact or drops it;
+``adaptive.rebuild_caches`` drops it, so the other kinds, whose every
 update rebuilds, never slide one.
 """
 
@@ -63,8 +65,7 @@ import numpy as np
 
 from . import linalg
 from .adaptive import (AdaptiveState, adaptive_predict, kernel_row,
-                       refresh_b_lam, relevance_total, removal_scores,
-                       skip_nonfinite)
+                       refresh_b_lam, relevance_total, skip_nonfinite)
 from .errors import KxuNotCarried
 # kernel_matrix is not called here; perfbench's tracer test pins its binding.
 from .kernel import kernel_column, kernel_matrix
@@ -324,14 +325,13 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
 
     ``scores`` are the first round's when the caller has them:
     ``fast_agp_step`` passes its held round's, or the bordered set's after
-    an admission.  A prune given them forms each later round by
-    ``_standing_round``, which carries it as the state's score round, so a
-    step's last round serves the next step.  One without them (agp's, whose
-    update rebuilds the caches next) scores every round by
-    ``removal_scores`` and drops the state's round once a point goes."""
-    carry = scores is not None
+    an admission.  Every other round, the first one too when ``scores`` is
+    omitted, is formed by ``_standing_round`` (bit for bit
+    ``removal_scores``), which carries it as the state's score round, so a
+    step's last round serves the next step.  agp's update rebuilds the
+    caches after its prune, which drops that round again."""
     if scores is None:
-        scores = removal_scores(state.kuu_inv, state.s_k)
+        scores = _standing_round(state)
     m = _prune_target(scores, r_th, max_k)
     while m is not None:
         keep = np.arange(state.k_inducing - 1)     # every index but m
@@ -342,11 +342,7 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)
         state.s_y = state.s_y.take(keep)
         state.remove_inducing(m, keep)
-        if carry:
-            scores = _standing_round(state)
-        else:
-            state.score_num = None
-            scores = removal_scores(state.kuu_inv, state.s_k)
+        scores = _standing_round(state)
         m = _prune_target(scores, r_th, max_k)
     return state
 
