@@ -4,11 +4,12 @@ distribution, relevance scores, and the one guarded update.
 
 The cached cross-moments (s_y, s_k, w_ksum) are the single source of truth
 while streaming.  Every cache move is exact: a new sample is a rank-one
-update, and a change of the inducing set borders or restricts the cached
-kernel matrices and extends or shrinks the cached ``kuu_inv`` by bordered
-block identities.  ``rebuild_caches`` recomputes everything from the window
-(``bound._window_setup``, which the bound also starts from); only
-``from_batch`` and ``_update_or_restore`` call it.
+update, and a change of the inducing set borders, restricts or, where an
+admitted point replaces a pruned one, overwrites one row and column of the
+cached kernel matrices, and extends, shrinks or updates in place the cached
+``kuu_inv`` by bordered block identities.  ``rebuild_caches`` recomputes
+everything from the window (``bound._window_setup``, which the bound also
+starts from); only ``from_batch`` and ``_update_or_restore`` call it.
 
 ``kxu`` follows one rule: every rebuild keeps the ``Kxu`` block its set-up
 built, except a parameter update's (``_update_or_restore``), which drops
@@ -40,8 +41,9 @@ stays Gram.  The window is the span between two indices,
 oldest first, so a slide writes one sample (O(D + M)) after the newest and
 moves both indices; only when the buffers are full does a compaction copy
 the window to the front of new ones, O(T (D + M)), once every >= T/4
-slides.  An admission writes one buffer row and a prune shifts the later
-rows up by one.  ``window_x``, ``window_y`` and ``kxu`` are time-ordered
+slides.  An admission writes one buffer row, after the last or, where it
+replaces a point, over that point's row, and a prune shifts the later rows
+up by one.  ``window_x``, ``window_y`` and ``kxu`` are time-ordered
 views into these buffers, valid until the next step or cache move, which
 may write into them or replace the buffers they show; copy one to keep
 it.  ``set_window`` replaces the window and the ``kxu`` setter the carried
@@ -122,6 +124,8 @@ class AdaptiveState:
     skipped_samples: int = 0                   # non-finite samples not ingested
     skipped_updates: int = 0                   # step updates lost to NotPsd
     rejected_candidates: int = 0               # inducing candidates scored out
+    admitted_candidates: int = 0               # inducing candidates admitted
+    removed_points: int = 0                    # inducing points removed
 
     def __post_init__(self, window_x, window_y):
         self.set_window(window_x, window_y)
@@ -220,6 +224,17 @@ class AdaptiveState:
             w, flat = kut.shape[1], kut.reshape(-1)
             flat[m * w:(k - 1) * w] = flat[(m + 1) * w:k * w]
         self.inducing = self.inducing.take(keep, 0)
+
+    def replace_inducing(self, m: int, z: np.ndarray,
+                         k_col: np.ndarray | None) -> None:
+        """Put inducing point ``z`` (1 x D) in slot ``m`` of a new inducing
+        array and, while kxu is carried, its kxu column ``k_col`` = k(X, z)
+        into buffer row ``m``."""
+        if self._kut is not None:
+            self._kut[m, self._lo:self._hi] = k_col
+        inducing = self.inducing.copy()
+        inducing[m] = z
+        self.inducing = inducing
 
     def _capacity(self, n: int) -> int:
         return max(n, self.window_t) + (self.window_t + 3) // 4
@@ -404,9 +419,10 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
         refresh_b_lam(state)
     f, l_s_y = state.b_lam
     v = linalg.solve_lower(f, ks)
-    mean = float(v @ l_s_y) / state.noise_var
-    kpk = float(ks @ state.kuu_inv @ ks) if a is None else float(ks.dot(a))
-    var = state.params.variance - kpk + float(v @ v)
+    mean = float(v.dot(l_s_y)) / state.noise_var
+    kpk = (float(ks.dot(state.kuu_inv).dot(ks)) if a is None
+           else float(ks.dot(a)))
+    var = state.params.variance - kpk + float(v.dot(v))
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 

@@ -1,9 +1,12 @@
 """Inference-free streaming updates (the fast algorithm): one ingest path
 (rank-one data addition and windowed removal), relevance-gated
-inducing-point addition, scored before anything is bordered, by block
-extension of the cached kernel matrices and ``kuu_inv``, and pruning by
-block shrink of the same caches.  Kernel and noise parameters are never
-touched here, so no step rebuilds the caches from the window.
+inducing-point addition, scored before anything moves, and pruning by
+block shrink of the cached kernel matrices and ``kuu_inv``.  An admitted
+point that the prune's first round follows by a removal takes the removed
+point's slot in every cache (the basis-vector replacement of Csato & Opper
+2002; ``linalg.inv_replace`` for ``kuu_inv``); any other admission extends
+the caches by bordering.  Kernel and noise parameters are never touched
+here, so no step rebuilds the caches from the window.
 
 A step of every model kind builds one kernel row per sample, k(U, x_new),
 in the opening all four kinds share (``_predict_and_slide``), and passes it
@@ -16,16 +19,18 @@ the departing row from ``kxu`` and its admission builds only the
 candidate's column k(X, x_new); the other kinds' slide builds the
 departing row as one more ``kernel_row``.  The window and ``kxu`` move
 through the state's own methods (``append_sample``, ``evict_sample``,
-``add_inducing``, ``remove_inducing``), which write O(D + M) numbers into
-its fixed-capacity buffers per sample and one buffer row per admission;
-``adaptive`` gives the layout, and the views ``window_x``, ``window_y`` and
-``kxu`` hold only until the next move.  Every one-point kernel is a
-``kernel_column`` vector, by differences at every D (vectors by
-differences, matrices by one product: a matrix stays Gram since one
-product beats D passes about 5x at D=8, as ``kernel`` measures), and each
-change of s_k or ``kuu_inv`` by one sample or one point is one BLAS
-rank-one update (``linalg.add_outer``) of a new array.  Every cache move
-marks ``b_lam`` stale; the cache prediction factors B_lambda first
+``add_inducing``, ``replace_inducing``, ``remove_inducing``), which write
+O(D + M) numbers into its fixed-capacity buffers per sample and one buffer
+row per admission; ``adaptive`` gives the layout, and the views
+``window_x``, ``window_y`` and ``kxu`` hold only until the next move.
+Every one-point kernel is a ``kernel_column`` vector, by differences at
+every D (vectors by differences, matrices by one product: a matrix stays
+Gram since one product beats D passes about 5x at D=8, as ``kernel``
+measures), and each
+change of s_k or ``kuu_inv`` by one sample, or by one point added or
+removed, is one BLAS rank-one update (``linalg.add_outer``) of a new array;
+a replacement's two are written in place.  Every cache move marks
+``b_lam`` stale; the cache prediction factors B_lambda first
 (``refresh_b_lam``) unless a skip left it current.
 
 Fast mode carries its round of removal scores across slides: the numerators
@@ -43,16 +48,21 @@ window's kxu stays ``@``, which BLAS reads in place where ``dot`` would
 first copy the strided view.  The round serves the candidate's scores on
 the bordered set, which follow from it in O(M^2) (``_bordered_scores``),
 and the prune's first round; the relevance gate reads the trace tr(P S) in
-O(M^2) itself (``relevance_total``).  Only an admitted candidate borders
-the caches, and it drops the round; a rejected one, whether its Schur
-complement or its score refuses it, moves nothing.  Each removal of a step
-forms the round fresh (``_standing_round``, O(M^3), bit for bit
-``removal_scores``) and carries it, and a step whose state carries none
-forms it fresh after its slide.  So a step that finds a round and removes
-no point makes one O(M^3) call, B_lambda's Cholesky, and a carried round
-has only ever been slid, never across a change of the inducing set.  The
-slide damps the round's roundoff by lambda only when lambda < 1; at lambda
-= 1 a stationary stream can slide one round, undamped, for many steps.
+O(M^2) itself (``relevance_total``).  A rejected candidate, whether its
+Schur complement or its score refuses it, moves nothing.  An admitted one
+drops the round.  When the prune's first round on the bordered scores
+names a point m, as it always does at capacity, the candidate is written
+into slot m of kuu, s_k, s_y, kxu and the inducing set, and kuu_inv moves
+by two rank-one updates, all in place and O(M^2): no cache is bordered and
+then shrunk again.  Only an admission that no removal follows borders the
+caches.  Each removal of a step, a replacement's too, forms the round
+fresh (``_standing_round``, O(M^3), bit for bit ``removal_scores``) and
+carries it, and a step whose state carries none forms it fresh after its
+slide.  So a step that finds a round and removes no point makes one O(M^3)
+call, B_lambda's Cholesky, and a carried round has only ever been slid,
+never across a change of the inducing set.  The slide damps the round's
+roundoff by lambda only when lambda < 1; at lambda = 1 a stationary stream
+can slide one round, undamped, for many steps.
 Every public cache move keeps the round exact or drops it;
 ``adaptive.rebuild_caches`` drops it, so the other kinds, whose every
 update rebuilds, never slide one.
@@ -162,6 +172,14 @@ def _border(A: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     return out
 
 
+def _put(A: np.ndarray, m: int, b: np.ndarray, b0: float) -> None:
+    """Write (b, b0) into row and column ``m`` of the symmetric ``A``, b0 on
+    its diagonal."""
+    A[m] = b
+    A[:, m] = b
+    A[m, m] = b0
+
+
 def _prune_target(r: np.ndarray, r_th: float, max_k: float):
     """The inducing point one round of the greedy prune removes, given the
     round's removal scores ``r``, or None when the prune stops: at one
@@ -178,11 +196,14 @@ class _Round:
     """One step's view of the state's score round (``_held_round``): the
     numerators ``num`` = diag(P S P) the state carries, the denominators
     ``pd`` = diag(P), and ``scores``, what the prune's first round reads:
-    num / pd until an admission puts the bordered set's scores there."""
+    num / pd until an admission puts the bordered set's scores there, or
+    None once a replacement has made the first removal (the prune then
+    forms its round fresh).  ``pd`` is a view of P's diagonal, which a
+    replacement writes: it is not read after the admission."""
 
     num: np.ndarray
     pd: np.ndarray
-    scores: np.ndarray
+    scores: np.ndarray | None
 
 
 def _standing_round(state: AdaptiveState) -> np.ndarray:
@@ -247,7 +268,13 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     round (``_bordered_scores``).  When that round would remove the
     candidate, adding it and then pruning equals not adding it, so every
     cache is left as it was and the candidate is counted in
-    ``state.rejected_candidates``.  The defaults never reject.
+    ``state.rejected_candidates``.  When it would remove point m, the
+    candidate replaces m, which is that add and that first removal with
+    the candidate in slot m: it is written into row and column m of kuu
+    and s_k, entry m of s_y, kxu's buffer row m (``replace_inducing``) and
+    row m of a new inducing array, and kuu_inv is updated in place
+    (``linalg.inv_replace``), O(M^2) with nothing bordered.  The defaults
+    never reject or replace.
 
     The state must carry kxu, as fast mode's does from ``from_batch`` on,
     else ``KxuNotCarried`` is raised before anything moves: the
@@ -255,16 +282,18 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     built here is the column k(X, x_new).  A candidate that cannot be
     bordered (a Schur complement that ``linalg.schur_positive`` refuses,
     e.g. a duplicated inducing point at zero jitter) is rejected and
-    counted before that column is built.  Only an admitted candidate
-    borders kuu and s_k, writes its kxu column (``add_inducing``), grows
-    kuu_inv by bordered block extension (``inv_extend``, O(M^2)), marks
-    b_lam stale and drops the score round.  ``k_new`` is
-    ``kernel_row(state, x_new)`` when the caller has it, ``a`` its
-    ``kuu_inv @ k_new`` (the candidate's u = kuu_inv b, which
-    ``inv_extend`` reuses), and ``standing`` the state's ``_held_round``,
-    which is taken here, past the gate, when omitted (formed fresh, and
-    carried, when the state carries none); an admission writes the
-    bordered scores into it for the prune.
+    counted before that column is built.  An admission that replaces no
+    point borders kuu and s_k, writes its kxu column (``add_inducing``)
+    and grows kuu_inv by bordered block extension (``inv_extend``,
+    O(M^2)).  Every admission, counted in ``state.admitted_candidates``
+    (a replacement also in ``state.removed_points``), marks b_lam stale
+    and drops the score round.  ``k_new`` is ``kernel_row(state, x_new)``
+    when the caller has it, ``a`` its ``kuu_inv @ k_new`` (the candidate's
+    u = kuu_inv b, which ``inv_extend`` and ``inv_replace`` reuse), and
+    ``standing`` the state's ``_held_round``, which is taken here, past
+    the gate, when omitted (formed fresh, and carried, when the state
+    carries none); an admission writes into it the scores the prune's
+    first round reads, the bordered set's, or None after a replacement.
     """
     kxu = state.kxu
     if kxu is None:
@@ -291,20 +320,31 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     r = kxu.T @ wk_x
     d = float(wk_x.dot(k_x))
     scores = _bordered_scores(standing, kuu_inv, state.s_k, u, s, r, d)
-    if r_th is not None and _prune_target(scores, r_th,
-                                          max_k) == state.k_inducing:
+    m = None if r_th is None else _prune_target(scores, r_th, max_k)
+    if m == state.k_inducing:
         state.rejected_candidates += 1
         return state, False
 
-    standing.scores = scores
+    state.admitted_candidates += 1
     state.score_num = None
-    state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0, u=u)
-    state.s_k = _border(state.s_k, r, d)
-    state.kuu = _border(state.kuu, b, b0)
     state.b_lam = None
     s_y_new = float(np.dot(wk_x, state.window_y))
-    state.s_y = np.concatenate((state.s_y, (s_y_new,)))
-    state.add_inducing(x_new, k_x)
+    if m is None:
+        standing.scores = scores
+        state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0, u=u)
+        state.s_k = _border(state.s_k, r, d)
+        state.kuu = _border(state.kuu, b, b0)
+        state.s_y = np.concatenate((state.s_y, (s_y_new,)))
+        state.add_inducing(x_new, k_x)
+        return state, True
+    # the prune's first round removes point m: the candidate takes its slot
+    standing.scores = None
+    state.removed_points += 1
+    state.kuu_inv = linalg.inv_replace(kuu_inv, m, u, s)
+    _put(state.s_k, m, r, d)
+    _put(state.kuu, m, b, b0)
+    state.s_y[m] = s_y_new
+    state.replace_inducing(m, x_new, k_x)
     return state, True
 
 
@@ -320,15 +360,16 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
     array of the points kept, shrinks kuu_inv by ``inv_shrink`` (O(M^2), no
     refactorisation), restricts kuu, s_k, s_y and the inducing set by that
     array, shifts kxu's later buffer rows up (``remove_inducing``, when
-    carried), marks b_lam stale and scores the remaining set afresh, so
-    every round scores it exactly and the caches stay exact afterwards.
+    carried), marks b_lam stale, counts in ``state.removed_points`` and
+    scores the remaining set afresh, so every round scores it exactly and
+    the caches stay exact afterwards.
 
     ``scores`` are the first round's when the caller has them:
     ``fast_agp_step`` passes its held round's, or the bordered set's after
-    an admission.  Every other round, the first one too when ``scores`` is
-    omitted, is formed by ``_standing_round`` (bit for bit
-    ``removal_scores``), which carries it as the state's score round, so a
-    step's last round serves the next step.  agp's update rebuilds the
+    an admission that replaced no point.  Every other round, the first one
+    too when ``scores`` is omitted, is formed by ``_standing_round`` (bit
+    for bit ``removal_scores``), which carries it as the state's score
+    round, so a step's last round serves the next step.  agp's update rebuilds the
     caches after its prune, which drops that round again."""
     if scores is None:
         scores = _standing_round(state)
@@ -342,6 +383,7 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)
         state.s_y = state.s_y.take(keep)
         state.remove_inducing(m, keep)
+        state.removed_points += 1
         scores = _standing_round(state)
         m = _prune_target(scores, r_th, max_k)
     return state
@@ -353,10 +395,11 @@ def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
     which slides the carried score round), take the score round
     (``_held_round``, formed fresh only when the state carries none), offer
     the sample as an inducing point (gated and scored against the same
-    prune rule from that round), then prune, starting from that round's
-    scores or, after an admission, the bordered set's.  Returns
-    ``(state, pred_before)``, the prediction made before the new target is
-    used; a skipped sample moves nothing.  The inducing set is the same
+    prune rule from that round; at capacity an admitted one replaces the
+    point that rule removes first), then prune, starting from that round's
+    scores, the bordered set's after an admission, or a fresh round after
+    a replacement.  Returns ``(state, pred_before)``, the prediction made
+    before the new target is used; a skipped sample moves nothing.  The inducing set is the same
     from the prediction to the admission, so all three share one kernel
     row k(U, x_new) and its a = kuu_inv k(U, x_new)."""
     pred, k_new, a = _predict_and_slide(state, x_new, y_new, share=True)

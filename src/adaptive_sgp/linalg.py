@@ -2,7 +2,9 @@
 log-determinants, and the bordered block-inverse extension (``inv_extend``)
 and shrink (``inv_shrink``) of ``Kuu~^-1``, the one inverse the streaming
 state keeps, each one BLAS rank-one update (``add_outer``) of a new array,
-O(M^2); B_lambda and the bound value are read through triangular solves.
+O(M^2), and the replacement of one of its rows and columns
+(``inv_replace``), two such updates written in place; B_lambda and the
+bound value are read through triangular solves.
 A border is refused by one rule, ``schur_positive``: fast mode tests a
 candidate by it before building anything for it, and ``inv_extend``
 raises ``SchurNotPositive`` by it.
@@ -213,3 +215,30 @@ def inv_shrink(Ainv: np.ndarray, m: int, keep: np.ndarray) -> np.ndarray:
     # a new array: Ainv is never written
     return add_outer(rows.take(keep, 1), rows[:, m],
                      Ainv[m].take(keep) / -Ainv[m, m])
+
+
+def inv_replace(Ainv: np.ndarray, m: int, u: np.ndarray,
+                s: float) -> np.ndarray:
+    """Inverse of A with row and column ``m`` replaced by a border (b, b0),
+    in O(k^2), written into ``Ainv`` (C-ordered) and returned.
+
+    ``Ainv`` must be the inverse of A, ``u`` = Ainv b and ``s`` the Schur
+    complement b0 - b^T u, which the caller has tested (``schur_positive``).
+    This is ``inv_extend`` by (b, b0), then ``inv_shrink`` of m, with the
+    border's row moved into slot m (the basis-vector replacement of Csato &
+    Opper 2002).  With e = Ainv[:, m] + u u_m / s and c = e_m, every entry
+    off row and column m becomes Ainv_ij + u_i u_j / s - e_i e_j / c (two
+    rank-one updates), and row and column m become f = (u_m / s) e / c -
+    u / s, with f_m = 1 / s - (u_m / s)^2 / c.
+    """
+    t = u / s
+    g = float(t[m])
+    e = Ainv[:, m] + t * u[m]
+    c = float(e[m])
+    Ainv = add_outer(add_outer(Ainv, t, u), e / -c, e)
+    f = e * (g / c)
+    f -= t
+    f[m] = 1.0 / s - g * g / c
+    Ainv[m] = f
+    Ainv[:, m] = f
+    return Ainv

@@ -163,8 +163,28 @@ def test_maybe_add_rejects_candidate_the_prune_would_remove_first():
     _caches_match(st)
 
 
-def test_maybe_add_scored_admission_equals_unscored_add():
+def _scripted_prune(monkeypatch, *targets):
+    """Make the prune's rounds, the candidate's scored one included, name
+    ``targets`` in turn, whatever they score."""
+    names = iter(targets)
+    monkeypatch.setattr(fast_agp, "_prune_target", lambda *_: next(names))
+
+
+def _slot_order(m, k):
+    """The slots of a set whose slot ``m`` holds a candidate, in the order
+    of bordering it (the candidate last) and then removing point m."""
+    return np.r_[:m, m + 1:k, m]
+
+
+def test_maybe_add_scored_admission_equals_unscored_add(monkeypatch):
+    # A scored admission that the prune's first round follows by no removal
+    # borders every cache as the unscored add does, bit for bit.  One that
+    # it follows by removing point m puts the candidate in slot m instead:
+    # the unscored add, then that removal, copies the same kernel values,
+    # targets and kxu column, in another slot order (kuu_inv:
+    # test_replacement_equals_border_then_first_removal).
     rng = np.random.default_rng(21)
+    replaced = 0
     for _ in range(10):
         st = make_state(rng, t_cur=12, k=3, d=2)
         ref = copy.deepcopy(st)
@@ -173,8 +193,24 @@ def test_maybe_add_scored_admission_equals_unscored_add():
                                                max_k=10)
         fast_agp.maybe_add_inducing(ref, x_new, -1.0)
         assert added and st.rejected_candidates == 0
-        for name in CACHES + ("kxu",):
-            assert np.array_equal(_cache(st, name), _cache(ref, name)), name
+        if st.removed_points == 0:
+            for name in CACHES + ("kxu",):
+                assert np.array_equal(_cache(st, name),
+                                      _cache(ref, name)), name
+            continue
+        replaced += 1
+        m = int(np.flatnonzero((st.inducing != ref.inducing[:3]).any(1))[0])
+        with monkeypatch.context() as mp:
+            _scripted_prune(mp, m, None)
+            fast_agp.prune_inducing(ref, 1e-4, 10)
+        order = _slot_order(m, 3)
+        assert np.array_equal(st.inducing[order], ref.inducing)
+        assert np.array_equal(st.s_y[order], ref.s_y)
+        assert np.array_equal(st.kxu[:, order], ref.kxu)
+        for name in ("s_k", "kuu"):
+            assert np.array_equal(getattr(st, name)[np.ix_(order, order)],
+                                  getattr(ref, name)), name
+    assert 0 < replaced < 10
 
 
 def test_maybe_add_duplicate_point_falls_back():
@@ -364,6 +400,11 @@ def _newcomer_pruned_first(st, r_th):
     return not stops and m == st.k_inducing - 1
 
 
+def _same_rows(A, B):
+    """Whether A and B hold the same rows, in any order."""
+    return np.array_equal(A[np.lexsort(A.T)], B[np.lexsort(B.T)])
+
+
 # The D=1 stream rejects no candidate (its 129 inducing-set changes are all
 # admissions), so it checks the admitted path; the D=8 stream rejects 692
 # of its candidates.
@@ -376,7 +417,9 @@ def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
     # Reference: admit every candidate past the relevance gate, then prune.
     # A candidate the prune removes first is exactly one fast_agp_step
     # rejects, so the inducing sets agree at every step and the rejections
-    # equal a hand count of those candidates.
+    # equal a hand count of those candidates.  fast_agp_step puts an
+    # admitted candidate in the slot of the point the prune's first round
+    # removes, the reference last, so the sets agree up to slot order.
     X, y = stream()
     st = _stream_state(X, y, T, M, lam, 50)
     ref = copy.deepcopy(st)
@@ -388,7 +431,7 @@ def test_scoring_first_equals_add_then_prune(stream, T, M, lam, n_steps,
                                                ref.w_ksum / ref.window_t)
         hand_count += added and _newcomer_pruned_first(ref, 1e-4)
         fast_agp.prune_inducing(ref, 1e-4, M)
-        assert np.array_equal(st.inducing, ref.inducing), i
+        assert _same_rows(st.inducing, ref.inducing), i
         assert st.rejected_candidates == hand_count, i
     assert hand_count >= min_rejected
     assert ref.rejected_candidates == 0
@@ -466,6 +509,151 @@ def test_step_factors_once_and_never_rebuilds(monkeypatch):
     # every factorization and solve calls LAPACK directly (linalg)
     assert [c[0] for c in scipy_calls] == [0, 0]
     assert [c[0] for c in wrappers] == [0, 0]
+
+
+# A replacement's kuu_inv against bordering and then removing, in units of
+# eps * cond(Kuu~) of the largest entry: measured worst 1.2 at D=1 (cond up
+# to 6.3e6) and 0.009 at D=8 (cond up to 1.7).
+REPLACE_COND_RTOL = 10.0
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_replacement_equals_border_then_first_removal(monkeypatch, d):
+    # A candidate whose scored round names point m for removal takes slot
+    # m of every cache in place.  That equals bordering every cache and then
+    # removing m, with the candidate moved from the last slot to slot m:
+    # kuu, s_k, s_y, kxu and the inducing set bit for bit (both copy the
+    # same values), kuu_inv within REPLACE_COND_RTOL * eps * cond(Kuu~).
+    # Each counts one admission and one removal.
+    rng = np.random.default_rng(40 + d)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        st = make_state(rng, t_cur=20, k=6, d=d)
+        x_new = st.window_x[-1]
+        for m in (0, 3, 5):
+            rep, ref = copy.deepcopy(st), copy.deepcopy(st)
+            with monkeypatch.context() as mp:
+                _scripted_prune(mp, m)
+                _, added = fast_agp.maybe_add_inducing(rep, x_new, -1.0,
+                                                       r_th=1e-4, max_k=6)
+            assert added and rep.k_inducing == 6
+            fast_agp.maybe_add_inducing(ref, x_new, -1.0)
+            with monkeypatch.context() as mp:
+                _scripted_prune(mp, m, None)
+                fast_agp.prune_inducing(ref, 1e-4, 6)
+            order = _slot_order(m, 6)
+            assert np.array_equal(rep.inducing[order], ref.inducing)
+            assert np.array_equal(rep.inducing[m], x_new)
+            assert np.array_equal(rep.s_y[order], ref.s_y)
+            assert np.array_equal(rep.kxu[:, order], ref.kxu)
+            for name in ("s_k", "kuu", "kuu_inv"):
+                out = getattr(rep, name)[np.ix_(order, order)]
+                gap = np.max(np.abs(out - getattr(ref, name)))
+                tol = 0.0 if name != "kuu_inv" else (
+                    REPLACE_COND_RTOL * eps * np.linalg.cond(rep.kuu)
+                    * np.max(np.abs(ref.kuu_inv)))
+                assert gap <= tol, (name, m)
+            assert rep.w_ksum == ref.w_ksum and rep.b_lam is None
+            assert rep.score_num is None
+            for out in (rep, ref):
+                assert (out.admitted_candidates, out.removed_points) == (1, 1)
+
+
+def test_replacement_matches_direct_inversion():
+    # Criterion 3's oracle for the replacement: 100 random states at
+    # capacity, sets of up to 32 points, each offered a candidate scored
+    # against that capacity; every admission takes a pruned point's slot,
+    # and kuu_inv and the B_lambda inverse it implies match a rebuild.
+    # Measured: 100 of 100 admitted, worst relative error 2.0e-11.
+    rng = np.random.default_rng(3003)
+    worst, replaced = 0.0, 0
+    for _ in range(100):
+        k = int(rng.integers(2, 33))
+        n = int(rng.integers(k + 1, 45))
+        side = 1.5 * np.sqrt(k + 1)
+        X = rng.uniform(-side, side, size=(n, 2))
+        st = adaptive.AdaptiveState(
+            window_x=X, window_y=rng.normal(size=n),
+            inducing=rng.uniform(-side, side, size=(k, 2)),
+            params=KernelParams(float(rng.uniform(-0.5, 0.7)),
+                                float(rng.uniform(-0.7, -0.2))),
+            log_noise=float(rng.uniform(-2.5, -0.5)),
+            lam=float(rng.uniform(0.7, 1.0)), capacity_m=k, window_t=n,
+            jitter=1e-6)
+        adaptive.rebuild_caches(st)
+        _, added = fast_agp.maybe_add_inducing(st, X[rng.integers(n)], -1.0,
+                                               r_th=1e-4, max_k=k)
+        if not added:
+            continue
+        assert st.k_inducing == k and st.removed_points == 1
+        replaced += 1
+        worst = max(worst, rel(b_lam_inv(st), b_lam_inv(_fresh(st))),
+                    rel(st.kuu_inv, _fresh(st).kuu_inv))
+    assert replaced >= 50
+    assert worst < 1e-7
+
+
+def _lag8_stream_state(n):
+    X, y = lagged_series(400 + n, 0)
+    return X, y, _stream_state(X, y, 400, 40, 0.1 ** (1 / 400), 50)
+
+
+def test_a_full_set_admission_borders_nothing_and_forms_one_round(
+        monkeypatch):
+    # On lag8 the inducing set stays full, so every admission takes the
+    # pruned point's slot: a step that admits a candidate and removes one
+    # point calls none of inv_extend, inv_shrink or _border, and forms one
+    # fresh round (the prune's, after the removal) when its state carried
+    # one.
+    X, y, st = _lag8_stream_state(300)
+    calls = [count_calls(monkeypatch, owner, name)
+             for owner, name in ((linalg, "inv_extend"),
+                                 (linalg, "inv_shrink"),
+                                 (fast_agp, "_border"),
+                                 (fast_agp, "_standing_round"))]
+    swaps = 0
+    for i in range(400, 700):
+        before = [c[0] for c in calls]
+        admitted, removed = st.admitted_candidates, st.removed_points
+        carried = st.score_num is not None
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        assert st.k_inducing == 40, i
+        if st.admitted_candidates == admitted + 1:
+            assert st.removed_points == removed + 1, i
+            assert [c[0] - b for c, b in zip(calls, before)] == [
+                0, 0, 0, 2 - carried], i
+            swaps += carried
+    assert swaps >= 50
+
+
+def test_admission_and_removal_counters_equal_a_hand_count(monkeypatch):
+    # The state counts admissions and removals; a replacement counts one
+    # of each.  By hand: an admission is a True from maybe_add_inducing,
+    # and a removal a point of the set before the step, or an admitted
+    # candidate, that the set after it does not hold.
+    X, y, st = _lag8_stream_state(300)
+    admit, added = fast_agp.maybe_add_inducing, []
+
+    def recorded(*args, **kwargs):
+        out = admit(*args, **kwargs)
+        added.append(out[1])
+        return out
+
+    monkeypatch.setattr(fast_agp, "maybe_add_inducing", recorded)
+    admissions = removals = 0
+    for i in range(400, 700):
+        before = st.inducing.copy()
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        after = st.inducing
+
+        def gone(z):
+            return not (after == z).all(axis=1).any()
+
+        admissions += added[-1]
+        removals += sum(map(gone, before)) + (added[-1] and gone(X[i]))
+        assert st.admitted_candidates == admissions, i
+        assert st.removed_points == removals, i
+    assert 50 <= admissions == removals
 
 
 @pytest.mark.parametrize("evict", [False, True])
@@ -622,26 +810,25 @@ def _stationary(n, seed):
     return x[:, None], np.sin(2 * x) + 0.1 * rng.normal(size=n)
 
 
-# Fast mode never rebuilds, so kuu_inv lives on extension and shrink alone.
-# Measured worst gaps: 1.2e-6 / 3.6e-6 (mean / relative var) on the D=1
-# stream, all in its first 2000 steps (Kuu condition number near 1e6) and
-# flat at ~1e-8 after; 7.6e-10 / 7.6e-9 on the D=8 stream.  The gap does not
-# grow with stream length, so no periodic re-anchor is needed.  The carried
-# kernel matrices kuu and kxu are moved by copying kernel values, never by
-# arithmetic, so they stay at roundoff: measured worst gaps 0 (D=1) and
-# 2.8e-16 (D=8).  The score round a fast step carries across slides moves
-# by rank-one terms and is formed afresh at every change of the inducing
-# set.  Against diag(P S P) summed in extended precision its error stays
-# at the scale of one rounding of either form, eps * (|P| S |P|)_jj per
-# component: measured worst 14.5 (D=1), 1.7 (D=8) and 0.95 (lam = 1).  The
-# lam = 1 stationary stream keeps one inducing set for all but one of its
-# 3000 steps, so its round is slid, undamped, for thousands of steps; over
-# 20000 steps, checked every 7th, it stayed at 0.65.  Its gap from a fresh round: 151 (D=1,
-# 9.9e-9 of the largest score at cond 3.0e5, step 5) and 31 (D=8) times
-# cond(Kuu~) * eps.  At lam = 1 that gap reads 8.0e3: there the fresh
-# round is the inexact one, 6.7e3 times cond(Kuu~) * eps from the
-# extended-precision sum where the carried round is 4.6e3, so the gap
-# from a fresh round is held only where lam < 1.
+# Fast mode never rebuilds, so kuu_inv lives on extension, replacement and
+# shrink alone.  Measured worst gaps: 7.7e-9 / 9.5e-9 (mean / relative var) on
+# the D=1 stream; 2.4e-12 / 3.2e-11 on the D=8 stream, where every admission is
+# a replacement.  The gap does not grow with stream length, so no periodic
+# re-anchor is needed.  The carried kernel matrices kuu and kxu are moved by
+# copying kernel values, never by arithmetic, so they stay at roundoff:
+# measured worst gaps 0 (D=1) and 2.8e-16 (D=8).  The score round a fast step
+# carries across slides moves by rank-one terms and is formed afresh at every
+# change of the inducing set.  Against diag(P S P) summed in extended precision
+# its error stays at the scale of one rounding of either form, eps * (|P| S
+# |P|)_jj per component: measured worst 14.6 (D=1), 2.2 (D=8) and 0.95 (lam =
+# 1).  The lam = 1 stationary stream keeps one inducing set for all but one of
+# its 3000 steps, so its round is slid, undamped, for thousands of steps; over
+# 20000 steps, checked every 7th, it stayed at 0.65.  Its gap from a fresh
+# round: 151 (D=1, 9.9e-9 of the largest score at cond 3.0e5, step 5) and 40
+# (D=8) times cond(Kuu~) * eps.  At lam = 1 that gap reads 8.0e3: there the
+# fresh round is the inexact one, 6.7e3 times cond(Kuu~) * eps from the
+# extended-precision sum where the carried round is 4.6e3, so the gap from a
+# fresh round is held only where lam < 1.
 DRIFT_MEAN_TOL = 1e-5
 DRIFT_VAR_RTOL = 1e-4
 KERNEL_CACHE_RTOL = 1e-12

@@ -137,6 +137,26 @@ def test_inv_shrink_undoes_inv_extend():
         assert np.max(np.abs(out - Ainv)) / np.max(np.abs(Ainv)) < 1e-10
 
 
+def test_inv_replace_matches_direct_inverse_up_to_64():
+    # B's last row and column take the place of row and column m of its
+    # leading block A: the inverse of that principal submatrix of B,
+    # written into the caller's array.
+    rng = np.random.default_rng(14)
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 64]:
+        B = spd_matrix(rng, n + 1)
+        b, b0 = B[:n, n], float(B[n, n])
+        Ainv = np.linalg.inv(B[:n, :n])
+        u = Ainv @ b
+        for m in {0, int(rng.integers(n)), n - 1}:
+            rows = np.arange(n)
+            rows[m] = n
+            direct = np.linalg.inv(B[np.ix_(rows, rows)])
+            out_in = Ainv.copy()
+            out = linalg.inv_replace(out_in, m, u, float(b0 - b @ u))
+            assert np.shares_memory(out, out_in)
+            assert np.max(np.abs(out - direct)) / np.max(np.abs(direct)) < 1e-9
+
+
 def _rel_to(out, ref):
     return float(np.max(np.abs(out - ref)) / np.max(np.abs(ref)))
 

@@ -30,8 +30,10 @@ gain must win nine of ten pairs.
 
 ``--perturb lam`` or ``--perturb lr`` runs the CHANGE tree with the
 workload's forgetting factor, or its Adam learning rate (the batch fit's
-and, for agp, the stream's), moved up by one ulp (``np.nextafter``).  Given
-one tree twice, that measures the tree's roundoff sensitivity:
+and, for agp, the stream's), moved up by one ulp (``np.nextafter``);
+``--perturb x`` runs it with every input of the stream, the set-up window's
+too, moved up by one ulp (the targets stay).  Given one tree twice, that
+measures the tree's roundoff sensitivity:
 
     python3 tools/ab_steps.py DIR DIR --workload toy-agp --perturb lr
 
@@ -83,18 +85,20 @@ def stepper(pkg, wl, w, X, y, seed, lam, lr):
     return state, lambda x, t: pkg.agp_step(state, opt, x, t, wl.R_TH)[2]
 
 
-def compare(trees, w, X, y, n, quality):
-    """Step both trees in lock-step over ``n`` samples and print the
-    comparison, the CRPS by ``quality`` (``perfbench.workloads.quality``);
-    returns the median ratio parent/change of step times."""
+def compare(trees, w, inputs, y, n, quality):
+    """Step both trees in lock-step over ``n`` samples, each on its own
+    ``inputs``, and print the comparison, the CRPS by ``quality``
+    (``perfbench.workloads.quality``); returns the median ratio
+    parent/change of step times."""
     ns = np.empty((2, n))
     out = np.empty((2, 3, n))          # mean, var, noise variance per step
     k_ind = np.empty((2, n), dtype=int)  # inducing points after each step
     clock = time.perf_counter_ns
     for i in range(n):
-        x, t = X[w.window_t + i], y[w.window_t + i]
+        t = y[w.window_t + i]
         for j in ((0, 1) if i % 2 == 0 else (1, 0)):
             state, step = trees[j]
+            x = inputs[j][w.window_t + i]
             t0 = clock()
             pred = step(x, t)
             ns[j, i] = clock() - t0
@@ -139,9 +143,9 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=None,
                     help="streamed samples per seed (default: the "
                          "workload's pass)")
-    ap.add_argument("--perturb", choices=("lam", "lr"), default=None,
-                    help="run CHANGE_DIR with the workload's lambda or "
-                         "learning rate one ulp up")
+    ap.add_argument("--perturb", choices=("lam", "lr", "x"), default=None,
+                    help="run CHANGE_DIR with the workload's lambda, "
+                         "learning rate or every input one ulp up")
     args = ap.parse_args(argv)
 
     sys.path[:0] = [str(args.change / "src"), str(args.change)]
@@ -153,18 +157,20 @@ def main(argv=None) -> int:
             for root, alias in ((args.parent, "ab_parent"),
                                 (args.change, "ab_change"))]
     settings = [{"lam": w.lam, "lr": wl.LR} for _ in pkgs]
-    if args.perturb:
+    if args.perturb in settings[1]:
         value = settings[1][args.perturb]
         settings[1][args.perturb] = float(np.nextafter(value, np.inf))
+        note = f"  change's {args.perturb} {settings[1][args.perturb]!r}"
+    else:
+        note = "  change's inputs one ulp up" if args.perturb else ""
     ratios = []
     for seed in args.seeds:
         X, y = w.make(w.window_t + n, seed)
-        trees = [stepper(pkg, wl, w, X, y, seed, **kw)
-                 for pkg, kw in zip(pkgs, settings)]
-        print(f"workload {w.name}  seed {seed}  steps {n}"
-              + (f"  change's {args.perturb} {settings[1][args.perturb]!r}"
-                 if args.perturb else ""))
-        ratios.append(compare(trees, w, X, y, n, wl.quality))
+        inputs = [X, np.nextafter(X, np.inf) if args.perturb == "x" else X]
+        trees = [stepper(pkg, wl, w, X_j, y, seed, **kw)
+                 for pkg, X_j, kw in zip(pkgs, inputs, settings)]
+        print(f"workload {w.name}  seed {seed}  steps {n}{note}")
+        ratios.append(compare(trees, w, inputs, y, n, wl.quality))
     if len(ratios) > 1:
         print("median ratio per seed: "
               + " ".join(f"{seed}:{r:.3f}" for seed, r in zip(args.seeds,
