@@ -21,11 +21,11 @@ mode never updates its parameters, so it carries ``kxu`` from
 ``from_batch`` on; the other kinds carry it only until their first
 update.  Every cache move moves ``kxu`` while it is carried.  Fast mode's
 score round, ``score_num`` (the removal scores' numerators diag(kuu_inv
-s_k kuu_inv)), is kept by a stricter rule: a slide moves it, an
-admission drops it, a prune forms it afresh after each removal (and
-for its first round when not handed one), and every rebuild and
-``set_window`` drop it, so no other kind ever slides one
-(``fast_agp`` gives the arithmetic).  B_lambda = Kuu~ + s_k/sig2 is
+s_k kuu_inv)), is kept by a stricter rule: a slide moves it, every
+admission drops it, a prune forms it afresh after each removal (and for
+its first round when the state carries none), and every rebuild and
+``set_window`` drop it.  So a fast step always ends with a round carried,
+and no other kind ever slides one (``fast_agp`` gives the arithmetic).  B_lambda = Kuu~ + s_k/sig2 is
 never inverted: every cache move marks ``b_lam`` stale, and
 ``refresh_b_lam`` factors it once per step, before the prediction's
 triangular solve.
@@ -240,7 +240,7 @@ class AdaptiveState:
         return max(n, self.window_t) + (self.window_t + 3) // 4
 
     def _kut_rows(self, k: int) -> int:
-        return max(self.capacity_m, k) + 1
+        return max(self.capacity_m, k)
 
     def _kut_buffer(self, block: np.ndarray, rows: int) -> np.ndarray:
         """A new kxu buffer of ``rows`` rows and the window buffers'
@@ -402,11 +402,11 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
                      k_new: np.ndarray | None = None,
                      a: np.ndarray | None = None) -> PredictiveDist:
     """Adaptive predictive mean/variance at one query (O(M^2) from caches;
-    a stale B_lambda is factored first): with v = L^-1 k, mean =
-    v^T L^-1 s_y / sig2 and var = kss - k^T kuu_inv k + v^T v.  ``k_new``
-    is ``kernel_row(state, xstar)`` when the caller has it, and ``a`` its
-    ``kuu_inv @ k_new`` (fast mode's step forms it once), which makes
-    k^T kuu_inv k the dot product k.a.
+    a stale B_lambda is factored first): with v = L^-1 k and a = kuu_inv
+    k, mean = v^T L^-1 s_y / sig2 and var = kss - k^T a + v^T v.
+    ``k_new`` is ``kernel_row(state, xstar)`` and ``a`` its
+    ``kuu_inv @ k_new`` when the caller has them, as every step's opening
+    does; each is formed here when omitted.
 
     ``xstar`` is one point, shaped (D,) or (1, D); without ``k_new``, a
     query of any other number of rows raises ``DimensionMismatch`` before
@@ -420,9 +420,9 @@ def adaptive_predict(state: AdaptiveState, xstar, *,
     f, l_s_y = state.b_lam
     v = linalg.solve_lower(f, ks)
     mean = float(v.dot(l_s_y)) / state.noise_var
-    kpk = (float(ks.dot(state.kuu_inv).dot(ks)) if a is None
-           else float(ks.dot(a)))
-    var = state.params.variance - kpk + float(v.dot(v))
+    if a is None:
+        a = state.kuu_inv.dot(ks)
+    var = state.params.variance - float(ks.dot(a)) + float(v.dot(v))
     return PredictiveDist(mean=mean, var=_clamp_var(var))
 
 

@@ -7,7 +7,8 @@ in closed form; no sampling is involved.  Only the ELBO is this module's
 own: it sets up through ``bound._window_setup``, whose one factor of Kuu
 gives both Kuu^-1 and the KL's log-determinant.  A step opens like every
 other (``fast_agp._predict_and_slide``), predicting from the one row
-k(U, x_new) with the q-form ``vsgp.predict`` uses.  Its updates have no
+k(U, x_new) and its Kuu^-1 k(U, x_new) with the q-form ``vsgp.predict``
+uses.  Its updates have no
 failure handling of their own: a failed factorization in any iteration or
 in the rebuild restores the whole step (``adaptive._update_or_restore``),
 and the step puts q back.
@@ -160,8 +161,8 @@ def agp_vsi_step(state: AdaptiveState, q: VariationalQ, opt: Adam,
     iteration or in the rebuild restores the step's inducing points,
     kernel and noise, and the step puts q back as well."""
     pred, k_new, _ = _predict_and_slide(
-        state, x_new, y_new, lambda k: _q_predict(
-            k, state.params.variance, state.kuu_inv, q.mean, q.cov))
+        state, x_new, y_new, lambda k, a: _q_predict(
+            k, a, state.params.variance, q.mean, q.cov))
     if k_new is None:
         return state, q, opt, pred
 

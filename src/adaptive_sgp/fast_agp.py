@@ -9,9 +9,10 @@ the caches by bordering.  Kernel and noise parameters are never touched
 here, so no step rebuilds the caches from the window.
 
 A step of every model kind builds one kernel row per sample, k(U, x_new),
-in the opening all four kinds share (``_predict_and_slide``), and passes it
-to the prediction (the caches', or agp_vsi's explicit q), the slide and
-fast mode's admission, each of which builds it itself when it is omitted.
+and its product a = kuu_inv k(U, x_new) in the opening all four kinds
+share (``_predict_and_slide``), and passes both to the prediction (the
+caches', or agp_vsi's explicit q), the slide and fast mode's admission,
+each of which builds them itself when they are omitted.
 Fast mode carries ``kxu`` from ``from_batch`` on (``adaptive``'s rule: a
 rebuild keeps it, only a parameter update drops it, for the reason
 ``adaptive`` gives), so its slide reads
@@ -35,8 +36,8 @@ a replacement's two are written in place.  Every cache move marks
 
 Fast mode carries its round of removal scores across slides: the numerators
 num = diag(P S P) for P = kuu_inv and S = s_k, the state's ``score_num``;
-the denominators are always read as diag(P).  A step forms a = kuu_inv k(U,
-x_new) once, before its slide, which leaves kuu_inv as it is.  The
+the denominators are always read as diag(P).  The opening's a = kuu_inv
+k(U, x_new) is formed before the slide, which leaves kuu_inv as it is.  The
 prediction reads k^T kuu_inv k as k.a, the admission reads a as the
 candidate's u, and the slide moves the numerators by rank-one terms (Csato
 & Opper 2002), num <- lam num + a*a - lam^T b*b with the departing row's b
@@ -45,20 +46,23 @@ candidate's in its O(M^2) scores, are ``ndarray.dot``, the BLAS routine
 ``@`` calls, at about 0.3 us less per call: at M <= 40 a call's overhead,
 not its flops, is what such a product costs.  The one product with the
 window's kxu stays ``@``, which BLAS reads in place where ``dot`` would
-first copy the strided view.  The round serves the candidate's scores on
-the bordered set, which follow from it in O(M^2) (``_bordered_scores``),
-and the prune's first round; the relevance gate reads the trace tr(P S) in
-O(M^2) itself (``relevance_total``).  A rejected candidate, whether its
-Schur complement or its score refuses it, moves nothing.  An admitted one
-drops the round.  When the prune's first round on the bordered scores
-names a point m, as it always does at capacity, the candidate is written
-into slot m of kuu, s_k, s_y, kxu and the inducing set, and kuu_inv moves
-by two rank-one updates, all in place and O(M^2): no cache is bordered and
-then shrunk again.  Only an admission that no removal follows borders the
-caches.  Each removal of a step, a replacement's too, forms the round
-fresh (``_standing_round``, O(M^3), bit for bit ``removal_scores``) and
-carries it, and a step whose state carries none forms it fresh after its
-slide.  So a step that finds a round and removes no point makes one O(M^3)
+first copy the strided view.  The admission and the prune read the round
+from the state, and nothing else holds it: the candidate's scores on the
+bordered set follow from its numerators in O(M^2) (``_bordered_scores``),
+and the prune's first round is num / diag(P); the relevance gate reads the
+trace tr(P S) in O(M^2) itself (``relevance_total``).  A rejected
+candidate, whether its Schur complement or its score refuses it, moves
+nothing.  When the prune's first round on the bordered scores names a
+point m, as it always does at capacity, the candidate is written into slot
+m of kuu, s_k, s_y, kxu and the inducing set, and kuu_inv moves by two
+rank-one updates, all in place and O(M^2): no cache is bordered and then
+shrunk again.  Only an admission that no removal follows borders the
+caches.  Every admission, bordering or replacing, drops the round.  It is
+formed fresh (``_standing_round``, O(M^3), bit for bit ``removal_scores``)
+and carried by the admission, past its gate, or the prune when the state
+carries none, and by the prune after each removal.  So every fast step
+ends with its round carried (only the first after ``from_batch`` finds
+none), a step that admits nothing and removes no point makes one O(M^3)
 call, B_lambda's Cholesky, and a carried round has only ever been slid,
 never across a change of the inducing set.  The slide damps the round's
 roundoff by lambda only when lambda < 1; at lambda = 1 a stationary stream
@@ -69,7 +73,6 @@ update rebuilds, never slide one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,27 +137,26 @@ def windowed_add(state: AdaptiveState, x_new, y_new: float, *,
 
 
 def _predict_and_slide(state: AdaptiveState, x_new, y_new: float,
-                       predict=None, *, share: bool = False):
+                       predict=None):
     """The opening of every step: skip an inf or NaN sample
     (``skip_nonfinite``; ``k_new`` is then None and nothing moves), build
-    k(U, x_new) once (``kernel_row``), predict from it with
-    ``predict(k_new)`` (by default the caches': factor a stale B_lambda,
-    then ``adaptive_predict``), then slide (``windowed_add``).  With
-    ``share`` (fast mode's step) a = kuu_inv k_new is formed once, first,
-    and the cache prediction and the slide read it.  Returns
-    ``(pred, k_new, a)``, a None without ``share``; the prediction at an
-    inf or NaN input is NaN, without evaluating the kernel there."""
+    k(U, x_new) once (``kernel_row``) and a = kuu_inv k(U, x_new), predict
+    from both with ``predict(k_new, a)`` (by default the caches': factor a
+    stale B_lambda, then ``adaptive_predict``), then slide
+    (``windowed_add``, which reads a only for a carried score round).
+    Returns ``(pred, k_new, a)``; the prediction at an inf or NaN input is
+    NaN, without evaluating the kernel there."""
     skipped = skip_nonfinite(state, x_new, y_new)
     if skipped and not np.isfinite(x_new).all():
         return PredictiveDist(mean=math.nan, var=math.nan), None, None
     k_new = kernel_row(state, x_new)
-    a = state.kuu_inv.dot(k_new) if share else None
+    a = state.kuu_inv.dot(k_new)
     if predict is None:
         if state.b_lam is None:
             refresh_b_lam(state)
         pred = adaptive_predict(state, x_new, k_new=k_new, a=a)
     else:
-        pred = predict(k_new)
+        pred = predict(k_new, a)
     if skipped:
         return pred, None, None
     windowed_add(state, x_new, y_new, k_new=k_new, a=a)
@@ -191,21 +193,6 @@ def _prune_target(r: np.ndarray, r_th: float, max_k: float):
     return m
 
 
-@dataclass(slots=True)
-class _Round:
-    """One step's view of the state's score round (``_held_round``): the
-    numerators ``num`` = diag(P S P) the state carries, the denominators
-    ``pd`` = diag(P), and ``scores``, what the prune's first round reads:
-    num / pd until an admission puts the bordered set's scores there, or
-    None once a replacement has made the first removal (the prune then
-    forms its round fresh).  ``pd`` is a view of P's diagonal, which a
-    replacement writes: it is not read after the admission."""
-
-    num: np.ndarray
-    pd: np.ndarray
-    scores: np.ndarray | None
-
-
 def _standing_round(state: AdaptiveState) -> np.ndarray:
     """Form the caches' score numerators fresh (O(M^3): kuu_inv s_k, then
     diag(kuu_inv s_k kuu_inv)), carry them as the state's ``score_num``
@@ -218,36 +205,27 @@ def _standing_round(state: AdaptiveState) -> np.ndarray:
     return num / kuu_inv.diagonal()
 
 
-def _held_round(state: AdaptiveState) -> _Round:
-    """The state's score round (``_Round``), its numerators formed fresh
-    first (``_standing_round``) when the state carries none."""
-    pd = state.kuu_inv.diagonal()
-    if state.score_num is None:
-        scores = _standing_round(state)
-    else:
-        scores = state.score_num / pd
-    return _Round(state.score_num, pd, scores)
-
-
-def _bordered_scores(rnd: _Round, kuu_inv: np.ndarray, s_k: np.ndarray,
+def _bordered_scores(num: np.ndarray, kuu_inv: np.ndarray, s_k: np.ndarray,
                      u: np.ndarray, s: float, r: np.ndarray,
                      d: float) -> np.ndarray:
     """``removal_scores`` of the bordered set, the candidate last, in
-    O(M^2) from the score round ``rnd`` of P = kuu_inv and S = s_k.
+    O(M^2) from the score round's numerators ``num`` = diag(P S P) of P =
+    kuu_inv and S = s_k.
 
     With u = P b and the Schur complement s = b0 - b^T u of the candidate's
     kernel row b and diagonal b0, the bordered inverse is
     [[P, 0], [0, 0]] + v v^T / s with v = [u; -1], and the bordered s_k is
     [[S, r], [r^T, d]].  So with h = P (S u - r), q = v^T [[S, r], [r^T,
     d]] v = u^T S u - 2 r^T u + d and t = u / s, point j scores
-    (num_j + t_j (2 h_j + q t_j)) / (pd_j + u_j t_j) and the candidate
+    (num_j + t_j (2 h_j + q t_j)) / (P_jj + u_j t_j) and the candidate
     q / s."""
     su = s_k.dot(u)
     h = kuu_inv.dot(su - r)
     q = float(u.dot(su)) - 2.0 * float(r.dot(u)) + d
     t = u / s
     out = np.empty(u.shape[0] + 1)
-    np.divide(rnd.num + t * (2.0 * h + q * t), rnd.pd + u * t, out=out[:-1])
+    np.divide(num + t * (2.0 * h + q * t), kuu_inv.diagonal() + u * t,
+              out=out[:-1])
     out[-1] = q / s
     return out
 
@@ -255,8 +233,7 @@ def _bordered_scores(rnd: _Round, kuu_inv: np.ndarray, s_k: np.ndarray,
 def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
                        r_th: float | None = None, max_k: float = math.inf,
                        k_new: np.ndarray | None = None,
-                       a: np.ndarray | None = None,
-                       standing: _Round | None = None):
+                       a: np.ndarray | None = None):
     """Adopt ``x_new`` as an inducing point when the weighted Nystrom
     residual (``relevance_total``) exceeds ``r_th_tot``; returns
     ``(state, added)``.
@@ -265,7 +242,9 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     basis-vector scoring of Csato & Opper 2002): the prune's first round
     (``prune_inducing`` with ``r_th`` and ``max_k``) is applied to the
     bordered set's removal scores, which follow in O(M^2) from the score
-    round (``_bordered_scores``).  When that round would remove the
+    round's numerators (``_bordered_scores``), the state's ``score_num``,
+    formed fresh and carried past the gate when the state carries none
+    (``_standing_round``).  When that round would remove the
     candidate, adding it and then pruning equals not adding it, so every
     cache is left as it was and the candidate is counted in
     ``state.rejected_candidates``.  When it would remove point m, the
@@ -287,13 +266,10 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     and grows kuu_inv by bordered block extension (``inv_extend``,
     O(M^2)).  Every admission, counted in ``state.admitted_candidates``
     (a replacement also in ``state.removed_points``), marks b_lam stale
-    and drops the score round.  ``k_new`` is ``kernel_row(state, x_new)``
-    when the caller has it, ``a`` its ``kuu_inv @ k_new`` (the candidate's
-    u = kuu_inv b, which ``inv_extend`` and ``inv_replace`` reuse), and
-    ``standing`` the state's ``_held_round``, which is taken here, past
-    the gate, when omitted (formed fresh, and carried, when the state
-    carries none); an admission writes into it the scores the prune's
-    first round reads, the bordered set's, or None after a replacement.
+    and drops the score round, whether it borders or replaces.
+    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it, and
+    ``a`` its ``kuu_inv @ k_new`` (the candidate's u = kuu_inv b, which
+    ``inv_extend`` and ``inv_replace`` reuse).
     """
     kxu = state.kxu
     if kxu is None:
@@ -312,14 +288,15 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     if not linalg.schur_positive(s, b0):  # x_new is in the inducing set's span
         state.rejected_candidates += 1
         return state, False
-    if standing is None:
-        standing = _held_round(state)
+    if state.score_num is None:
+        _standing_round(state)
 
     k_x = kernel_column(state.window_x, x_new, state.params)
     wk_x = state.weights() * k_x
     r = kxu.T @ wk_x
     d = float(wk_x.dot(k_x))
-    scores = _bordered_scores(standing, kuu_inv, state.s_k, u, s, r, d)
+    scores = _bordered_scores(state.score_num, kuu_inv, state.s_k, u, s, r,
+                              d)
     m = None if r_th is None else _prune_target(scores, r_th, max_k)
     if m == state.k_inducing:
         state.rejected_candidates += 1
@@ -330,7 +307,6 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     state.b_lam = None
     s_y_new = float(np.dot(wk_x, state.window_y))
     if m is None:
-        standing.scores = scores
         state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0, u=u)
         state.s_k = _border(state.s_k, r, d)
         state.kuu = _border(state.kuu, b, b0)
@@ -338,7 +314,6 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
         state.add_inducing(x_new, k_x)
         return state, True
     # the prune's first round removes point m: the candidate takes its slot
-    standing.scores = None
     state.removed_points += 1
     state.kuu_inv = linalg.inv_replace(kuu_inv, m, u, s)
     _put(state.s_k, m, r, d)
@@ -348,8 +323,8 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     return state, True
 
 
-def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
-                   scores: np.ndarray | None = None) -> AdaptiveState:
+def prune_inducing(state: AdaptiveState, r_th: float,
+                   max_k: int) -> AdaptiveState:
     """Remove inducing points one at a time, always the one whose removal
     raises the weighted Nystrom residual least (``removal_scores``), while
     that increase is below ``r_th`` times the largest or more than ``max_k``
@@ -364,15 +339,16 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
     scores the remaining set afresh, so every round scores it exactly and
     the caches stay exact afterwards.
 
-    ``scores`` are the first round's when the caller has them:
-    ``fast_agp_step`` passes its held round's, or the bordered set's after
-    an admission that replaced no point.  Every other round, the first one
-    too when ``scores`` is omitted, is formed by ``_standing_round`` (bit
-    for bit ``removal_scores``), which carries it as the state's score
-    round, so a step's last round serves the next step.  agp's update rebuilds the
-    caches after its prune, which drops that round again."""
-    if scores is None:
-        scores = _standing_round(state)
+    The first round is the state's carried score round, num / diag(kuu_inv)
+    with num its ``score_num``, when it carries one; every other round, the
+    first one too when none is carried, is formed by ``_standing_round``
+    (bit for bit ``removal_scores``), which carries it, so a prune always
+    leaves a round carried and a fast step's last round serves the next
+    step.  agp's state carries none, so its prune forms every round fresh,
+    and its update's rebuild drops the last again."""
+    num = state.score_num
+    scores = (_standing_round(state) if num is None
+              else num / state.kuu_inv.diagonal())
     m = _prune_target(scores, r_th, max_k)
     while m is not None:
         keep = np.arange(state.k_inducing - 1)     # every index but m
@@ -392,22 +368,20 @@ def prune_inducing(state: AdaptiveState, r_th: float, max_k: int, *,
 def fast_agp_step(state: AdaptiveState, x_new, y_new: float,
                   r_th: float = 1e-4):
     """One prequential step: predict and slide (``_predict_and_slide``,
-    which slides the carried score round), take the score round
-    (``_held_round``, formed fresh only when the state carries none), offer
-    the sample as an inducing point (gated and scored against the same
-    prune rule from that round; at capacity an admitted one replaces the
-    point that rule removes first), then prune, starting from that round's
-    scores, the bordered set's after an admission, or a fresh round after
-    a replacement.  Returns ``(state, pred_before)``, the prediction made
-    before the new target is used; a skipped sample moves nothing.  The inducing set is the same
-    from the prediction to the admission, so all three share one kernel
-    row k(U, x_new) and its a = kuu_inv k(U, x_new)."""
-    pred, k_new, a = _predict_and_slide(state, x_new, y_new, share=True)
+    which slides the carried score round), offer the sample as an inducing
+    point (gated, then scored against the prune rule from the state's
+    round, formed fresh only when the state carries none; at capacity an
+    admitted one replaces the point that rule removes first), then prune
+    (``prune_inducing``), from the carried round, or from a fresh one after
+    an admission, which drops it.  So every step ends with its round
+    carried.  Returns ``(state, pred_before)``, the prediction made before
+    the new target is used; a skipped sample moves nothing.  The inducing
+    set is the same from the prediction to the admission, so all three
+    share one kernel row k(U, x_new) and its a = kuu_inv k(U, x_new)."""
+    pred, k_new, a = _predict_and_slide(state, x_new, y_new)
     if k_new is None:
         return state, pred
-    standing = _held_round(state)
     maybe_add_inducing(state, x_new, state.w_ksum / state.window_t,
-                       r_th=r_th, max_k=state.capacity_m, k_new=k_new,
-                       a=a, standing=standing)
-    prune_inducing(state, r_th, state.capacity_m, scores=standing.scores)
+                       r_th=r_th, max_k=state.capacity_m, k_new=k_new, a=a)
+    prune_inducing(state, r_th, state.capacity_m)
     return state, pred

@@ -86,14 +86,14 @@ def predict(model: VsgpModel, xstar) -> PredictiveDist:
     of several rows raises ``DimensionMismatch`` before any kernel."""
     _check_one_point(xstar, "predict")
     ks = kernel_column(model.inducing, xstar, model.params)
-    return _q_predict(ks, model.params.variance, model.kuu_inv,
+    return _q_predict(ks, model.kuu_inv.dot(ks), model.params.variance,
                       model.q_mean, model.q_cov)
 
 
-def _q_predict(ks, kss: float, kuu_inv, q_mean, q_cov) -> PredictiveDist:
+def _q_predict(ks, a, kss: float, q_mean, q_cov) -> PredictiveDist:
     """Predictive mean/variance from an explicit q, given the query's row
-    ``ks`` = k(U, x) and prior variance ``kss`` (O(M^2))."""
-    a = kuu_inv @ ks
+    ``ks`` = k(U, x), its ``a`` = Kuu^-1 ks and prior variance ``kss``
+    (O(M^2))."""
     mean = float(a @ q_mean)
     var = kss - float(ks @ a) + float(a @ q_cov @ a)
     return PredictiveDist(mean=mean, var=_clamp_var(var))

@@ -1,12 +1,12 @@
 """Oracle for fast mode's candidate scores in O(M^2).
 
 A fast step scores its candidate by ``fast_agp._bordered_scores``: the
-removal scores of the bordered inducing set, read from the score round of
-the unbordered caches, which the state carries across slides.  The
-reference is the same bordered round evaluated at 30 digits with mpmath,
-from the same float inputs: the
-cached ``kuu_inv`` (P) and ``s_k`` (S), the candidate's kernel row b and
-diagonal b0, and its s_k row r and diagonal d.  The parent form, one
+removal scores of the bordered inducing set, read from the numerators of
+the unbordered caches' score round, which the state carries across
+slides.  The reference is the same bordered round evaluated at 30 digits
+with mpmath, from the same float inputs: the cached ``kuu_inv`` (P) and
+``s_k`` (S), the candidate's kernel row b and diagonal b0, and its s_k row
+r and diagonal d.  The parent form, one
 O(M^3) ``removal_scores`` round on the ``inv_extend`` and ``_border``
 arrays, is measured against the same reference.  Errors are relative to
 the largest reference score, and the O(M^2) form passes where its largest
@@ -42,14 +42,13 @@ def _scored(state, offers):
     cases, current = [], {}
     original = fast_agp._bordered_scores
 
-    def recorded(rnd, P, S, u, s, r, d):
-        out = original(rnd, P, S, u, s, r, d)
+    def recorded(num, P, S, u, s, r, d):
+        out = original(num, P, S, u, s, r, d)
         b = adaptive.kernel_row(state, current["x"])
         assert np.array_equal(P @ b, u)       # b is the row the step used
         cases.append(dict(P=P.copy(), S=S.copy(), b=b,
                           b0=state.params.variance + state.jitter,
-                          r=r.copy(), d=d, num=rnd.num.copy(),
-                          pd=rnd.pd.copy(), fast=out.copy()))
+                          r=r.copy(), d=d, fast=out.copy()))
         return out
 
     fast_agp._bordered_scores = recorded
@@ -146,7 +145,7 @@ def test_standing_round_is_removal_scores_bit_for_bit():
         state = SimpleNamespace(kuu_inv=c["P"], s_k=c["S"], score_num=None)
         scores = fast_agp._standing_round(state)
         assert np.array_equal(scores, adaptive.removal_scores(c["P"], c["S"]))
-        assert np.array_equal(state.score_num / c["pd"], scores)
+        assert np.array_equal(state.score_num / c["P"].diagonal(), scores)
 
 
 @st.composite

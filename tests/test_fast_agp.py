@@ -441,15 +441,16 @@ def test_a_fast_step_forms_a_round_only_per_removal_or_when_none_is_carried(
         monkeypatch):
     # The state carries its score round across slides, which move it by
     # rank-one terms.  A fast step forms a round fresh (_standing_round,
-    # O(M^3)) only after each removal and, after its slide, when its state
-    # carries none; the gate, the candidate's bordered scores and the
-    # prune's first round read the held round.  An admission drops the
-    # round and a removal leaves a fresh one carried.  removal_scores is
-    # never called.
+    # O(M^3)) only when its state carries none, after each removal and
+    # after a bordering admission; the gate, the candidate's bordered
+    # scores and the prune's first round read the state's round.  Every
+    # admission drops the round and the prune forms it again, so the round
+    # is never None after a step.  removal_scores is never called.
     X, y = piecewise_sinusoid(700, 0)
     st = _stream_state(X, y, 100, 10, 0.97724, 50)
     fresh = count_calls(monkeypatch, fast_agp, "_standing_round")
     scores = count_calls(monkeypatch, adaptive, "removal_scores")
+    borders = count_calls(monkeypatch, linalg, "inv_extend")
     admit, added = fast_agp.maybe_add_inducing, []
 
     def recorded(*args, **kwargs):
@@ -460,17 +461,44 @@ def test_a_fast_step_forms_a_round_only_per_removal_or_when_none_is_carried(
     monkeypatch.setattr(fast_agp, "maybe_add_inducing", recorded)
     pruned_admissions = quiet_steps = 0
     for i in range(100, 700):
-        k, rounds = st.k_inducing, fresh[0]
+        k, rounds, bordered = st.k_inducing, fresh[0], borders[0]
         carried = st.score_num is not None
         fast_agp.fast_agp_step(st, X[i], y[i])
         removed = k + added[-1] - st.k_inducing
+        bordered = borders[0] - bordered
         pruned_admissions += added[-1] and removed > 0
         quiet_steps += carried and removed == 0
-        assert fresh[0] - rounds == (not carried) + removed, i
-        assert (st.score_num is None) == (added[-1] and removed == 0), i
+        assert fresh[0] - rounds == (not carried) + removed + bordered, i
+        assert st.score_num is not None, i
     assert scores[0] == 0
     assert len(added) == 600 and pruned_admissions > 0 and quiet_steps > 0
     assert not all(added)
+
+
+def test_a_bordering_fast_step_forms_one_round_and_ends_with_it_carried(
+        monkeypatch):
+    # Below capacity an admission that the prune's first round follows by
+    # no removal borders the caches.  It drops the score round like every
+    # admission, and the step's prune forms it again: one fresh round, the
+    # same count as a replacement, and the state ends every step with a
+    # round carried that a fresh _standing_round on its caches matches.
+    X, y = piecewise_sinusoid(700, 0)
+    model = vsgp.fit_batch(X[:100], y[:100], 6, 200, seed=1)
+    st = adaptive.from_batch(model, X[:100], y[:100], 0.97724, 100, 10)
+    fresh = count_calls(monkeypatch, fast_agp, "_standing_round")
+    borders = count_calls(monkeypatch, linalg, "inv_extend")
+    bordering_steps = 0
+    for i in range(100, 700):
+        rounds, bordered = fresh[0], borders[0]
+        carried = st.score_num is not None
+        fast_agp.fast_agp_step(st, X[i], y[i])
+        if borders[0] > bordered:
+            assert carried, i
+            assert fresh[0] - rounds == 1, i
+            bordering_steps += 1
+        assert st.score_num is not None, i
+        assert _round_gap(st) < ROUND_COND_RTOL, i
+    assert bordering_steps >= 3
 
 
 def test_step_factors_once_and_never_rebuilds(monkeypatch):
@@ -922,19 +950,19 @@ def test_buffers_equal_a_concatenated_window_through_compactions(monkeypatch):
 
 def test_interleaved_moves_keep_the_score_round_exact_or_drop_it():
     # D=8, T=12, M=4: fast steps mixed at random with direct slides,
-    # admissions and prunes.  After every move the state's score round is
-    # dropped or equal to a fresh _standing_round on its caches: a slide
-    # moves a carried round, an admission drops it, a prune given its
-    # first round's scores leaves a fresh round after each removal, and a
-    # prune without them forms its first round fresh too, so it always
-    # leaves a fresh round.
+    # scored and unscored admissions and prunes.  After every move the
+    # state's score round is dropped or equal to a fresh _standing_round on
+    # its caches: a slide moves a carried round, every admission drops it,
+    # whether it replaces or borders, and a prune starts from a carried
+    # round or forms its first round fresh, and leaves a fresh round after
+    # each removal, so it always leaves a round.
     rng = np.random.default_rng(42)
     st = _small_d8_state(rng)
     moved = dict.fromkeys(range(5), 0)
     slid = dropped = 0
     for i in range(400):
         x, y = rng.normal(size=8), float(rng.normal())
-        move, k = int(rng.integers(5)), st.k_inducing
+        move = int(rng.integers(5))
         carried = st.score_num is not None
         if move == 0:
             fast_agp.fast_agp_step(st, x, y)
@@ -950,9 +978,10 @@ def test_interleaved_moves_keep_the_score_round_exact_or_drop_it():
             elif carried:
                 assert st.score_num is not None, i
         elif move == 3:
-            scores = adaptive.removal_scores(st.kuu_inv, st.s_k)
-            fast_agp.prune_inducing(st, 1e-4, 2, scores=scores)
-            if st.k_inducing < k:
+            _, added = fast_agp.maybe_add_inducing(st, x, -1.0)
+            if added:
+                assert st.score_num is None, i
+            elif carried:
                 assert st.score_num is not None, i
         else:
             fast_agp.prune_inducing(st, 1e-4, 2)

@@ -142,7 +142,7 @@ def test_predict_of_one_point_in_every_shape_is_the_q_form(d):
     for _ in range(20):
         x = rng.normal(size=d)
         ks = kernel.kernel_column(model.inducing, x, params)
-        want = vsgp._q_predict(ks, params.variance, model.kuu_inv,
+        want = vsgp._q_predict(ks, model.kuu_inv @ ks, params.variance,
                                model.q_mean, model.q_cov)
         queries = [x, x[None]] + ([float(x[0])] if d == 1 else [])
         for xstar in queries:

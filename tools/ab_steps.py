@@ -43,7 +43,10 @@ samples and its CRPS, scored as the benchmark scores it
 noise variance)), with the change's CRPS less the parent's, so that a
 roundoff-level change of the variance reads as a CRPS delta.  When the
 inducing-point counts differ, it prints the share of steps at which they
-do.
+do.  For each side it prints that side's traffic: the number of steps that
+grew the inducing set (a border) and that shrank it, and the state's
+counters (``COUNTERS``), read by ``getattr`` so that a tree without one
+prints None.
 """
 
 import argparse
@@ -58,6 +61,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402  (after the thread pin)
+
+COUNTERS = ("admitted_candidates", "removed_points", "rejected_candidates",
+            "skipped_samples", "skipped_updates")
 
 
 def load_tree(root: Path, alias: str):
@@ -92,7 +98,8 @@ def compare(trees, w, inputs, y, n, quality):
     parent/change of step times."""
     ns = np.empty((2, n))
     out = np.empty((2, 3, n))          # mean, var, noise variance per step
-    k_ind = np.empty((2, n), dtype=int)  # inducing points after each step
+    k_ind = np.empty((2, n + 1), dtype=int)  # inducing points, set-up first
+    k_ind[:, 0] = [state.k_inducing for state, _ in trees]
     clock = time.perf_counter_ns
     for i in range(n):
         t = y[w.window_t + i]
@@ -103,7 +110,7 @@ def compare(trees, w, inputs, y, n, quality):
             pred = step(x, t)
             ns[j, i] = clock() - t0
             out[j, :, i] = pred.mean, pred.var, state.noise_var
-            k_ind[j, i] = state.k_inducing
+            k_ind[j, i + 1] = state.k_inducing
 
     ratio = float(np.median(ns[0] / ns[1]))
     print(f"step time parent/change: median {ratio:.3f}, "
@@ -126,10 +133,16 @@ def compare(trees, w, inputs, y, n, quality):
             ["crps"] for m, v, nv in out]
     print(f"crps: parent {crps[0]:.9g}, change {crps[1]:.9g}, "
           f"change - parent {crps[1] - crps[0]:.3g}")
-    moved = k_ind[0] != k_ind[1]
+    moved = k_ind[0, 1:] != k_ind[1, 1:]
     print("k_inducing: " + (f"first differs at step {int(moved.argmax())}, "
                             f"differs at {moved.mean():.1%} of steps"
                             if moved.any() else "the same at every step"))
+    for side, (state, _), dk in zip(("parent", "change"), trees,
+                                    np.diff(k_ind, axis=1)):
+        counts = ", ".join(f"{name} {getattr(state, name, None)}"
+                           for name in COUNTERS)
+        print(f"{side} traffic: grew at {int((dk > 0).sum())} steps, shrank "
+              f"at {int((dk < 0).sum())}; {counts}")
     return ratio
 
 
