@@ -51,6 +51,14 @@ kernel, each by a copy.
 
 A step builds the kernel row k(U, x_new) once (``kernel_row``) and hands
 it to the prediction and to every cache move that needs it.
+
+The state is the one ledger of inducing-set traffic, for every kind: only
+``add_inducing``, ``replace_inducing`` and ``remove_inducing`` change
+which points are in the set, and each counts the edit it makes, an add
+one in ``admitted_candidates``, a removal one in ``removed_points`` and a
+replacement one in each.  An update moves the points' coordinates, never
+which points there are.  An add or replacement passed no kxu column ends
+the kxu carry.
 """
 
 import logging
@@ -116,6 +124,9 @@ class AdaptiveState:
     b_lam: tuple[linalg.CholFactor, np.ndarray] | None = None
     kuu_inv: np.ndarray = field(default=None)  # Kuu~^-1
     kuu: np.ndarray = field(default=None)      # Kuu~ = Kuu + jitter I
+    # jitter that rebuild_caches' factor of Kuu~ added to ``jitter``; kuu
+    # carries it on its diagonal, so an admitted point's diagonal does too
+    jitter_extra: float = field(default=0.0, init=False)
     w_ksum: float = 0.0                        # sum_i w_i k(x_i, x_i)
     # fast mode's carried removal-score numerators diag(P S P), P = kuu_inv,
     # S = s_k (fast_agp); None once dropped
@@ -146,8 +157,9 @@ class AdaptiveState:
     @property
     def kxu(self) -> np.ndarray | None:
         """Kxu (window x inducing) while carried, else None: kept by
-        rebuild_caches, dropped by every parameter update, so only fast
-        mode streams with it."""
+        rebuild_caches, dropped by every parameter update and by an
+        inducing-set edit passed no column, so only fast mode streams with
+        it."""
         if self._kut is None:
             return None
         return self._kut[:self.inducing.shape[0], self._lo:self._hi].T
@@ -201,22 +213,24 @@ class AdaptiveState:
         return self._x[lo], self._y[lo], k_row
 
     def add_inducing(self, z: np.ndarray, k_col: np.ndarray | None) -> None:
-        """Append inducing point ``z`` (1 x D) and, while kxu is carried,
-        its kxu column ``k_col`` = k(X, z) as one buffer row; a full kxu
-        buffer grows first."""
+        """Append inducing point ``z`` (1 x D), counted as one admission,
+        and, while kxu is carried, its kxu column ``k_col`` = k(X, z) as
+        one buffer row; a full kxu buffer grows first.  Without ``k_col``
+        the carry ends."""
         k = self.inducing.shape[0]
-        kut = self._kut
+        kut = self._kut = None if k_col is None else self._kut
         if kut is not None:
             if k == kut.shape[0]:
                 kut = self._kut = self._kut_buffer(
                     kut[:k, self._lo:self._hi], self._kut_rows(k + 1))
             kut[k, self._lo:self._hi] = k_col
         self.inducing = np.concatenate((self.inducing, z))
+        self.admitted_candidates += 1
 
     def remove_inducing(self, m: int, keep: np.ndarray) -> None:
-        """Remove inducing point ``m``; ``keep`` is the index array of every
-        other point, in order.  While kxu is carried, the later buffer
-        rows shift up by one."""
+        """Remove inducing point ``m``, counted as one removal; ``keep`` is
+        the index array of every other point, in order.  While kxu is
+        carried, the later buffer rows shift up by one."""
         kut, k = self._kut, self.inducing.shape[0]
         if kut is not None:
             # one overlapping 1-D copy of whole rows, which numpy moves in
@@ -224,17 +238,22 @@ class AdaptiveState:
             w, flat = kut.shape[1], kut.reshape(-1)
             flat[m * w:(k - 1) * w] = flat[(m + 1) * w:k * w]
         self.inducing = self.inducing.take(keep, 0)
+        self.removed_points += 1
 
     def replace_inducing(self, m: int, z: np.ndarray,
                          k_col: np.ndarray | None) -> None:
         """Put inducing point ``z`` (1 x D) in slot ``m`` of a new inducing
-        array and, while kxu is carried, its kxu column ``k_col`` = k(X, z)
-        into buffer row ``m``."""
-        if self._kut is not None:
-            self._kut[m, self._lo:self._hi] = k_col
+        array, counted as one admission and one removal, and, while kxu is
+        carried, its kxu column ``k_col`` = k(X, z) into buffer row ``m``.
+        Without ``k_col`` the carry ends."""
+        kut = self._kut = None if k_col is None else self._kut
+        if kut is not None:
+            kut[m, self._lo:self._hi] = k_col
         inducing = self.inducing.copy()
         inducing[m] = z
         self.inducing = inducing
+        self.admitted_candidates += 1
+        self.removed_points += 1
 
     def _capacity(self, n: int) -> int:
         return max(n, self.window_t) + (self.window_t + 3) // 4
@@ -322,7 +341,8 @@ def rebuild_caches(state: AdaptiveState, *, keep_kxu: bool = True) -> None:
     so keeping it builds nothing more; it is copied into the state's kxu
     buffer only when kept.  ``Kuu~`` is factored once, and kuu is the
     matrix that factor describes (``bound._window_setup``), jitter
-    escalation included, so kuu and kuu_inv always describe one matrix."""
+    escalation included, so kuu and kuu_inv always describe one matrix;
+    the escalation is kept as ``jitter_extra``."""
     s = bound._window_setup(state.window_x, state.window_y, state.inducing,
                             state.params, state.log_noise, state.weights(),
                             state.jitter)
@@ -331,6 +351,7 @@ def rebuild_caches(state: AdaptiveState, *, keep_kxu: bool = True) -> None:
     state.s_k *= 0.5
     state.w_ksum = state.params.variance * float(s.w.sum())
     state.kuu = s.Kuu
+    state.jitter_extra = s.f_k.jitter_used
     state.kxu = s.Kxu if keep_kxu else None
     state.kuu_inv = linalg.inv_from_factor(s.f_k)
     state.b_lam = None

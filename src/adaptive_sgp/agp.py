@@ -2,10 +2,9 @@
 inducing set to M-1, adopts the new sample as an inducing point, and runs a
 single Adam ascent step on the noise, kernel hyperparameters, and the newest
 inducing point's coordinates, all as Python floats.  It needs a capacity of
-at least 2.
+at least 2.  The prune and the adoption are the state's edits, so
+``adaptive``'s ledger counts them.
 """
-
-import numpy as np
 
 from .adaptive import (AdaptiveState, _update_or_restore,
                        adaptive_bound_gradients)
@@ -24,10 +23,12 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
 
     Order: predict and ingest x_new (``_predict_and_slide``), prune to M-1
     (the caches shrink with the inducing set), adopt x_new as the newest
-    inducing point, one Adam step on {noise, kernel, newest point}, then
-    rebuild the caches from scratch once, since the kernel and noise have
-    moved.  B_lambda is factored only for the prediction: the ingest, the
-    prune and the rebuild mark it stale.
+    inducing point, in the last slot (``add_inducing``, with no kxu
+    column, so the state's ledger counts it and any kxu carry ends), one
+    Adam step on {noise, kernel, newest point}, then rebuild the caches
+    from scratch once, since the kernel and noise have moved.  B_lambda
+    is factored only for the prediction: the ingest, the prune and the
+    rebuild mark it stale.
 
     The Adam step and the rebuild run under ``_update_or_restore``, which
     undoes a step whose gradient or rebuild fails to factor.  A sample the
@@ -42,7 +43,7 @@ def agp_step(state: AdaptiveState, opt: Adam, x_new, y_new: float,
     if k_new is None:
         return state, opt, pred
     prune_inducing(state, r_th, max_k=state.capacity_m - 1)
-    state.inducing = np.concatenate((state.inducing, state.window_x[-1:]))
+    state.add_inducing(state.window_x[-1:], None)
 
     # The newest inducing point is a brand-new parameter every step, so its
     # Adam moments restart; the hyperparameters keep theirs.  Both steps run

@@ -23,7 +23,8 @@ through the state's own methods (``append_sample``, ``evict_sample``,
 ``add_inducing``, ``replace_inducing``, ``remove_inducing``), which write
 O(D + M) numbers into its fixed-capacity buffers per sample and one buffer
 row per admission; ``adaptive`` gives the layout, and the views
-``window_x``, ``window_y`` and ``kxu`` hold only until the next move.
+``window_x``, ``window_y`` and ``kxu`` hold only until the next move;
+the three inducing-set edits also keep ``adaptive``'s ledger.
 Every one-point kernel is a ``kernel_column`` vector, by differences at
 every D (vectors by differences, matrices by one product: a matrix stays
 Gram since one product beats D passes about 5x at D=8, as ``kernel``
@@ -264,12 +265,13 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     counted before that column is built.  An admission that replaces no
     point borders kuu and s_k, writes its kxu column (``add_inducing``)
     and grows kuu_inv by bordered block extension (``inv_extend``,
-    O(M^2)).  Every admission, counted in ``state.admitted_candidates``
-    (a replacement also in ``state.removed_points``), marks b_lam stale
-    and drops the score round, whether it borders or replaces.
-    ``k_new`` is ``kernel_row(state, x_new)`` when the caller has it, and
-    ``a`` its ``kuu_inv @ k_new`` (the candidate's u = kuu_inv b, which
-    ``inv_extend`` and ``inv_replace`` reuse).
+    O(M^2)).  The candidate's diagonal b0 carries the state's jitter and
+    the escalation of its last rebuild (``jitter_extra``), as kuu's does.
+    Every admission, counted by the state's edit (``adaptive``'s ledger),
+    marks b_lam stale and drops the score round, whether it borders or
+    replaces.  ``k_new`` is ``kernel_row(state, x_new)`` when the caller
+    has it, and ``a`` its ``kuu_inv @ k_new`` (the candidate's u = kuu_inv
+    b, which the Schur test, the scores and ``inv_replace`` reuse).
     """
     kxu = state.kxu
     if kxu is None:
@@ -282,7 +284,7 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
     x_new = np.asarray(x_new, dtype=float).reshape(1, -1)
     kuu_inv = state.kuu_inv
     b = kernel_row(state, x_new) if k_new is None else k_new
-    b0 = state.params.variance + state.jitter
+    b0 = state.params.variance + state.jitter + state.jitter_extra
     u = kuu_inv.dot(b) if a is None else a
     s = float(b0 - b.dot(u))
     if not linalg.schur_positive(s, b0):  # x_new is in the inducing set's span
@@ -302,19 +304,17 @@ def maybe_add_inducing(state: AdaptiveState, x_new, r_th_tot: float, *,
         state.rejected_candidates += 1
         return state, False
 
-    state.admitted_candidates += 1
     state.score_num = None
     state.b_lam = None
     s_y_new = float(np.dot(wk_x, state.window_y))
     if m is None:
-        state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0, u=u)
+        state.kuu_inv = linalg.inv_extend(kuu_inv, b, b0)
         state.s_k = _border(state.s_k, r, d)
         state.kuu = _border(state.kuu, b, b0)
         state.s_y = np.concatenate((state.s_y, (s_y_new,)))
         state.add_inducing(x_new, k_x)
         return state, True
     # the prune's first round removes point m: the candidate takes its slot
-    state.removed_points += 1
     state.kuu_inv = linalg.inv_replace(kuu_inv, m, u, s)
     _put(state.s_k, m, r, d)
     _put(state.kuu, m, b, b0)
@@ -333,9 +333,9 @@ def prune_inducing(state: AdaptiveState, r_th: float,
     Scores come from the cached s_k and kuu_inv, which must match the
     current window, inducing set and kernel.  Each removal builds one index
     array of the points kept, shrinks kuu_inv by ``inv_shrink`` (O(M^2), no
-    refactorisation), restricts kuu, s_k, s_y and the inducing set by that
-    array, shifts kxu's later buffer rows up (``remove_inducing``, when
-    carried), marks b_lam stale, counts in ``state.removed_points`` and
+    refactorisation), restricts kuu, s_k and s_y by that array and the
+    inducing set by ``remove_inducing`` (which counts the removal and
+    shifts kxu's later buffer rows up when carried), marks b_lam stale and
     scores the remaining set afresh, so every round scores it exactly and
     the caches stay exact afterwards.
 
@@ -359,7 +359,6 @@ def prune_inducing(state: AdaptiveState, r_th: float,
         state.s_k = state.s_k.take(keep, 0).take(keep, 1)
         state.s_y = state.s_y.take(keep)
         state.remove_inducing(m, keep)
-        state.removed_points += 1
         scores = _standing_round(state)
         m = _prune_target(scores, r_th, max_k)
     return state

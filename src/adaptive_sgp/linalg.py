@@ -170,14 +170,11 @@ def schur_positive(schur: float, b0: float) -> bool:
     return schur > SCHUR_RTOL * max(abs(b0), 1.0)
 
 
-def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, *,
-               u: np.ndarray | None = None) -> np.ndarray:
+def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float) -> np.ndarray:
     """Inverse of the bordered matrix [[A, b], [b^T, b0]] in O(k^2).
 
     ``Ainv`` must be the inverse of A.  Uses the block-inversion identities;
-    the Schur complement ``b0 - b^T Ainv b`` must be positive.  ``u`` is
-    ``Ainv @ b`` when the caller has it (fast mode's admission does), so it
-    is not formed again.
+    the Schur complement ``b0 - b^T Ainv b`` must be positive.
 
     Raises
     ------
@@ -189,8 +186,7 @@ def inv_extend(Ainv: np.ndarray, b: np.ndarray, b0: float, *,
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != Ainv.shape[0]:
         raise DimensionMismatch("border vector length does not match inverse size")
-    if u is None:
-        u = Ainv @ b
+    u = Ainv @ b
     schur = float(b0 - b @ u)
     if not schur_positive(schur, b0):
         raise SchurNotPositive(f"Schur complement {schur:g} not positive")

@@ -334,6 +334,24 @@ def test_update_or_restore_drops_kxu(fails):
     assert st.skipped_updates == fails
 
 
+@pytest.mark.parametrize("edit", ["add", "replace"])
+def test_an_edit_without_its_kxu_column_ends_the_carry(edit):
+    # An added or replacing point passed no kxu column leaves the carried
+    # kxu without that point's column, so the carry ends; the edit still
+    # counts in the state's ledger.
+    rng = np.random.default_rng(29)
+    st = make_state(rng, t_cur=12, k=3, d=2)
+    z = rng.normal(size=(1, 2))
+    assert st.kxu is not None
+    if edit == "add":
+        st.add_inducing(z, None)
+    else:
+        st.replace_inducing(1, z, None)
+    assert st.kxu is None
+    assert (st.admitted_candidates, st.removed_points) == (
+        1, int(edit == "replace"))
+
+
 def test_full_mode_step_skipped_after_from_batch_keeps_kxu():
     # A skipped sample moves nothing, so the kxu from_batch's rebuild kept
     # is still the window's kernel; the first update drops it.

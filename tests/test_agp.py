@@ -404,6 +404,57 @@ def _toy_predictions(kind, X, y):
     return np.array(preds), st
 
 
+@pytest.mark.parametrize("kind", ["fast_agp", "agp", "agp_vsi", "w_vsgp"])
+def test_the_counters_equal_a_hand_count_for_every_kind(kind, monkeypatch):
+    # adaptive's ledger, counted by hand from the kuu_inv move each edit
+    # makes: a bordering admission extends kuu_inv, a removal shrinks it
+    # and a replacement replaces one of its rows, so fast mode admits
+    # extends + replaces points and removes shrinks + replaces.  agp
+    # adopts every ingested sample, which the rebuild after it prices, and
+    # its prune removes one point per step; the baselines never edit the
+    # set.
+    moves = {name: count_calls(monkeypatch, linalg, name)
+             for name in ("inv_extend", "inv_shrink", "inv_replace")}
+    t, y = harness.synth_toy(seed=0)
+    n = 300 if kind in ("fast_agp", "agp") else 120
+    _, st = _toy_predictions(kind, t[:n, None], y[:n])
+    extends, shrinks, replaces = (moves[name][0] for name in moves)
+    steps = n - 100
+    if kind == "agp":
+        assert (extends, shrinks, replaces) == (0, steps, 0)
+        hand = (steps, steps)
+    else:
+        hand = (extends + replaces, shrinks + replaces)
+    assert (st.admitted_candidates, st.removed_points) == hand
+    assert st.k_inducing == 10 + hand[0] - hand[1]
+    if kind == "fast_agp":
+        assert replaces > 0
+    elif kind != "agp":
+        assert hand == (0, 0)
+
+
+def test_the_adoption_ends_a_carried_kxu(monkeypatch):
+    # from_batch's rebuild keeps kxu, and the adoption builds no kxu
+    # column for the newest point, so it ends the carry: the first step's
+    # gradient already sees a state that carries none, not one whose last
+    # kxu column is a stale buffer row.
+    X, y = piecewise_sinusoid(101, 1)
+    model = vsgp.fit_batch(X[:100], y[:100], M=10, iters=20, seed=0)
+    st = adaptive.from_batch(model, X[:100], y[:100],
+                             lam=0.97724, window_t=100, capacity_m=10)
+    gradients, seen = agp.adaptive_bound_gradients, []
+
+    def observed(state):
+        seen.append(state.kxu)
+        return gradients(state)
+
+    monkeypatch.setattr(agp, "adaptive_bound_gradients", observed)
+    assert st.kxu is not None
+    agp.agp_step(st, agp.adam_params(), X[100], y[100])
+    assert len(seen) == 1 and seen[0] is None
+    assert (st.admitted_candidates, st.removed_points) == (1, 1)
+
+
 # The baselines retrain for 10 iterations per sample, so they stream only
 # the 60 samples after the batch window; the corrupt sample is the 31st.
 STREAM_LEN = {"fast_agp": 500, "agp": 500, "agp_vsi": 160, "w_vsgp": 160}

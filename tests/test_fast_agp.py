@@ -621,6 +621,36 @@ def test_replacement_matches_direct_inversion():
     assert worst < 1e-7
 
 
+@pytest.mark.parametrize("replace", [False, True], ids=["border", "replace"])
+def test_an_admission_carries_the_escalated_jitter(replace):
+    # At zero jitter a duplicated inducing point makes the rebuild's factor
+    # escalate the jitter, and kuu carries that escalation on its diagonal.
+    # An admitted point's diagonal must carry it too, whether it borders
+    # the set or replaces one of the duplicates, so that kuu and kuu_inv
+    # stay a rebuild's.  The rebuild of the set after the admission, which
+    # still holds a duplicate, escalates alike.
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1.0, 3.0, size=(30, 1))
+    U = np.array([[0.0], [0.0], [0.0], [1.0]] if replace else
+                 [[0.0], [0.0], [1.0]])
+    k = U.shape[0]
+    st = adaptive.AdaptiveState(
+        window_x=X, window_y=np.sin(2.0 * X[:, 0]) + 0.1 * rng.normal(size=30),
+        inducing=U, params=KernelParams(0.0, 0.0), log_noise=-2.0, lam=0.95,
+        capacity_m=k, window_t=30, jitter=0.0)
+    adaptive.rebuild_caches(st)
+    _, added = fast_agp.maybe_add_inducing(
+        st, [2.5], -1.0, r_th=1e-4 if replace else None, max_k=k)
+    assert added and st.k_inducing == (k if replace else k + 1)
+    assert st.removed_points == replace
+    fresh = _fresh(st)
+    assert (np.diag(fresh.kuu) > 1.0).all()        # the rebuild escalated
+    assert rel(st.kuu, fresh.kuu) <= KERNEL_CACHE_RTOL
+    tol = (REPLACE_COND_RTOL * np.finfo(float).eps * np.linalg.cond(st.kuu)
+           * np.max(np.abs(fresh.kuu_inv)))
+    assert np.max(np.abs(st.kuu_inv - fresh.kuu_inv)) <= tol
+
+
 def _lag8_stream_state(n):
     X, y = lagged_series(400 + n, 0)
     return X, y, _stream_state(X, y, 400, 40, 0.1 ** (1 / 400), 50)

@@ -173,20 +173,6 @@ def test_inv_extend_equals_its_elementwise_form_and_keeps_its_inputs():
         assert np.array_equal(Ainv_in, Ainv) and np.array_equal(b_in, b), n
 
 
-def test_inv_extend_with_the_callers_product_equals_without():
-    # u = Ainv @ b handed over (fast mode's admission passes the product it
-    # has) is a value handed over: the inverse is the same bit for bit, and
-    # the Schur test still refuses a singular border.
-    rng = np.random.default_rng(12)
-    for n in range(2, 65):
-        A = spd_matrix(rng, n)
-        Ainv, b, b0 = np.linalg.inv(A[:-1, :-1]), A[:-1, -1].copy(), A[-1, -1]
-        assert np.array_equal(linalg.inv_extend(Ainv, b, b0, u=Ainv @ b),
-                              linalg.inv_extend(Ainv, b, b0)), n
-    with pytest.raises(SchurNotPositive):
-        linalg.inv_extend(np.eye(1), np.array([1.0]), 1.0, u=np.array([1.0]))
-
-
 def test_inv_shrink_equals_its_elementwise_form_and_keeps_its_input():
     rng = np.random.default_rng(13)
     for n in range(2, 65):

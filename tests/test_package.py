@@ -126,6 +126,29 @@ def test_one_guard_handles_a_failed_factorization():
     assert _handlers("NotPsd") == {("adaptive.py", "_update_or_restore")}
 
 
+def _writers(names) -> set:
+    """Sites of every assignment, plain, augmented or annotated, to an
+    attribute named one of ``names``."""
+    def writes(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return any(isinstance(n, ast.Attribute) and n.attr in names
+                   for t in targets for n in ast.walk(t))
+    return _sites(writes)
+
+
+def test_only_the_state_counts_inducing_set_edits():
+    # adaptive's ledger: AdaptiveState's add_inducing, replace_inducing and
+    # remove_inducing each count the edit they make, so the counters hold
+    # every kind's traffic and no caller counts beside them.
+    assert _writers({"admitted_candidates", "removed_points"}) == {
+        ("adaptive.py", "AdaptiveState")}
+
+
 def test_every_export_resolves():
     missing = [name for name in adaptive_sgp.__all__
                if not hasattr(adaptive_sgp, name)]
